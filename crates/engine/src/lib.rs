@@ -154,8 +154,9 @@ impl Execution {
 /// Both schedulers run the *same* epoch algorithm (partition → shard
 /// polling → worker-ordered merge → epoch hook) whenever an epoch is
 /// dispatched; they differ only in *when* epochs are dispatched. The
-/// differential suite (`tests/reference.rs`) asserts their reports are
-/// bit-identical, field for field, modulo the [`SchedStats`] counters.
+/// differential and property suites (`tests/differential.rs`,
+/// `tests/prop.rs`) assert their reports are bit-identical, field for
+/// field, modulo the [`SchedStats`] counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
     /// The virtual-time event scheduler (default): `run_until`
@@ -1094,7 +1095,7 @@ impl<A: QueueApp> Engine<A> {
     /// work before the horizon; otherwise simulated time jumps to
     /// `until_ns` without one. The resulting [`EngineReport`] is
     /// bit-identical either way (only [`EngineReport::sched`] differs)
-    /// — `crates/engine/tests/reference.rs` pins this.
+    /// — `crates/engine/tests/differential.rs` and `prop.rs` pin this.
     /// With a control hook installed ([`Engine::set_control_hook`]) the
     /// horizon is segmented at control boundaries: catch up to each
     /// crossed multiple of the period, fire the hook there, and only

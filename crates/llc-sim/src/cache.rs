@@ -5,16 +5,17 @@
 //! them together. A cache stores *line numbers* (physical address >> 6)
 //! only — data bytes live in [`crate::mem::PhysMem`], which is sound for a
 //! behavioural model because a hit/miss decision never depends on data.
+//!
+//! The cache is one flat struct of arrays: a `sets × ways` tag array in
+//! which a sentinel tag marks a free way, one dirty bitmask per set, and the
+//! whole cache's replacement state ([`crate::replacement`]). A lookup
+//! scans one contiguous row of tags.
 
-use crate::replacement::{ReplacementKind, ReplacementState};
-use trafficgen::Rng64;
+use crate::replacement::{Replacement, ReplacementKind};
 
-/// One resident cache line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Entry {
-    line: u64,
-    dirty: bool,
-}
+/// The tag of a free way. No physical line number reaches it (line
+/// numbers are addresses >> 6), so it never matches a lookup.
+const INVALID: u64 = u64::MAX;
 
 /// A line evicted to make room, reported to the caller for write-back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,12 +42,15 @@ pub struct CacheStats {
 /// A set-associative cache of line numbers with write-back semantics.
 #[derive(Debug)]
 pub struct SetAssocCache {
-    sets: Vec<Vec<Option<Entry>>>,
-    repl: Vec<ReplacementState>,
+    /// Resident line per way, row-major by set; [`INVALID`] when free.
+    tags: Vec<u64>,
+    /// Per set: bit `w` set ⇔ way `w` holds modified data.
+    dirty: Vec<u64>,
+    repl: Replacement,
     ways: usize,
-    set_count: usize,
     set_mask: u64,
-    rng: Rng64,
+    /// One bit per existing way.
+    all_ways: u64,
     stats: CacheStats,
 }
 
@@ -58,19 +62,20 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Panics if `set_count` is not a power of two or either dimension is 0.
+    /// Panics if `set_count` is not a power of two, `ways` is 0 or above
+    /// 64 (one dirty-mask bit per way), or the replacement policy rejects
+    /// the way count.
     pub fn new(set_count: usize, ways: usize, kind: ReplacementKind, seed: u64) -> Self {
         assert!(set_count.is_power_of_two(), "set count must be 2^k");
         assert!(ways > 0, "need at least one way");
+        assert!(ways <= 64, "at most 64 ways");
         Self {
-            sets: vec![vec![None; ways]; set_count],
-            repl: (0..set_count)
-                .map(|_| ReplacementState::new(kind, ways))
-                .collect(),
+            tags: vec![INVALID; set_count * ways],
+            dirty: vec![0; set_count],
+            repl: Replacement::new(kind, set_count, ways, seed),
             ways,
-            set_count,
             set_mask: (set_count - 1) as u64,
-            rng: ReplacementState::make_rng(seed),
+            all_ways: u64::MAX >> (64 - ways),
             stats: CacheStats::default(),
         }
     }
@@ -82,12 +87,12 @@ impl SetAssocCache {
 
     /// Number of sets.
     pub fn set_count(&self) -> usize {
-        self.set_count
+        self.dirty.len()
     }
 
     /// Total capacity in bytes.
     pub fn capacity_bytes(&self) -> usize {
-        self.set_count * self.ways * crate::addr::CACHE_LINE
+        self.tags.len() * crate::addr::CACHE_LINE
     }
 
     /// The set index a line maps to.
@@ -105,40 +110,50 @@ impl SetAssocCache {
         self.stats = CacheStats::default();
     }
 
+    /// The tags of `set`'s ways.
+    #[inline]
+    fn row(&self, set: usize) -> &[u64] {
+        &self.tags[set * self.ways..(set + 1) * self.ways]
+    }
+
+    /// The set `line` maps to and the way holding it, if resident.
+    #[inline]
+    fn find(&self, line: u64) -> (usize, Option<usize>) {
+        debug_assert_ne!(line, INVALID, "line number out of range");
+        let set = self.set_of(line);
+        (set, self.row(set).iter().position(|&t| t == line))
+    }
+
     /// Looks up `line`; on a hit updates recency and returns whether the
     /// line was dirty.
     pub fn lookup(&mut self, line: u64) -> Option<bool> {
-        let set = self.set_of(line);
-        for (w, slot) in self.sets[set].iter().enumerate() {
-            if let Some(e) = slot {
-                if e.line == line {
-                    self.repl[set].touch(w);
-                    self.stats.hits += 1;
-                    return Some(e.dirty);
-                }
+        let (set, way) = self.find(line);
+        match way {
+            Some(w) => {
+                self.repl.touch(set, w);
+                self.stats.hits += 1;
+                Some(self.dirty[set] >> w & 1 != 0)
+            }
+            None => {
+                self.stats.misses += 1;
+                None
             }
         }
-        self.stats.misses += 1;
-        None
     }
 
     /// True when `line` is resident; does **not** touch recency or stats
     /// (an observation, not a simulated access).
     pub fn probe(&self, line: u64) -> bool {
-        let set = self.set_of(line);
-        self.sets[set].iter().flatten().any(|e| e.line == line)
+        self.find(line).1.is_some()
     }
 
     /// Marks a resident line dirty; returns false when not resident.
     pub fn mark_dirty(&mut self, line: u64) -> bool {
-        let set = self.set_of(line);
-        for slot in self.sets[set].iter_mut().flatten() {
-            if slot.line == line {
-                slot.dirty = true;
-                return true;
-            }
+        let (set, way) = self.find(line);
+        if let Some(w) = way {
+            self.dirty[set] |= 1 << w;
         }
-        false
+        way.is_some()
     }
 
     /// Inserts `line`, evicting if the set is full. Equivalent to
@@ -155,7 +170,7 @@ impl SetAssocCache {
     ///
     /// * If the line is already resident (in **any** way), it is updated in
     ///   place — masks restrict allocation, not hits.
-    /// * Otherwise a free way *within the mask* is used, else the
+    /// * Otherwise the lowest free way *within the mask* is used, else the
     ///   replacement policy picks a victim within the mask.
     ///
     /// Returns the evicted line, if any.
@@ -164,61 +179,68 @@ impl SetAssocCache {
     ///
     /// Panics when `mask` selects no existing way.
     pub fn insert_masked(&mut self, line: u64, dirty: bool, mask: u64) -> Option<Evicted> {
+        debug_assert_ne!(line, INVALID, "line number out of range");
         let set = self.set_of(line);
-        // Already resident: update dirtiness and recency.
-        for (w, slot) in self.sets[set].iter_mut().enumerate() {
-            if let Some(e) = slot {
-                if e.line == line {
-                    e.dirty |= dirty;
-                    self.repl[set].touch(w);
-                    return None;
-                }
+        let base = set * self.ways;
+        let mask = mask & self.all_ways;
+        // One pass: already resident (update dirtiness and recency), or
+        // note the first free way inside the mask.
+        let mut free = None;
+        for (w, &tag) in self.row(set).iter().enumerate() {
+            if tag == line {
+                self.dirty[set] |= u64::from(dirty) << w;
+                self.repl.touch(set, w);
+                return None;
+            }
+            if free.is_none() && tag == INVALID && mask >> w & 1 != 0 {
+                free = Some(w);
             }
         }
         self.stats.fills += 1;
-        // Free way inside the mask?
-        for w in 0..self.ways {
-            if mask & (1u64 << w) != 0 && self.sets[set][w].is_none() {
-                self.sets[set][w] = Some(Entry { line, dirty });
-                self.repl[set].touch(w);
-                return None;
+        let (w, evicted) = match free {
+            Some(w) => (w, None),
+            None => {
+                let w = self.repl.victim(set, mask);
+                self.stats.evictions += 1;
+                let old = Evicted {
+                    line: self.tags[base + w],
+                    dirty: self.dirty[set] >> w & 1 != 0,
+                };
+                (w, Some(old))
             }
-        }
-        let effective = mask & ((1u64 << self.ways) - 1).max(1);
-        let w = self.repl[set].victim_masked(&mut self.rng, effective);
-        let old = self.sets[set][w].replace(Entry { line, dirty });
-        self.repl[set].touch(w);
-        self.stats.evictions += 1;
-        old.map(|e| Evicted {
-            line: e.line,
-            dirty: e.dirty,
-        })
+        };
+        self.tags[base + w] = line;
+        self.dirty[set] = self.dirty[set] & !(1 << w) | u64::from(dirty) << w;
+        self.repl.touch(set, w);
+        evicted
     }
 
     /// Removes `line` if resident, returning whether it was dirty.
     pub fn invalidate(&mut self, line: u64) -> Option<bool> {
-        let set = self.set_of(line);
-        for slot in self.sets[set].iter_mut() {
-            if let Some(e) = *slot {
-                if e.line == line {
-                    *slot = None;
-                    return Some(e.dirty);
-                }
-            }
-        }
-        None
+        let (set, way) = self.find(line);
+        let w = way?;
+        self.tags[set * self.ways + w] = INVALID;
+        let was_dirty = self.dirty[set] >> w & 1 != 0;
+        self.dirty[set] &= !(1 << w);
+        Some(was_dirty)
     }
 
     /// Number of currently valid lines (test/inspection helper).
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(|s| s.iter().flatten().count()).sum()
+        self.tags.iter().filter(|&&t| t != INVALID).count()
     }
 
-    /// Iterates over all resident `(line, dirty)` pairs (inspection only).
+    /// Iterates over all resident `(line, dirty)` pairs, set by set and
+    /// way by way (inspection only).
     pub fn resident_lines(&self) -> impl Iterator<Item = (u64, bool)> + '_ {
-        self.sets
+        self.tags
             .iter()
-            .flat_map(|s| s.iter().flatten().map(|e| (e.line, e.dirty)))
+            .enumerate()
+            .filter(|&(_, &t)| t != INVALID)
+            .map(|(i, &t)| {
+                let (set, w) = (i / self.ways, i % self.ways);
+                (t, self.dirty[set] >> w & 1 != 0)
+            })
     }
 }
 

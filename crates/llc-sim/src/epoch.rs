@@ -35,10 +35,9 @@
 use crate::addr::{split_lines, PhysAddr};
 use crate::cache::SetAssocCache;
 use crate::hash::SliceHash;
-use crate::hierarchy::{Cycles, Machine};
+use crate::hierarchy::{CoreState, Cycles, Machine};
 use crate::machine::{LlcMode, MachineConfig};
 use crate::mem::PhysMem;
-use crate::prefetch::StreamerState;
 use crate::topology::Interconnect;
 
 /// Timed per-core memory operations — the worker-side subset of
@@ -218,11 +217,8 @@ pub struct EpochShard<'a> {
     /// Frozen LLC slices: probe-only.
     llc: &'a [SetAssocCache],
     mem: SharedMem,
-    l1: &'a mut SetAssocCache,
-    l2: &'a mut SetAssocCache,
-    clock: &'a mut u64,
-    wb_debt: &'a mut u64,
-    streamer: &'a mut StreamerState,
+    /// The core's L1, L2, clock, write-back debt and streamer.
+    st: &'a mut CoreState,
     log: Vec<LlcOp>,
 }
 
@@ -235,7 +231,6 @@ const _: fn() = || {
 };
 
 impl<'a> EpochShard<'a> {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         core: usize,
         cfg: &'a MachineConfig,
@@ -243,11 +238,7 @@ impl<'a> EpochShard<'a> {
         topo: &'a dyn Interconnect,
         llc: &'a [SetAssocCache],
         mem: SharedMem,
-        l1: &'a mut SetAssocCache,
-        l2: &'a mut SetAssocCache,
-        clock: &'a mut u64,
-        wb_debt: &'a mut u64,
-        streamer: &'a mut StreamerState,
+        st: &'a mut CoreState,
     ) -> Self {
         Self {
             core,
@@ -256,11 +247,7 @@ impl<'a> EpochShard<'a> {
             topo,
             llc,
             mem,
-            l1,
-            l2,
-            clock,
-            wb_debt,
-            streamer,
+            st,
             log: Vec::new(),
         }
     }
@@ -279,22 +266,22 @@ impl<'a> EpochShard<'a> {
     // -- cost engine, mirroring `Machine` ------------------------------
 
     fn charge(&mut self, base: Cycles) -> Cycles {
-        *self.wb_debt = self.wb_debt.saturating_sub(base);
+        self.st.wb_debt = self.st.wb_debt.saturating_sub(base);
         let mut cost = base;
-        if *self.wb_debt > self.cfg.wb_buffer_cap {
-            let stall = *self.wb_debt - self.cfg.wb_buffer_cap;
+        if self.st.wb_debt > self.cfg.wb_buffer_cap {
+            let stall = self.st.wb_debt - self.cfg.wb_buffer_cap;
             cost += stall;
-            *self.wb_debt = self.cfg.wb_buffer_cap;
+            self.st.wb_debt = self.cfg.wb_buffer_cap;
         }
-        *self.clock += cost;
+        self.st.clock += cost;
         cost
     }
 
     fn walk_read(&mut self, line: u64) -> Cycles {
-        if self.l1.lookup(line).is_some() {
+        if self.st.l1.lookup(line).is_some() {
             return u64::from(self.cfg.l1.latency);
         }
-        if self.l2.lookup(line).is_some() {
+        if self.st.l2.lookup(line).is_some() {
             self.fill_l1(line, false);
             return u64::from(self.cfg.l2.latency);
         }
@@ -306,11 +293,11 @@ impl<'a> EpochShard<'a> {
     }
 
     fn walk_write(&mut self, line: u64) -> Cycles {
-        if self.l1.lookup(line).is_some() {
-            self.l1.mark_dirty(line);
+        if self.st.l1.lookup(line).is_some() {
+            self.st.l1.mark_dirty(line);
             return u64::from(self.cfg.store_hit_cost);
         }
-        let fetch = if self.l2.lookup(line).is_some() {
+        let fetch = if self.st.l2.lookup(line).is_some() {
             u64::from(self.cfg.l2.latency)
         } else {
             let lat = self.frozen_fetch(line);
@@ -319,7 +306,7 @@ impl<'a> EpochShard<'a> {
             lat
         };
         self.fill_l1(line, true);
-        *self.wb_debt += fetch;
+        self.st.wb_debt += fetch;
         u64::from(self.cfg.store_miss_cost)
     }
 
@@ -336,15 +323,15 @@ impl<'a> EpochShard<'a> {
     }
 
     fn fill_l1(&mut self, line: u64, dirty: bool) {
-        if let Some(ev) = self.l1.insert(line, dirty) {
-            if ev.dirty && !self.l2.mark_dirty(ev.line) {
+        if let Some(ev) = self.st.l1.insert(line, dirty) {
+            if ev.dirty && !self.st.l2.mark_dirty(ev.line) {
                 self.fill_l2(ev.line, true);
             }
         }
     }
 
     fn fill_l2(&mut self, line: u64, dirty: bool) {
-        if let Some(ev) = self.l2.insert(line, dirty) {
+        if let Some(ev) = self.st.l2.insert(line, dirty) {
             self.l2_evict(ev);
         }
     }
@@ -358,7 +345,7 @@ impl<'a> EpochShard<'a> {
                         line: ev.line,
                         dirty: true,
                     });
-                    *self.wb_debt += u64::from(self.topo.llc_latency(self.core, s));
+                    self.st.wb_debt += u64::from(self.topo.llc_latency(self.core, s));
                 }
             }
             LlcMode::Victim => {
@@ -367,7 +354,7 @@ impl<'a> EpochShard<'a> {
                     dirty: ev.dirty,
                 });
                 if ev.dirty {
-                    *self.wb_debt += u64::from(self.topo.llc_latency(self.core, s));
+                    self.st.wb_debt += u64::from(self.topo.llc_latency(self.core, s));
                 }
             }
         }
@@ -378,9 +365,9 @@ impl<'a> EpochShard<'a> {
         if !cfg.adjacent_line && !cfg.streamer {
             return;
         }
-        let cands = self.streamer.observe(line, &cfg);
+        let cands = self.st.streamer.observe(line, &cfg);
         for cand in cands {
-            if self.l2.probe(cand) {
+            if self.st.l2.probe(cand) {
                 continue;
             }
             self.log.push(LlcOp::Prefetch { line: cand });
@@ -396,13 +383,13 @@ impl CoreMem for EpochShard<'_> {
 
     fn now(&self, core: usize) -> u64 {
         debug_assert_eq!(core, self.core, "shard asked about a foreign core");
-        *self.clock
+        self.st.clock
     }
 
     fn advance(&mut self, core: usize, cycles: Cycles) {
         debug_assert_eq!(core, self.core, "shard asked about a foreign core");
-        *self.wb_debt = self.wb_debt.saturating_sub(cycles);
-        *self.clock += cycles;
+        self.st.wb_debt = self.st.wb_debt.saturating_sub(cycles);
+        self.st.clock += cycles;
     }
 
     fn touch_read(&mut self, core: usize, pa: PhysAddr) -> Cycles {
@@ -420,9 +407,8 @@ impl CoreMem for EpochShard<'_> {
     fn read_bytes(&mut self, core: usize, pa: PhysAddr, buf: &mut [u8]) -> Cycles {
         debug_assert_eq!(core, self.core, "shard asked about a foreign core");
         let mut total = 0;
-        let pieces: Vec<_> = split_lines(pa, buf.len()).collect();
         let mut off = 0;
-        for (base, in_line, len) in pieces {
+        for (base, in_line, len) in split_lines(pa, buf.len()) {
             let lat = self.walk_read(base.line());
             total += self.charge(lat);
             self.mem
@@ -435,9 +421,8 @@ impl CoreMem for EpochShard<'_> {
     fn write_bytes(&mut self, core: usize, pa: PhysAddr, data: &[u8]) -> Cycles {
         debug_assert_eq!(core, self.core, "shard asked about a foreign core");
         let mut total = 0;
-        let pieces: Vec<_> = split_lines(pa, data.len()).collect();
         let mut off = 0;
-        for (base, in_line, len) in pieces {
+        for (base, in_line, len) in split_lines(pa, data.len()) {
             let cost = self.walk_write(base.line());
             total += self.charge(cost);
             self.mem
@@ -448,11 +433,8 @@ impl CoreMem for EpochShard<'_> {
     }
 
     fn dma_read(&mut self, pa: PhysAddr, buf: &mut [u8]) {
-        let lines: Vec<u64> = split_lines(pa, buf.len())
-            .map(|(b, _, _)| b.line())
-            .collect();
-        for line in lines {
-            self.log.push(LlcOp::DmaProbe { line });
+        for (base, _, _) in split_lines(pa, buf.len()) {
+            self.log.push(LlcOp::DmaProbe { line: base.line() });
         }
         self.mem.read(pa, buf);
     }

@@ -52,11 +52,16 @@ pub fn mask_of_bits(bits: &[u32]) -> u64 {
 /// Output bit `k` is the XOR (parity) of the physical-address bits selected
 /// by `masks[k]`. With 8 slices all three published mask rows are used;
 /// 4-slice parts use the first two and 2-slice parts the first one, exactly
-/// as in Maurice et al.
+/// as in Maurice et al. The rows sit in a fixed array; unused rows stay
+/// zero, so their parity is always 0 and never changes a slice.
 #[derive(Debug, Clone)]
 pub struct XorSliceHash {
-    masks: Vec<u64>,
+    masks: [u64; MAX_ROWS],
+    rows: usize,
 }
+
+/// The most output bits (mask rows) a [`XorSliceHash`] holds: 8 slices.
+const MAX_ROWS: usize = 3;
 
 impl XorSliceHash {
     /// The function for a CPU with `2^n` slices, `n` in `1..=3`.
@@ -67,9 +72,7 @@ impl XorSliceHash {
     pub fn for_slices_pow2(n: u32) -> Self {
         assert!((1..=3).contains(&n), "published masks cover 2..=8 slices");
         let all = [O0_BITS, O1_BITS, O2_BITS];
-        Self {
-            masks: all[..n as usize].iter().map(|b| mask_of_bits(b)).collect(),
-        }
+        Self::from_masks(all[..n as usize].iter().map(|b| mask_of_bits(b)).collect())
     }
 
     /// The 8-slice function of the paper's Xeon E5-2667 v3.
@@ -81,29 +84,44 @@ impl XorSliceHash {
     ///
     /// Used by the reverse-engineering code in the `slice-aware` crate to
     /// compare a reconstructed function against the ground truth.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `masks` is empty or has more than 3 rows (more than 8
+    /// slices).
     pub fn from_masks(masks: Vec<u64>) -> Self {
         assert!(!masks.is_empty(), "need at least one output bit");
-        Self { masks }
+        assert!(
+            masks.len() <= MAX_ROWS,
+            "at most {MAX_ROWS} output bits (8 slices), got {}",
+            masks.len()
+        );
+        let mut rows = [0; MAX_ROWS];
+        rows[..masks.len()].copy_from_slice(&masks);
+        Self {
+            masks: rows,
+            rows: masks.len(),
+        }
     }
 
     /// The per-output-bit XOR masks.
     pub fn masks(&self) -> &[u64] {
-        &self.masks
+        &self.masks[..self.rows]
     }
 }
 
 impl SliceHash for XorSliceHash {
+    #[inline]
     fn slice_of(&self, pa: PhysAddr) -> usize {
-        let mut slice = 0usize;
-        for (k, &mask) in self.masks.iter().enumerate() {
-            let parity = (pa.raw() & mask).count_ones() & 1;
-            slice |= (parity as usize) << k;
-        }
-        slice
+        let a = pa.raw();
+        let [m0, m1, m2] = self.masks;
+        ((a & m0).count_ones() & 1
+            | ((a & m1).count_ones() & 1) << 1
+            | ((a & m2).count_ones() & 1) << 2) as usize
     }
 
     fn slices(&self) -> usize {
-        1 << self.masks.len()
+        1 << self.rows
     }
 }
 
@@ -208,6 +226,42 @@ mod tests {
     #[should_panic(expected = "published masks")]
     fn rejects_unknown_widths() {
         XorSliceHash::for_slices_pow2(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 3 output bits")]
+    fn from_masks_rejects_more_than_three_rows() {
+        XorSliceHash::from_masks(vec![1 << 6, 1 << 7, 1 << 8, 1 << 9]);
+    }
+
+    /// The fixed-array hash equals a per-row parity loop over exactly the
+    /// used rows, for 1, 2 and 3 rows: zeroed unused rows never change a
+    /// slice, and `slices()` follows the row count.
+    #[test]
+    fn fixed_rows_match_per_row_parity_reference() {
+        let reference = |masks: &[u64], pa: u64| {
+            masks.iter().enumerate().fold(0usize, |slice, (k, &m)| {
+                slice | (((pa & m).count_ones() & 1) as usize) << k
+            })
+        };
+        let mut rng = trafficgen::Rng64::seed_from_u64(0x5a5a);
+        for n in 1..=3u32 {
+            let published = XorSliceHash::for_slices_pow2(n);
+            let rows: Vec<u64> = (0..n).map(|_| rng.next_u64() & !63).collect();
+            let explicit = XorSliceHash::from_masks(rows.clone());
+            assert_eq!(published.masks().len(), n as usize);
+            assert_eq!(explicit.masks(), &rows[..]);
+            assert_eq!(published.slices(), 1 << n);
+            assert_eq!(explicit.slices(), 1 << n);
+            for _ in 0..4096 {
+                let pa = rng.next_u64() >> 16;
+                let want = reference(published.masks(), pa);
+                assert_eq!(published.slice_of(PhysAddr(pa)), want, "n={n} pa={pa:#x}");
+                assert!(want < 1 << n);
+                let want = reference(&rows, pa);
+                assert_eq!(explicit.slice_of(PhysAddr(pa)), want, "n={n} pa={pa:#x}");
+            }
+        }
     }
 
     #[test]

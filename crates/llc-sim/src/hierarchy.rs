@@ -49,18 +49,25 @@ pub enum AccessKind {
 /// The simulated socket. See the module docs for the cost model.
 pub struct Machine {
     cfg: MachineConfig,
-    l1: Vec<SetAssocCache>,
-    l2: Vec<SetAssocCache>,
+    cores: Vec<CoreState>,
     llc: Vec<SetAssocCache>,
     hash: Box<dyn SliceHash>,
     topo: Box<dyn Interconnect>,
     uncore: Uncore,
     mem: PhysMem,
-    clock: Vec<u64>,
-    wb_debt: Vec<u64>,
-    streamer: Vec<StreamerState>,
     cat_mask: Vec<u64>,
     ddio_mask: u64,
+}
+
+/// One core's private state. An [`EpochShard`] borrows it whole.
+pub(crate) struct CoreState {
+    pub(crate) l1: SetAssocCache,
+    pub(crate) l2: SetAssocCache,
+    /// The core's cycle clock.
+    pub(crate) clock: u64,
+    /// Write-back backlog (see the module docs).
+    pub(crate) wb_debt: u64,
+    pub(crate) streamer: StreamerState,
 }
 
 impl std::fmt::Debug for Machine {
@@ -97,11 +104,14 @@ impl Machine {
         let mk = |g: crate::machine::CacheGeometry, seed: u64| {
             SetAssocCache::new(g.sets, g.ways, cfg.replacement, seed)
         };
-        let l1 = (0..cfg.cores)
-            .map(|i| mk(cfg.l1, cfg.seed ^ (0x1000 + i as u64)))
-            .collect();
-        let l2 = (0..cfg.cores)
-            .map(|i| mk(cfg.l2, cfg.seed ^ (0x2000 + i as u64)))
+        let cores = (0..cfg.cores as u64)
+            .map(|i| CoreState {
+                l1: mk(cfg.l1, cfg.seed ^ (0x1000 + i)),
+                l2: mk(cfg.l2, cfg.seed ^ (0x2000 + i)),
+                clock: 0,
+                wb_debt: 0,
+                streamer: StreamerState::default(),
+            })
             .collect();
         let llc = (0..cfg.slices)
             .map(|i| mk(cfg.llc_slice, cfg.seed ^ (0x3000 + i as u64)))
@@ -113,12 +123,8 @@ impl Machine {
         Self {
             uncore: Uncore::new(cfg.slices),
             mem: PhysMem::new(cfg.dram_capacity),
-            clock: vec![0; cfg.cores],
-            wb_debt: vec![0; cfg.cores],
-            streamer: vec![StreamerState::default(); cfg.cores],
             cat_mask: vec![u64::MAX; cfg.cores],
-            l1,
-            l2,
+            cores,
             llc,
             hash,
             topo,
@@ -178,28 +184,30 @@ impl Machine {
 
     /// Current cycle clock of `core`.
     pub fn now(&self, core: usize) -> u64 {
-        self.clock[core]
+        self.cores[core].clock
     }
 
     /// Advances `core`'s clock by `cycles` of non-memory work.
     pub fn advance(&mut self, core: usize, cycles: Cycles) {
         // Non-memory work also drains the write-back backlog.
-        self.wb_debt[core] = self.wb_debt[core].saturating_sub(cycles);
-        self.clock[core] += cycles;
+        self.cores[core].wb_debt = self.cores[core].wb_debt.saturating_sub(cycles);
+        self.cores[core].clock += cycles;
     }
 
     /// Zeroes all core clocks and write-back backlogs.
     pub fn reset_clocks(&mut self) {
-        self.clock.iter_mut().for_each(|c| *c = 0);
-        self.wb_debt.iter_mut().for_each(|c| *c = 0);
+        for c in &mut self.cores {
+            c.clock = 0;
+            c.wb_debt = 0;
+        }
     }
 
     /// Waits for `core`'s pending write-backs to finish (measurement-phase
     /// separator; the paper's experiments do the equivalent with fences).
     pub fn drain_write_backs(&mut self, core: usize) {
-        let debt = self.wb_debt[core];
-        self.clock[core] += debt;
-        self.wb_debt[core] = 0;
+        let debt = self.cores[core].wb_debt;
+        self.cores[core].clock += debt;
+        self.cores[core].wb_debt = 0;
     }
 
     /// Restricts LLC allocations by `core` to the ways in `mask` — Intel
@@ -270,11 +278,8 @@ impl Machine {
         if self.cfg.llc_mode != LlcMode::Inclusive {
             return None;
         }
-        for c in 0..self.cfg.cores {
-            for (line, _) in self.l1[c]
-                .resident_lines()
-                .chain(self.l2[c].resident_lines())
-            {
+        for (c, st) in self.cores.iter().enumerate() {
+            for (line, _) in st.l1.resident_lines().chain(st.l2.resident_lines()) {
                 let s = self.hash.slice_of(PhysAddr(line << 6));
                 if !self.llc[s].probe(line) {
                     return Some((c, line));
@@ -286,11 +291,9 @@ impl Machine {
 
     /// Resets hit/miss statistics at every level.
     pub fn reset_stats(&mut self) {
-        for c in &mut self.l1 {
-            c.reset_stats();
-        }
-        for c in &mut self.l2 {
-            c.reset_stats();
+        for c in &mut self.cores {
+            c.l1.reset_stats();
+            c.l2.reset_stats();
         }
         for c in &mut self.llc {
             c.reset_stats();
@@ -316,9 +319,8 @@ impl Machine {
     /// Timed load of `buf.len()` bytes at `pa` into `buf`.
     pub fn read_bytes(&mut self, core: usize, pa: PhysAddr, buf: &mut [u8]) -> Cycles {
         let mut total = 0;
-        let pieces: Vec<_> = split_lines(pa, buf.len()).collect();
         let mut off = 0;
-        for (base, in_line, len) in pieces {
+        for (base, in_line, len) in split_lines(pa, buf.len()) {
             let lat = self.walk_read(core, base.line());
             total += self.charge(core, lat);
             self.mem
@@ -331,9 +333,8 @@ impl Machine {
     /// Timed store of `data` at `pa`.
     pub fn write_bytes(&mut self, core: usize, pa: PhysAddr, data: &[u8]) -> Cycles {
         let mut total = 0;
-        let pieces: Vec<_> = split_lines(pa, data.len()).collect();
         let mut off = 0;
-        for (base, in_line, len) in pieces {
+        for (base, in_line, len) in split_lines(pa, data.len()) {
             let cost = self.walk_write(core, base.line());
             total += self.charge(core, cost);
             self.mem
@@ -359,9 +360,9 @@ impl Machine {
     /// from every cache in the hierarchy (paper §2.2 methodology).
     pub fn clflush(&mut self, core: usize, pa: PhysAddr) -> Cycles {
         let line = pa.line();
-        for c in 0..self.cfg.cores {
-            self.l1[c].invalidate(line);
-            self.l2[c].invalidate(line);
+        for c in &mut self.cores {
+            c.l1.invalidate(line);
+            c.l2.invalidate(line);
         }
         let s = self.hash.slice_of(pa);
         self.llc[s].invalidate(line);
@@ -388,13 +389,13 @@ impl Machine {
     /// The allocation half of [`Machine::dma_write`] without data movement
     /// (for workloads that only need placement effects).
     pub fn dma_place(&mut self, pa: PhysAddr, len: usize) {
-        let lines: Vec<u64> = split_lines(pa, len).map(|(b, _, _)| b.line()).collect();
-        for line in lines {
-            for c in 0..self.cfg.cores {
-                self.l1[c].invalidate(line);
-                self.l2[c].invalidate(line);
+        for (base, _, _) in split_lines(pa, len) {
+            let line = base.line();
+            for c in &mut self.cores {
+                c.l1.invalidate(line);
+                c.l2.invalidate(line);
             }
-            let s = self.hash.slice_of(PhysAddr(line << 6));
+            let s = self.hash.slice_of(base);
             self.uncore.on_lookup(s);
             let present = self.llc[s].probe(line);
             if !present {
@@ -414,10 +415,8 @@ impl Machine {
     /// Reads served from the LLC when resident (DDIO), otherwise from
     /// DRAM; either way no cache state changes and no core cycles.
     pub fn dma_read(&mut self, pa: PhysAddr, buf: &mut [u8]) {
-        let len = buf.len();
-        let lines: Vec<u64> = split_lines(pa, len).map(|(b, _, _)| b.line()).collect();
-        for line in lines {
-            let s = self.hash.slice_of(PhysAddr(line << 6));
+        for (base, _, _) in split_lines(pa, buf.len()) {
+            let s = self.hash.slice_of(base);
             self.uncore.on_lookup(s);
         }
         self.mem.read(pa, buf);
@@ -431,24 +430,24 @@ impl Machine {
     /// the core clock. See the module docs.
     fn charge(&mut self, core: usize, base: Cycles) -> Cycles {
         // Background write-backs retire while the core is busy.
-        self.wb_debt[core] = self.wb_debt[core].saturating_sub(base);
+        self.cores[core].wb_debt = self.cores[core].wb_debt.saturating_sub(base);
         let mut cost = base;
-        if self.wb_debt[core] > self.cfg.wb_buffer_cap {
-            let stall = self.wb_debt[core] - self.cfg.wb_buffer_cap;
+        if self.cores[core].wb_debt > self.cfg.wb_buffer_cap {
+            let stall = self.cores[core].wb_debt - self.cfg.wb_buffer_cap;
             cost += stall;
-            self.wb_debt[core] = self.cfg.wb_buffer_cap;
+            self.cores[core].wb_debt = self.cfg.wb_buffer_cap;
         }
-        self.clock[core] += cost;
+        self.cores[core].clock += cost;
         cost
     }
 
     /// Read walk: returns the load-to-use latency and applies all state
     /// transitions (fills, evictions, prefetches).
     fn walk_read(&mut self, core: usize, line: u64) -> Cycles {
-        if self.l1[core].lookup(line).is_some() {
+        if self.cores[core].l1.lookup(line).is_some() {
             return u64::from(self.cfg.l1.latency);
         }
-        if self.l2[core].lookup(line).is_some() {
+        if self.cores[core].l2.lookup(line).is_some() {
             self.fill_l1(core, line, false);
             return u64::from(self.cfg.l2.latency);
         }
@@ -462,11 +461,11 @@ impl Machine {
     /// Write: L1 hit is cheap; a miss triggers a background
     /// read-for-ownership charged to the write-back budget.
     fn walk_write(&mut self, core: usize, line: u64) -> Cycles {
-        if self.l1[core].lookup(line).is_some() {
-            self.l1[core].mark_dirty(line);
+        if self.cores[core].l1.lookup(line).is_some() {
+            self.cores[core].l1.mark_dirty(line);
             return u64::from(self.cfg.store_hit_cost);
         }
-        let fetch = if self.l2[core].lookup(line).is_some() {
+        let fetch = if self.cores[core].l2.lookup(line).is_some() {
             u64::from(self.cfg.l2.latency)
         } else {
             let lat = self.fetch_from_llc_or_dram(core, line);
@@ -478,7 +477,7 @@ impl Machine {
         // The RFO fill occupies the memory pipeline but the store buffer
         // hides it from the core until the budget saturates (Fig. 5b vs
         // Fig. 6b).
-        self.wb_debt[core] += fetch;
+        self.cores[core].wb_debt += fetch;
         u64::from(self.cfg.store_miss_cost)
     }
 
@@ -508,9 +507,9 @@ impl Machine {
             self.uncore.on_victim(s);
             if self.cfg.llc_mode == LlcMode::Inclusive {
                 // Inclusive LLC: a victim must leave the private caches too.
-                for c in 0..self.cfg.cores {
-                    self.l1[c].invalidate(ev.line);
-                    self.l2[c].invalidate(ev.line);
+                for c in &mut self.cores {
+                    c.l1.invalidate(ev.line);
+                    c.l2.invalidate(ev.line);
                 }
             }
             // Dirty victims drain to DRAM through deep buffers; no core
@@ -520,8 +519,8 @@ impl Machine {
 
     /// Fills a line into `core`'s L1, spilling the victim to L2.
     fn fill_l1(&mut self, core: usize, line: u64, dirty: bool) {
-        if let Some(ev) = self.l1[core].insert(line, dirty) {
-            if ev.dirty && !self.l2[core].mark_dirty(ev.line) {
+        if let Some(ev) = self.cores[core].l1.insert(line, dirty) {
+            if ev.dirty && !self.cores[core].l2.mark_dirty(ev.line) {
                 // Not in L2 (victim-mode L2 may have dropped it):
                 // re-insert dirty.
                 self.fill_l2(core, ev.line, true);
@@ -531,7 +530,7 @@ impl Machine {
 
     /// Fills a line into `core`'s L2, spilling the victim toward the LLC.
     fn fill_l2(&mut self, core: usize, line: u64, dirty: bool) {
-        if let Some(ev) = self.l2[core].insert(line, dirty) {
+        if let Some(ev) = self.cores[core].l2.insert(line, dirty) {
             self.l2_evict(core, ev);
         }
     }
@@ -547,14 +546,14 @@ impl Machine {
                         self.llc_insert(core, ev.line, true);
                     }
                     // The dirty write-back occupies the path to the slice.
-                    self.wb_debt[core] += u64::from(self.topo.llc_latency(core, s));
+                    self.cores[core].wb_debt += u64::from(self.topo.llc_latency(core, s));
                 }
             }
             LlcMode::Victim => {
                 // Skylake: L2 victims (clean or dirty) move into the LLC.
                 self.llc_insert(core, ev.line, ev.dirty);
                 if ev.dirty {
-                    self.wb_debt[core] += u64::from(self.topo.llc_latency(core, s));
+                    self.cores[core].wb_debt += u64::from(self.topo.llc_latency(core, s));
                 }
             }
         }
@@ -593,29 +592,17 @@ impl Machine {
         let hash: &dyn SliceHash = &*self.hash;
         let topo: &dyn Interconnect = &*self.topo;
         let llc: &[SetAssocCache] = &self.llc;
-        let mut l1: Vec<Option<&mut SetAssocCache>> = self.l1.iter_mut().map(Some).collect();
-        let mut l2: Vec<Option<&mut SetAssocCache>> = self.l2.iter_mut().map(Some).collect();
-        let mut clock: Vec<Option<&mut u64>> = self.clock.iter_mut().map(Some).collect();
-        let mut wb: Vec<Option<&mut u64>> = self.wb_debt.iter_mut().map(Some).collect();
-        let mut st: Vec<Option<&mut StreamerState>> = self.streamer.iter_mut().map(Some).collect();
-        cores
-            .iter()
-            .map(|&c| {
-                EpochShard::new(
-                    c,
-                    cfg,
-                    hash,
-                    topo,
-                    llc,
-                    mem,
-                    l1[c].take().expect("core split"),
-                    l2[c].take().expect("core split"),
-                    clock[c].take().expect("core split"),
-                    wb[c].take().expect("core split"),
-                    st[c].take().expect("core split"),
-                )
-            })
-            .collect()
+        // Borrow the requested cores in index order, then restore the
+        // caller's order (`sort_unstable` does not allocate).
+        let mut shards: Vec<EpochShard<'_>> = self
+            .cores
+            .iter_mut()
+            .enumerate()
+            .filter(|(c, _)| cores.contains(c))
+            .map(|(c, state)| EpochShard::new(c, cfg, hash, topo, llc, mem, state))
+            .collect();
+        shards.sort_unstable_by_key(|s| cores.iter().position(|&c| c == s.core()));
+        shards
     }
 
     /// Replays one shard's deferred-LLC event log against the live LLC,
@@ -675,9 +662,9 @@ impl Machine {
         if !cfg.adjacent_line && !cfg.streamer {
             return;
         }
-        let cands = self.streamer[core].observe(line, &cfg);
+        let cands = self.cores[core].streamer.observe(line, &cfg);
         for cand in cands {
-            if self.l2[core].probe(cand) {
+            if self.cores[core].l2.probe(cand) {
                 continue;
             }
             // Prefetch fetches through the LLC like a demand miss, without

@@ -4,8 +4,9 @@
 #
 #   scripts/ci.sh         # fmt + clippy + tests (debug) + determinism
 #   scripts/ci.sh full    # ...plus release build, bench-harness check,
-#                         # and a --smoke run of every figure binary
-#                         # (serial AND --parallel)
+#                         # a --smoke run of every figure binary
+#                         # (serial AND --parallel), and the llcbench
+#                         # smoke suite with its determinism gate
 #   scripts/ci.sh smoke   # only the figure-binary smoke runs
 #   scripts/ci.sh det     # only the determinism gate
 set -euo pipefail
@@ -137,6 +138,12 @@ if [[ "${1:-}" == "full" ]]; then
     cargo clippy --workspace --all-targets --features bench-harness -q -- -D warnings
     cargo bench -p bench --features bench-harness --no-run -q
     smoke
+    # llcbench is its own package (llcbench/Cargo.toml), outside the
+    # workspace: its smoke suite runs every workload at --smoke sizes
+    # and checks the correctness gate (bit-identical sim_digest across
+    # repeats and the traced run).
+    echo "==> llcbench smoke suite"
+    cargo test --manifest-path llcbench/Cargo.toml -q
 fi
 
 echo "CI OK"
