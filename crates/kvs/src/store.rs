@@ -258,24 +258,24 @@ impl KvStore {
     /// key).
     pub fn residents(&self, m: &Machine, slots: &[usize]) -> Vec<u32> {
         let n = self.len();
-        let mut want: std::collections::HashMap<usize, usize> =
-            std::collections::HashMap::with_capacity(slots.len());
+        // Dense position table: `pos[slot]` is the slot's index in `slots`,
+        // `usize::MAX` for a slot nobody asked for.
+        let mut pos = vec![usize::MAX; slots.iter().max().map_or(0, |&s| s + 1)];
         for (i, &s) in slots.iter().enumerate() {
             assert!(s < n, "hot slot {s} out of range");
-            want.insert(s, i);
+            pos[s] = i;
         }
         let mut out = vec![u32::MAX; slots.len()];
         let mut found = 0usize;
-        let mut b = [0u8; 4];
-        for key in 0..n {
-            m.mem().read(self.index.pa(key * 4), &mut b);
-            let slot = u32::from_le_bytes(b) as usize;
-            if let Some(&i) = want.get(&slot) {
+        let index = m.mem().slice(self.index.base(), n * 4);
+        for (key, b) in index.chunks_exact(4).enumerate() {
+            if found == slots.len() {
+                break;
+            }
+            let slot = u32::from_le_bytes(b.try_into().expect("4-byte chunk")) as usize;
+            if let Some(&i) = pos.get(slot).filter(|&&i| i != usize::MAX) {
                 out[i] = key as u32;
                 found += 1;
-                if found == slots.len() {
-                    break;
-                }
             }
         }
         assert_eq!(found, slots.len(), "index must cover every hot slot");
@@ -626,6 +626,52 @@ mod tests {
         assert_eq!(kv.hot_slots(2), None, "core 2 serves no class");
         let residents = kv.residents(&m, &[1, 3, 5]);
         assert_eq!(residents, vec![1, 3, 5], "identity index at build time");
+    }
+
+    #[test]
+    fn residents_match_a_brute_force_index_scan() {
+        let (mut m, mut a) = setup(32);
+        let n = 4096;
+        let kv = KvStore::build(
+            &mut m,
+            &mut a,
+            n,
+            Placement::StripedHot {
+                slices: vec![0, 2, 4, 6],
+                hot_per_core: 64,
+            },
+        )
+        .unwrap();
+        // Scramble the index so residents are no longer the identity.
+        let mut rng = trafficgen::Rng64::seed_from_u64(7);
+        for _ in 0..2000 {
+            let (x, y) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+            kv.swap_keys(&mut m, 0, x, y).unwrap();
+        }
+        let slot_of = |key: usize| {
+            let mut b = [0u8; 4];
+            m.mem().read(kv.index.pa(key * 4), &mut b);
+            u32::from_le_bytes(b) as usize
+        };
+        let brute = |slots: &[usize]| -> Vec<u32> {
+            slots
+                .iter()
+                .map(|&s| (0..n).find(|&k| slot_of(k) == s).unwrap() as u32)
+                .collect()
+        };
+        for core in 0..4 {
+            let slots = kv.hot_slots(core).unwrap();
+            let residents = kv.residents(&m, &slots);
+            assert_ne!(
+                residents,
+                slots.iter().map(|&s| s as u32).collect::<Vec<_>>()
+            );
+            assert_eq!(residents, brute(&slots), "core {core}");
+        }
+        // Any slots in any order, the last slot and the empty list too.
+        for slots in [vec![n - 1, 0, 17, 1000], vec![]] {
+            assert_eq!(kv.residents(&m, &slots), brute(&slots));
+        }
     }
 
     #[test]

@@ -6,16 +6,24 @@
 //! only — data bytes live in [`crate::mem::PhysMem`], which is sound for a
 //! behavioural model because a hit/miss decision never depends on data.
 //!
-//! The cache is one flat struct of arrays: a `sets × ways` tag array in
-//! which a sentinel tag marks a free way, one dirty bitmask per set, and the
-//! whole cache's replacement state ([`crate::replacement`]). A lookup
-//! scans one contiguous row of tags.
+//! Each set is one contiguous row of `u64` words:
+//!
+//! * the tags, two `u32` to a word: a way's tag is its line number with
+//!   the set-index bits shifted out (`line >> log2(sets)`), and [`FREE`]
+//!   marks a free way (and the unused half of an odd way count);
+//! * the LRU recency ranks, one `u8` per way, eight to a word (see
+//!   [`crate::replacement`]; a random-replacement row has none);
+//! * the dirty mask: bit `w` set ⇔ way `w` holds modified data.
+//!
+//! A 20-way LLC set is 14 words (112 B) and an 8-way L1/L2 set 6 words
+//! (48 B), so a lookup, a fill and its victim choice read one short run
+//! of contiguous memory.
 
 use crate::replacement::{Replacement, ReplacementKind};
 
-/// The tag of a free way. No physical line number reaches it (line
-/// numbers are addresses >> 6), so it never matches a lookup.
-const INVALID: u64 = u64::MAX;
+/// The tag of a free way. [`SetAssocCache`] rejects every line whose tag
+/// would reach it, so it never matches a lookup.
+const FREE: u32 = u32::MAX;
 
 /// A line evicted to make room, reported to the caller for write-back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,6 +32,17 @@ pub struct Evicted {
     pub line: u64,
     /// Whether the line held modified data that must be written downstream.
     pub dirty: bool,
+}
+
+/// What [`SetAssocCache::fill_masked`] did with a line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fill {
+    /// The line was already resident and was updated in place.
+    Hit,
+    /// The line took a free way.
+    Free,
+    /// The line replaced a victim.
+    Evicted(Evicted),
 }
 
 /// Hit/miss/fill statistics for one cache.
@@ -40,14 +59,26 @@ pub struct CacheStats {
 }
 
 /// A set-associative cache of line numbers with write-back semantics.
+///
+/// # Panics
+///
+/// Lookups, probes, inserts, `mark_dirty` and `invalidate` panic when
+/// the line is at or above `u32::MAX << log2(set_count)`: its tag would
+/// not fit the row's 32-bit tags. Even for a one-set cache that bound is 256 GiB of
+/// physical address space, far above any [`crate::machine::Machine`]
+/// line (the default DRAM is 4 GiB).
 #[derive(Debug)]
 pub struct SetAssocCache {
-    /// Resident line per way, row-major by set; [`INVALID`] when free.
-    tags: Vec<u64>,
-    /// Per set: bit `w` set ⇔ way `w` holds modified data.
-    dirty: Vec<u64>,
+    /// One row per set; see the module docs.
+    rows: Vec<u64>,
+    /// Words per row.
+    stride: usize,
+    /// Where a row's rank words start: after its tag words.
+    ranks_at: usize,
     repl: Replacement,
     ways: usize,
+    /// log2 of the set count: a line's tag is `line >> set_bits`.
+    set_bits: u32,
     set_mask: u64,
     /// One bit per existing way.
     all_ways: u64,
@@ -62,18 +93,25 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Panics if `set_count` is not a power of two, `ways` is 0 or above
-    /// 64 (one dirty-mask bit per way), or the replacement policy rejects
-    /// the way count.
+    /// Panics if `set_count` is not a power of two, or `ways` is 0 or above
+    /// 64 (one dirty-mask bit per way).
     pub fn new(set_count: usize, ways: usize, kind: ReplacementKind, seed: u64) -> Self {
         assert!(set_count.is_power_of_two(), "set count must be 2^k");
         assert!(ways > 0, "need at least one way");
         assert!(ways <= 64, "at most 64 ways");
+        let repl = Replacement::new(kind, ways, seed);
+        let ranks_at = ways.div_ceil(2);
+        let stride = ranks_at + repl.rank_words() + 1;
+        let mut row = vec![u64::MAX; stride];
+        Replacement::init_ranks(&mut row[ranks_at..stride - 1]);
+        row[stride - 1] = 0;
         Self {
-            tags: vec![INVALID; set_count * ways],
-            dirty: vec![0; set_count],
-            repl: Replacement::new(kind, set_count, ways, seed),
+            rows: row.repeat(set_count),
+            stride,
+            ranks_at,
+            repl,
             ways,
+            set_bits: set_count.trailing_zeros(),
             set_mask: (set_count - 1) as u64,
             all_ways: u64::MAX >> (64 - ways),
             stats: CacheStats::default(),
@@ -87,12 +125,12 @@ impl SetAssocCache {
 
     /// Number of sets.
     pub fn set_count(&self) -> usize {
-        self.dirty.len()
+        self.rows.len() / self.stride
     }
 
     /// Total capacity in bytes.
     pub fn capacity_bytes(&self) -> usize {
-        self.tags.len() * crate::addr::CACHE_LINE
+        self.set_count() * self.ways * crate::addr::CACHE_LINE
     }
 
     /// The set index a line maps to.
@@ -110,48 +148,55 @@ impl SetAssocCache {
         self.stats = CacheStats::default();
     }
 
-    /// The tags of `set`'s ways.
+    /// The set `line` maps to and its tag.
     #[inline]
-    fn row(&self, set: usize) -> &[u64] {
-        &self.tags[set * self.ways..(set + 1) * self.ways]
+    fn locate(&self, line: u64) -> (usize, u32) {
+        let tag = line >> self.set_bits;
+        assert!(
+            tag < u64::from(FREE),
+            "line {line:#x} is beyond the cache's 32-bit tag range"
+        );
+        (self.set_of(line), tag as u32)
     }
 
-    /// The set `line` maps to and the way holding it, if resident.
+    /// The row of `set`.
     #[inline]
-    fn find(&self, line: u64) -> (usize, Option<usize>) {
-        debug_assert_ne!(line, INVALID, "line number out of range");
-        let set = self.set_of(line);
-        (set, self.row(set).iter().position(|&t| t == line))
+    fn row_mut(&mut self, set: usize) -> &mut [u64] {
+        &mut self.rows[set * self.stride..(set + 1) * self.stride]
     }
 
     /// Looks up `line`; on a hit updates recency and returns whether the
     /// line was dirty.
     pub fn lookup(&mut self, line: u64) -> Option<bool> {
-        let (set, way) = self.find(line);
-        match way {
-            Some(w) => {
-                self.repl.touch(set, w);
-                self.stats.hits += 1;
-                Some(self.dirty[set] >> w & 1 != 0)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+        let (set, tag) = self.locate(line);
+        let ranks_at = self.ranks_at;
+        let (tags, ranks, dirty) = split(self.row_mut(set), ranks_at);
+        let hit = way_of(tags, tag).map(|w| {
+            Replacement::touch(ranks, w);
+            *dirty >> w & 1 != 0
+        });
+        match hit {
+            Some(_) => self.stats.hits += 1,
+            None => self.stats.misses += 1,
         }
+        hit
     }
 
     /// True when `line` is resident; does **not** touch recency or stats
     /// (an observation, not a simulated access).
     pub fn probe(&self, line: u64) -> bool {
-        self.find(line).1.is_some()
+        let (set, tag) = self.locate(line);
+        way_of(&self.rows[set * self.stride..][..self.ranks_at], tag).is_some()
     }
 
     /// Marks a resident line dirty; returns false when not resident.
     pub fn mark_dirty(&mut self, line: u64) -> bool {
-        let (set, way) = self.find(line);
+        let (set, tag) = self.locate(line);
+        let ranks_at = self.ranks_at;
+        let (tags, _, dirty) = split(self.row_mut(set), ranks_at);
+        let way = way_of(tags, tag);
         if let Some(w) = way {
-            self.dirty[set] |= 1 << w;
+            *dirty |= 1 << w;
         }
         way.is_some()
     }
@@ -162,7 +207,23 @@ impl SetAssocCache {
         self.insert_masked(line, dirty, u64::MAX)
     }
 
-    /// Inserts `line` with the victim restricted to the ways in `mask`.
+    /// Inserts `line` with the victim restricted to the ways in `mask`;
+    /// returns the evicted line, if any. See
+    /// [`SetAssocCache::fill_masked`] for the rules.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `mask` selects no existing way and a victim is needed.
+    pub fn insert_masked(&mut self, line: u64, dirty: bool, mask: u64) -> Option<Evicted> {
+        match self.fill_masked(line, dirty, mask) {
+            Fill::Evicted(ev) => Some(ev),
+            Fill::Hit | Fill::Free => None,
+        }
+    }
+
+    /// Inserts `line` with the victim restricted to the ways in `mask`,
+    /// reporting whether the line was resident, took a free way or
+    /// evicted one — a probe and an insert in one pass over the set.
     ///
     /// Way masking models both Intel CAT (classes of service get disjoint
     /// way masks, §7) and DDIO's limited I/O ways (§8). Rules, matching the
@@ -173,75 +234,121 @@ impl SetAssocCache {
     /// * Otherwise the lowest free way *within the mask* is used, else the
     ///   replacement policy picks a victim within the mask.
     ///
-    /// Returns the evicted line, if any.
-    ///
     /// # Panics
     ///
-    /// Panics when `mask` selects no existing way.
-    pub fn insert_masked(&mut self, line: u64, dirty: bool, mask: u64) -> Option<Evicted> {
-        debug_assert_ne!(line, INVALID, "line number out of range");
-        let set = self.set_of(line);
-        let base = set * self.ways;
+    /// Panics when `mask` selects no existing way and a victim is needed.
+    pub fn fill_masked(&mut self, line: u64, dirty: bool, mask: u64) -> Fill {
+        let (set, tag) = self.locate(line);
         let mask = mask & self.all_ways;
-        // One pass: already resident (update dirtiness and recency), or
-        // note the first free way inside the mask.
-        let mut free = None;
-        for (w, &tag) in self.row(set).iter().enumerate() {
-            if tag == line {
-                self.dirty[set] |= u64::from(dirty) << w;
-                self.repl.touch(set, w);
-                return None;
-            }
-            if free.is_none() && tag == INVALID && mask >> w & 1 != 0 {
-                free = Some(w);
-            }
+        let ranks_at = self.ranks_at;
+        let row = &mut self.rows[set * self.stride..(set + 1) * self.stride];
+        let (tags, ranks, dirty_mask) = split(row, ranks_at);
+        if let Some(w) = way_of(tags, tag) {
+            *dirty_mask |= u64::from(dirty) << w;
+            Replacement::touch(ranks, w);
+            return Fill::Hit;
         }
         self.stats.fills += 1;
-        let (w, evicted) = match free {
-            Some(w) => (w, None),
-            None => {
-                let w = self.repl.victim(set, mask);
-                self.stats.evictions += 1;
-                let old = Evicted {
-                    line: self.tags[base + w],
-                    dirty: self.dirty[set] >> w & 1 != 0,
-                };
-                (w, Some(old))
-            }
+        let free = free_ways(tags) & mask;
+        let (w, fill) = if free != 0 {
+            (free.trailing_zeros() as usize, Fill::Free)
+        } else {
+            let w = self.repl.victim(ranks, mask);
+            self.stats.evictions += 1;
+            let old = Evicted {
+                line: u64::from(tag_at(tags, w)) << self.set_bits | set as u64,
+                dirty: *dirty_mask >> w & 1 != 0,
+            };
+            (w, Fill::Evicted(old))
         };
-        self.tags[base + w] = line;
-        self.dirty[set] = self.dirty[set] & !(1 << w) | u64::from(dirty) << w;
-        self.repl.touch(set, w);
-        evicted
+        set_tag(tags, w, tag);
+        *dirty_mask = *dirty_mask & !(1 << w) | u64::from(dirty) << w;
+        Replacement::touch(ranks, w);
+        fill
     }
 
     /// Removes `line` if resident, returning whether it was dirty.
     pub fn invalidate(&mut self, line: u64) -> Option<bool> {
-        let (set, way) = self.find(line);
-        let w = way?;
-        self.tags[set * self.ways + w] = INVALID;
-        let was_dirty = self.dirty[set] >> w & 1 != 0;
-        self.dirty[set] &= !(1 << w);
+        let (set, tag) = self.locate(line);
+        let ranks_at = self.ranks_at;
+        let (tags, _, dirty) = split(self.row_mut(set), ranks_at);
+        let w = way_of(tags, tag)?;
+        set_tag(tags, w, FREE);
+        let was_dirty = *dirty >> w & 1 != 0;
+        *dirty &= !(1 << w);
         Some(was_dirty)
     }
 
     /// Number of currently valid lines (test/inspection helper).
     pub fn occupancy(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != INVALID).count()
+        self.rows
+            .chunks_exact(self.stride)
+            .map(|row| (!free_ways(&row[..self.ranks_at]) & self.all_ways).count_ones() as usize)
+            .sum()
     }
 
     /// Iterates over all resident `(line, dirty)` pairs, set by set and
     /// way by way (inspection only).
     pub fn resident_lines(&self) -> impl Iterator<Item = (u64, bool)> + '_ {
-        self.tags
-            .iter()
+        self.rows
+            .chunks_exact(self.stride)
             .enumerate()
-            .filter(|&(_, &t)| t != INVALID)
-            .map(|(i, &t)| {
-                let (set, w) = (i / self.ways, i % self.ways);
-                (t, self.dirty[set] >> w & 1 != 0)
+            .flat_map(move |(set, row)| {
+                let dirty = row[self.stride - 1];
+                (0..self.ways).filter_map(move |w| {
+                    let tag = tag_at(&row[..self.ranks_at], w);
+                    let line = u64::from(tag) << self.set_bits | set as u64;
+                    (tag != FREE).then_some((line, dirty >> w & 1 != 0))
+                })
             })
     }
+}
+
+/// Splits a row into its tag words, its rank words and its dirty mask.
+#[inline]
+fn split(row: &mut [u64], ranks_at: usize) -> (&mut [u64], &mut [u64], &mut u64) {
+    let (tags, rest) = row.split_at_mut(ranks_at);
+    let (dirty, ranks) = rest.split_last_mut().expect("a row ends in its dirty mask");
+    (tags, ranks, dirty)
+}
+
+/// The tag of way `w`.
+#[inline]
+fn tag_at(tags: &[u64], w: usize) -> u32 {
+    (tags[w / 2] >> (32 * (w % 2))) as u32
+}
+
+/// Sets the tag of way `w`.
+#[inline]
+fn set_tag(tags: &mut [u64], w: usize, tag: u32) {
+    let shift = 32 * (w % 2);
+    tags[w / 2] = tags[w / 2] & !(u64::from(FREE) << shift) | u64::from(tag) << shift;
+}
+
+/// The way holding `tag`, if any.
+#[inline]
+fn way_of(tags: &[u64], tag: u32) -> Option<usize> {
+    for (i, &pair) in tags.iter().enumerate() {
+        if pair as u32 == tag {
+            return Some(2 * i);
+        }
+        if (pair >> 32) as u32 == tag {
+            return Some(2 * i + 1);
+        }
+    }
+    None
+}
+
+/// Bit `w` set ⇔ way `w` is free. The unused half of an odd way count
+/// shows as free too; callers mask it off.
+#[inline]
+fn free_ways(tags: &[u64]) -> u64 {
+    let mut free = 0;
+    for (i, &pair) in tags.iter().enumerate() {
+        free |= u64::from(pair as u32 == FREE) << (2 * i)
+            | u64::from((pair >> 32) as u32 == FREE) << (2 * i + 1);
+    }
+    free
 }
 
 #[cfg(test)]

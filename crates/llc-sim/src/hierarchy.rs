@@ -25,7 +25,7 @@
 //! ways (2 of 20 by default, the 10 % limit of §8).
 
 use crate::addr::{split_lines, PhysAddr};
-use crate::cache::SetAssocCache;
+use crate::cache::{Fill, SetAssocCache};
 use crate::epoch::{EpochShard, LlcOp, SharedMem};
 use crate::hash::{FoldedSliceHash, SliceHash, XorSliceHash};
 use crate::machine::{HashConfig, InterconnectConfig, LlcMode, MachineConfig};
@@ -269,11 +269,17 @@ impl Machine {
         self.llc[slice].occupancy()
     }
 
-    /// Verifies the inclusion invariant: in [`LlcMode::Inclusive`] every
-    /// line resident in any private cache is also resident in the LLC.
-    /// Returns the first violating `(core, line)` or `None` when the
-    /// hierarchy is consistent. Inspection only (no counters move);
-    /// intended for tests and debugging.
+    /// Checks the inclusion property: in [`LlcMode::Inclusive`] every line
+    /// resident in any private cache should also be resident in the LLC.
+    /// Returns the first violating `(core, line)`, or `None` when every
+    /// private line is in the LLC (always `None` in victim mode).
+    ///
+    /// Core accesses keep the property: an LLC victim of a core fill is
+    /// back-invalidated from every private cache. DDIO does not: a line
+    /// that [`Machine::dma_place`] evicts from the DDIO ways keeps its
+    /// private copies, so after DMA traffic this can return `Some` even on
+    /// an inclusive machine. Inspection only (no counters move); intended
+    /// for tests and debugging.
     pub fn check_inclusion(&self) -> Option<(usize, u64)> {
         if self.cfg.llc_mode != LlcMode::Inclusive {
             return None;
@@ -397,15 +403,18 @@ impl Machine {
             }
             let s = self.hash.slice_of(base);
             self.uncore.on_lookup(s);
-            let present = self.llc[s].probe(line);
-            if !present {
-                self.uncore.on_miss(s);
-                self.uncore.on_fill(s);
-            }
-            if let Some(ev) = self.llc[s].insert_masked(line, true, self.ddio_mask) {
-                self.uncore.on_victim(s);
-                // The victim's dirty data is already coherent in PhysMem.
-                let _ = ev;
+            // A victim's dirty data is already coherent in PhysMem. Its
+            // private copies are not back-invalidated, unlike an
+            // `llc_insert` victim (see `check_inclusion`).
+            match self.llc[s].fill_masked(line, true, self.ddio_mask) {
+                Fill::Hit => {}
+                fill => {
+                    self.uncore.on_miss(s);
+                    self.uncore.on_fill(s);
+                    if matches!(fill, Fill::Evicted(_)) {
+                        self.uncore.on_victim(s);
+                    }
+                }
             }
         }
     }
@@ -901,6 +910,34 @@ mod tests {
             })
             .count();
         assert_eq!(resident, 2, "DDIO allocates into exactly 2 ways");
+    }
+
+    #[test]
+    #[ignore = "DDIO victims are not back-invalidated from private caches yet"]
+    fn ddio_eviction_keeps_inclusion() {
+        let mut m = haswell();
+        let r = m.mem_mut().alloc(64 << 20, 1 << 20).unwrap();
+        let slice = m.slice_of(r.pa(0));
+        // Lines 128 KiB apart share an LLC set; keep those of one slice.
+        let same_set: Vec<PhysAddr> = (0..400)
+            .map(|i| r.pa(i * 128 * 1024))
+            .filter(|&pa| m.slice_of(pa) == slice)
+            .take(21)
+            .collect();
+        assert_eq!(same_set.len(), 21);
+        // Core 0 fills the 18 non-DDIO ways; the 19th line lands in DDIO
+        // way 18 and stays in core 0's L1 and L2.
+        for &pa in &same_set[..19] {
+            m.touch_read(0, pa);
+        }
+        let held = same_set[18];
+        // The first DMA line takes the free DDIO way, the second evicts
+        // `held`, the older of the two.
+        for &pa in &same_set[19..] {
+            m.dma_write(pa, &[0; 64]);
+        }
+        assert!(!m.llc_probe(slice, held), "DDIO evicted the held line");
+        assert_eq!(m.check_inclusion(), None);
     }
 
     #[test]

@@ -1,20 +1,20 @@
-//! Differential test of the flat struct-of-arrays [`SetAssocCache`]
-//! against the nested-`Vec` cache it replaced, kept below as a test-only
-//! reference: one heap `Vec<Option<Entry>>` per set and one
-//! `ReplacementState` (with its own stamp `Vec` and clock) per set.
+//! Differential test of the one-row-per-set [`SetAssocCache`] (32-bit
+//! tags, byte LRU ranks and the dirty mask side by side) against a
+//! nested-`Vec` cache kept below as a test-only reference: one heap
+//! `Vec<Option<Entry>>` of full `u64` line numbers per set and one
+//! `ReplacementState` (with its own last-use stamps and clock) per set.
 //!
 //! Both caches are driven with the same seeded random operations —
 //! lookups, probes, plain and CAT/DDIO-masked inserts, `mark_dirty` and
 //! invalidations — and must agree after every one on the return value,
 //! the statistics, the occupancy and the order of `resident_lines()`.
-//! No figure golden runs tree-PLRU or random replacement, so this is
-//! their guard.
+//! No figure golden runs random replacement, so this is its guard.
 
 use llc_sim::cache::{CacheStats, Evicted, SetAssocCache};
 use llc_sim::replacement::ReplacementKind;
 use trafficgen::Rng64;
 
-/// The cache as it was before the flat layout.
+/// The cache as it was before the flat layouts.
 mod reference {
     use llc_sim::cache::{CacheStats, Evicted};
     use llc_sim::replacement::ReplacementKind;
@@ -28,7 +28,6 @@ mod reference {
 
     enum ReplacementState {
         Lru { stamps: Vec<u64>, clock: u64 },
-        TreePlru { bits: u64, ways: usize },
         Random { ways: usize },
     }
 
@@ -39,10 +38,6 @@ mod reference {
                     stamps: vec![0; ways],
                     clock: 0,
                 },
-                ReplacementKind::TreePlru => {
-                    assert!(ways.is_power_of_two(), "tree-PLRU needs 2^k ways");
-                    ReplacementState::TreePlru { bits: 0, ways }
-                }
                 ReplacementKind::Random => ReplacementState::Random { ways },
             }
         }
@@ -52,23 +47,6 @@ mod reference {
                 ReplacementState::Lru { stamps, clock } => {
                     *clock += 1;
                     stamps[way] = *clock;
-                }
-                ReplacementState::TreePlru { bits, ways } => {
-                    let mut node = 0usize;
-                    let mut lo = 0usize;
-                    let mut hi = *ways;
-                    while hi - lo > 1 {
-                        let mid = (lo + hi) / 2;
-                        if way >= mid {
-                            *bits &= !(1u64 << node);
-                            lo = mid;
-                            node = 2 * node + 2;
-                        } else {
-                            *bits |= 1u64 << node;
-                            hi = mid;
-                            node = 2 * node + 1;
-                        }
-                    }
                 }
                 ReplacementState::Random { .. } => {}
             }
@@ -89,7 +67,7 @@ mod reference {
                     }
                     best.expect("mask selects at least one existing way")
                 }
-                ReplacementState::TreePlru { ways, .. } | ReplacementState::Random { ways } => {
+                ReplacementState::Random { ways } => {
                     let allowed: Vec<usize> =
                         (0..*ways).filter(|i| mask & (1u64 << i) != 0).collect();
                     allowed[rng.gen_range(0..allowed.len())]
@@ -179,7 +157,7 @@ mod reference {
                     return None;
                 }
             }
-            let effective = mask & ((1u64 << self.ways) - 1).max(1);
+            let effective = mask & (u64::MAX >> (64 - self.ways));
             let w = self.repl[set].victim_masked(&mut self.rng, effective);
             let old = self.sets[set][w].replace(Entry { line, dirty });
             self.repl[set].touch(w);
@@ -260,6 +238,12 @@ fn snapshot_ref(c: &RefCache) -> (CacheStats, usize, Vec<(u64, bool)>) {
     (c.stats(), c.occupancy(), c.resident_lines().collect())
 }
 
+/// The first line whose tag no longer fits 32 bits: its tag would be
+/// the free-way sentinel `u32::MAX`.
+fn line_limit(sets: usize) -> u64 {
+    u64::from(u32::MAX) << sets.trailing_zeros()
+}
+
 /// Drives both caches with `ops` seeded operations over a line range
 /// about three times the capacity, so sets fill, evict and refill.
 fn run(kind: ReplacementKind, sets: usize, ways: usize, seed: u64, ops: usize) {
@@ -268,14 +252,13 @@ fn run(kind: ReplacementKind, sets: usize, ways: usize, seed: u64, ops: usize) {
     let mut rng = Rng64::seed_from_u64(seed ^ 0xd1ff);
     let span = (sets * ways * 3) as u64;
     for i in 0..ops {
-        // Mostly small line numbers, sometimes huge ones: the tag is the
-        // whole line number, high bits included.
-        let line = rng.gen_range(0..span)
-            + if rng.gen_bool(0.1) {
-                (rng.next_u64() >> 7) / span * span
-            } else {
-                0
-            };
+        // Mostly small line numbers, sometimes the top of the tag range:
+        // the row keeps only the tag bits above the set index.
+        let line = if rng.gen_bool(0.1) {
+            line_limit(sets) - 1 - rng.gen_range(0..span)
+        } else {
+            rng.gen_range(0..span)
+        };
         let dirty = rng.gen_bool(0.3);
         let (a, b) = match rng.gen_range(0u32..10) {
             0 | 1 => (
@@ -318,7 +301,10 @@ fn run(kind: ReplacementKind, sets: usize, ways: usize, seed: u64, ops: usize) {
     }
 }
 
-const WAYS: [usize; 4] = [8, 11, 16, 20];
+/// Way counts: the L1/L2 and LLC geometries, odd counts (a half-used
+/// tag word), and 33 and 64 (ranks up to 63 in eight rank words, the top
+/// bit of the dirty mask).
+const WAYS: [usize; 6] = [8, 11, 16, 20, 33, 64];
 
 #[test]
 fn lru_matches_reference() {
@@ -338,34 +324,23 @@ fn random_matches_reference() {
     }
 }
 
-#[test]
-fn tree_plru_matches_reference() {
-    for ways in WAYS {
-        if ways.is_power_of_two() {
-            for seed in 1..=3 {
-                run(ReplacementKind::TreePlru, 8, ways, seed, 6000);
-            }
-        } else {
-            // Both reject a way count the tree cannot cover.
-            let flat = std::panic::catch_unwind(|| {
-                SetAssocCache::new(8, ways, ReplacementKind::TreePlru, 1)
-            });
-            let reference =
-                std::panic::catch_unwind(|| RefCache::new(8, ways, ReplacementKind::TreePlru, 1));
-            assert!(flat.is_err() && reference.is_err(), "{ways} ways");
-        }
-    }
-}
-
 /// Single-set and single-way corners, where every insert conflicts.
 #[test]
 fn degenerate_geometries_match_reference() {
-    for kind in [
-        ReplacementKind::Lru,
-        ReplacementKind::TreePlru,
-        ReplacementKind::Random,
-    ] {
+    for kind in [ReplacementKind::Lru, ReplacementKind::Random] {
         run(kind, 1, 8, 11, 4000);
         run(kind, 64, 1, 12, 4000);
     }
+}
+
+/// The last line below the limit is cached; the first one at it panics
+/// instead of aliasing the free-way sentinel.
+#[test]
+#[should_panic(expected = "32-bit tag range")]
+fn rejects_the_first_line_out_of_tag_range() {
+    let mut c = SetAssocCache::new(8, 4, ReplacementKind::Lru, 1);
+    let limit = line_limit(8);
+    assert!(c.insert(limit - 1, true).is_none());
+    assert_eq!(c.lookup(limit - 1), Some(true));
+    c.insert(limit, false);
 }

@@ -48,13 +48,15 @@ impl Lpm {
     /// Panics on a prefix length outside `1..=24`.
     pub fn build(m: &mut Machine, routes: &[RouteEntry]) -> Result<Self, MemError> {
         let tbl24 = m.mem_mut().alloc(1 << 25, 64)?;
-        // Default: no route.
-        {
-            let bytes = m.mem_mut().slice_mut(tbl24.base(), 1 << 25);
-            for chunk in bytes.chunks_exact_mut(2) {
-                chunk.copy_from_slice(&NO_ROUTE.to_le_bytes());
+        // Fills `slots` table entries from entry `start` with `hop`.
+        let mut fill = |start: usize, slots: usize, hop: u16| {
+            let pa = tbl24.base().add(start as u64 * 2);
+            for entry in m.mem_mut().slice_mut(pa, slots * 2).chunks_exact_mut(2) {
+                entry.copy_from_slice(&hop.to_le_bytes());
             }
-        }
+        };
+        // Default: no route.
+        fill(0, 1 << 24, NO_ROUTE);
         // Shorter prefixes first so longer ones overwrite them.
         let mut sorted: Vec<&RouteEntry> = routes.iter().collect();
         sorted.sort_by_key(|r| r.len);
@@ -62,11 +64,7 @@ impl Lpm {
             assert!((1..=24).contains(&r.len), "prefix length out of range");
             let span = 1usize << (24 - r.len);
             let start = (r.prefix >> 8) as usize & !(span - 1);
-            for i in 0..span {
-                let off = (start + i) * 2;
-                m.mem_mut()
-                    .write(tbl24.base().add(off as u64), &r.next_hop.to_le_bytes());
-            }
+            fill(start, span, r.next_hop);
         }
         Ok(Self {
             tbl24,
