@@ -3,25 +3,23 @@
 //!
 //! Not one of the paper's figures — this is the tool used to pick the
 //! `framework_cycles` default documented in EXPERIMENTS.md.
+//!
+//! Usage: `calibrate [packets] [framework_cycles] [flow_skew] [nic_cap]
+//! [--smoke] [--parallel]`.
 
 use nfv::runtime::{run_experiment, ChainSpec, HeadroomMode, RunConfig, SteeringKind};
 use trafficgen::{ArrivalSchedule, CampusTrace, SizeMix};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().collect();
-    let parallel = args.iter().any(|a| a == "--parallel");
-    let default_packets = if args.iter().any(|a| a == "--smoke") {
-        2_000
-    } else {
-        100_000
-    };
-    let packets: usize = args
-        .get(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default_packets);
-    let fw: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(950);
-    let skew: f64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(0.9);
-    let cap: f64 = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(13.9);
+    let cli = bench::Cli::from_env(
+        &["packets", "framework_cycles", "flow_skew", "nic_cap"],
+        &[],
+    );
+    let scale = cli.scale(1, 100_000);
+    let packets = scale.packets;
+    let fw: u64 = cli.positional("framework_cycles").unwrap_or(950);
+    let skew: f64 = cli.positional("flow_skew").unwrap_or(0.9);
+    let cap: f64 = cli.positional("nic_cap").unwrap_or(13.9);
     println!("packets={packets} framework_cycles={fw} flow_skew={skew} nic_cap={cap}Mpps");
     for (name, chain, steering) in [
         ("forwarding/RSS", ChainSpec::MacSwap, SteeringKind::Rss),
@@ -46,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let mut cfg = RunConfig::paper_defaults(chain, steering, headroom);
             cfg.framework_cycles = fw;
             cfg.nic_rate_mpps = Some(cap);
-            cfg.execution = engine::Execution::from_flag(parallel, cfg.cores);
+            cfg.execution = scale.execution(cfg.cores);
             let mut trace =
                 CampusTrace::new(SizeMix::campus(), 10_000, 42).with_flow_skew(skew, 42);
             // Mean campus frame ≈ 670 B.

@@ -5,6 +5,10 @@
 //! Scale note: the paper's store is 2^24 64 B values (1 GB). The default
 //! here is 2^21 (128 MB — still 6.4x the LLC, preserving the hit-rate
 //! structure); pass a third argument `24` to run the full-size store.
+//!
+//! Usage: `fig08_kvs [runs] [packets] [log2_keys] [--smoke] [--parallel]
+//! [--cores=N] [--zipf=THETA] [--migrate=EPOCH] [--churn[=EPOCH]]`.
+//! Each measured point prints its cycles per request on stderr.
 
 use engine::Execution;
 use kvs::proto::RequestGen;
@@ -91,7 +95,6 @@ fn run_config(
     let mut cfg = ServerConfig::fig8(requests, get_permille, 1)
         .with_cores(cores)
         .with_execution(execution);
-    cfg.scheduler = bench::scheduler_from_args();
     cfg.migration = migration;
     // Warm-up pass (the paper averages many runs on a hot server). With
     // migration enabled it also pre-migrates the store, so the measured
@@ -119,25 +122,17 @@ fn run_config(
         &mut gens,
         &cfg,
     );
-    if std::env::var("KVS_DEBUG").is_ok() {
-        eprintln!(
-            "  [{placement:?} theta={theta} get={get_permille}] cycles/request = {:.1}",
-            rep.cycles_per_request
-        );
-    }
+    eprintln!(
+        "  [{placement:?} theta={theta} get={get_permille}] cycles/request = {:.1}",
+        rep.cycles_per_request
+    );
     Ok(rep)
-}
-
-fn flag<T: std::str::FromStr>(args: &[String], prefix: &str) -> Option<T> {
-    args.iter()
-        .find_map(|a| a.strip_prefix(prefix).and_then(|v| v.parse().ok()))
 }
 
 /// The `--migrate=<epoch>` study: static Striped vs. StripedHot vs.
 /// StripedHot with §8 hot-set migration, all multi-queue with scrambled
 /// Zipf clients (so the popular keys start *cold* and only migration
 /// can move them into the slice-local hot pools).
-#[allow(clippy::too_many_arguments)]
 fn run_migration_study(
     n_values: usize,
     log2_n: u32,
@@ -241,7 +236,6 @@ fn run_migration_study(
 /// controller. The claim under test: economics beat both extremes on
 /// TPS, and the cost-aware controller never executes a swap at a
 /// projected loss.
-#[allow(clippy::too_many_arguments)]
 fn run_churn_study(
     n_values: usize,
     log2_n: u32,
@@ -342,22 +336,26 @@ fn run_churn_study(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = bench::Scale::from_args(1, 150_000);
-    let args: Vec<String> = std::env::args().collect();
-    let default_log2 = if scale.smoke { 14 } else { 21 };
-    let log2_n: u32 = args
-        .get(3)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default_log2);
+    let cli = bench::Cli::from_env(
+        &["runs", "packets", "log2_keys"],
+        &[
+            "--cores=N",
+            "--zipf=THETA",
+            "--migrate=EPOCH",
+            "--churn[=EPOCH]",
+        ],
+    );
+    let scale = cli.scale(1, 150_000);
+    let log2_n = cli.log2_keys();
     let n_values = 1usize << log2_n;
-    let cores: usize = flag(&args, "--cores=").unwrap_or(1);
+    let cores: usize = cli.value("--cores").unwrap_or(1);
     let execution = scale.execution(cores);
-    let zipf: f64 = flag(&args, "--zipf=").unwrap_or(0.99);
-    if args
-        .iter()
-        .any(|a| a == "--churn" || a.starts_with("--churn="))
-    {
-        let epoch = flag::<usize>(&args, "--churn=").unwrap_or(4096);
+    let zipf: f64 = cli.value("--zipf").unwrap_or(0.99);
+    let churn = cli
+        .has("--churn")
+        .then(|| cli.value::<usize>("--churn").unwrap_or(4096));
+    let migrate = cli.value::<usize>("--migrate");
+    if let Some(epoch) = churn {
         let res = run_churn_study(
             n_values,
             log2_n,
@@ -370,7 +368,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         bench::eprint_sched_totals("fig08_kvs");
         return res;
     }
-    if let Some(epoch) = flag::<usize>(&args, "--migrate=") {
+    if let Some(epoch) = migrate {
         let res = run_migration_study(
             n_values,
             log2_n,

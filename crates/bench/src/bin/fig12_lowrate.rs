@@ -4,48 +4,40 @@
 //! The paper sends five thousand 64 B packets at low rate to expose the
 //! pure per-packet effect with no queueing, over 50 runs.
 
+use bench::Scale;
 use nfv::runtime::{run_experiment, ChainSpec, HeadroomMode, RunConfig, SteeringKind};
 use trafficgen::{ArrivalSchedule, CampusTrace};
 use xstats::report::{f, Table};
 
 fn percentile_rows(
     headroom: HeadroomMode,
-    runs: usize,
-    packets: usize,
-    parallel: bool,
+    scale: &Scale,
 ) -> Result<[f64; 5], Box<dyn std::error::Error>> {
-    let mut rows = Vec::with_capacity(runs);
-    for run in 0..runs {
+    let mut rows = Vec::with_capacity(scale.runs);
+    for run in 0..scale.runs {
         let mut cfg = RunConfig::paper_defaults(ChainSpec::MacSwap, SteeringKind::Rss, headroom);
         cfg.seed ^= run as u64;
-        cfg.execution = engine::Execution::from_flag(parallel, cfg.cores);
+        cfg.execution = scale.execution(cfg.cores);
         let mut trace = CampusTrace::fixed_size(64, 1024, 100 + run as u64);
         let mut sched = ArrivalSchedule::constant_pps(1000.0);
-        let res = run_experiment(cfg, &mut trace, &mut sched, packets)?;
+        let res = run_experiment(cfg, &mut trace, &mut sched, scale.packets)?;
         rows.push(res.summary().ok_or("no latencies recorded")?.paper_row());
     }
     Ok(bench::median_rows(&rows))
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = bench::Scale::from_args(10, 5000);
+    let scale = Scale::from_args(10, 5000);
     println!(
         "Fig. 12 — 64 B @ 1000 pps, {} packets, median of {} runs (DuT latency, ns)\n",
         scale.packets, scale.runs
     );
-    let stock = percentile_rows(
-        HeadroomMode::Stock,
-        scale.runs,
-        scale.packets,
-        scale.parallel,
-    )?;
+    let stock = percentile_rows(HeadroomMode::Stock, &scale)?;
     let cd = percentile_rows(
         HeadroomMode::CacheDirector {
             preferred_slices: 1,
         },
-        scale.runs,
-        scale.packets,
-        scale.parallel,
+        &scale,
     )?;
     let mut t = Table::new([
         "Percentile",

@@ -2,28 +2,24 @@
 //! packets at 100 Gbps with RSS — latency percentiles, per-percentile
 //! improvement, and throughput.
 
+use bench::Scale;
 use nfv::runtime::{
     run_experiment, ChainSpec, HeadroomMode, RunConfig, RunResult, SetupError, SteeringKind,
 };
 use trafficgen::{ArrivalSchedule, CampusTrace, SizeMix};
 use xstats::report::{f, Table};
 
-fn one(
-    headroom: HeadroomMode,
-    run: u64,
-    packets: usize,
-    parallel: bool,
-) -> Result<RunResult, SetupError> {
+fn one(headroom: HeadroomMode, run: u64, scale: &Scale) -> Result<RunResult, SetupError> {
     let mut cfg = RunConfig::paper_defaults(ChainSpec::MacSwap, SteeringKind::Rss, headroom);
     cfg.seed ^= run;
-    cfg.execution = engine::Execution::from_flag(parallel, cfg.cores);
+    cfg.execution = scale.execution(cfg.cores);
     let mut trace = CampusTrace::new(SizeMix::campus(), 10_000, 42 + run);
     let mut sched = ArrivalSchedule::constant_gbps(100.0, 670.0);
-    run_experiment(cfg, &mut trace, &mut sched, packets)
+    run_experiment(cfg, &mut trace, &mut sched, scale.packets)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = bench::Scale::from_args(10, 150_000);
+    let scale = Scale::from_args(10, 150_000);
     println!(
         "Fig. 13 — forwarding, campus mix @ 100 Gbps, RSS, 8 cores; median of {} runs x {} pkts\n",
         scale.runs, scale.packets
@@ -33,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut tput_stock = Vec::new();
     let mut tput_cd = Vec::new();
     for run in 0..scale.runs as u64 {
-        let s = one(HeadroomMode::Stock, run, scale.packets, scale.parallel)?;
+        let s = one(HeadroomMode::Stock, run, &scale)?;
         rows_stock.push(s.summary().ok_or("no latencies recorded")?.paper_row());
         tput_stock.push(s.achieved_gbps);
         let c = one(
@@ -41,8 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 preferred_slices: 1,
             },
             run,
-            scale.packets,
-            scale.parallel,
+            &scale,
         )?;
         rows_cd.push(c.summary().ok_or("no latencies recorded")?.paper_row());
         tput_cd.push(c.achieved_gbps);

@@ -3,6 +3,7 @@
 //! with hardware offloading — latency CDF, per-percentile improvement,
 //! the Fig. 1 speedup bars and the throughput row.
 
+use bench::Scale;
 use nfv::runtime::{
     run_experiment, ChainSpec, HeadroomMode, RunConfig, RunResult, SetupError, SteeringKind,
 };
@@ -10,12 +11,7 @@ use trafficgen::{ArrivalSchedule, CampusTrace, SizeMix};
 use xstats::report::{f, Table};
 use xstats::Cdf;
 
-fn one(
-    headroom: HeadroomMode,
-    run: u64,
-    packets: usize,
-    parallel: bool,
-) -> Result<RunResult, SetupError> {
+fn one(headroom: HeadroomMode, run: u64, scale: &Scale) -> Result<RunResult, SetupError> {
     let mut cfg = RunConfig::paper_defaults(
         ChainSpec::RouterNaptLb {
             routes: 3120,
@@ -25,14 +21,14 @@ fn one(
         headroom,
     );
     cfg.seed ^= run;
-    cfg.execution = engine::Execution::from_flag(parallel, cfg.cores);
+    cfg.execution = scale.execution(cfg.cores);
     let mut trace = CampusTrace::new(SizeMix::campus(), 10_000, 42 + run);
     let mut sched = ArrivalSchedule::constant_gbps(100.0, 670.0);
-    run_experiment(cfg, &mut trace, &mut sched, packets)
+    run_experiment(cfg, &mut trace, &mut sched, scale.packets)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = bench::Scale::from_args(10, 150_000);
+    let scale = Scale::from_args(10, 150_000);
     println!(
         "Figs. 1 & 14 — Router-NAPT-LB, campus mix @ 100 Gbps, FlowDirector+offload, \
          8 cores; median of {} runs x {} pkts\n",
@@ -43,14 +39,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut tput = (Vec::new(), Vec::new());
     let mut last: Option<(RunResult, RunResult)> = None;
     for run in 0..scale.runs as u64 {
-        let s = one(HeadroomMode::Stock, run, scale.packets, scale.parallel)?;
+        let s = one(HeadroomMode::Stock, run, &scale)?;
         let c = one(
             HeadroomMode::CacheDirector {
                 preferred_slices: 1,
             },
             run,
-            scale.packets,
-            scale.parallel,
+            &scale,
         )?;
         rows_stock.push(s.summary().ok_or("no latencies recorded")?.paper_row());
         rows_cd.push(c.summary().ok_or("no latencies recorded")?.paper_row());

@@ -5,6 +5,7 @@
 //! Latency here includes the loopback component, as in the paper's
 //! figure ("the values of tail latency include loopback cost").
 
+use bench::Scale;
 use nfv::runtime::{run_experiment, ChainSpec, HeadroomMode, RunConfig, SteeringKind};
 use trafficgen::{ArrivalSchedule, CampusTrace, SizeMix};
 use xstats::fit::piecewise_knee_fit;
@@ -28,8 +29,7 @@ type KneePoint = (f64, f64, f64);
 /// Returns `(offered, achieved, p99_us)` per swept rate.
 fn sweep(
     headroom: HeadroomMode,
-    packets: usize,
-    parallel: bool,
+    scale: &Scale,
 ) -> Result<Vec<KneePoint>, Box<dyn std::error::Error>> {
     let mut out = Vec::with_capacity(RATES.len());
     for &gbps in RATES {
@@ -42,10 +42,10 @@ fn sweep(
             headroom,
         );
         cfg.loopback_ns = loopback_ns(gbps);
-        cfg.execution = engine::Execution::from_flag(parallel, cfg.cores);
+        cfg.execution = scale.execution(cfg.cores);
         let mut trace = CampusTrace::new(SizeMix::campus(), 10_000, 42);
         let mut sched = ArrivalSchedule::constant_gbps(gbps, 670.0);
-        let res = run_experiment(cfg, &mut trace, &mut sched, packets)?;
+        let res = run_experiment(cfg, &mut trace, &mut sched, scale.packets)?;
         let s = res.summary_with_loopback().ok_or("no latencies recorded")?;
         out.push((gbps, res.achieved_gbps, s.percentile(99.0) / 1e3));
     }
@@ -53,18 +53,17 @@ fn sweep(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = bench::Scale::from_args(1, 60_000);
+    let scale = Scale::from_args(1, 60_000);
     println!(
         "Fig. 15 — p99 latency (incl. loopback) vs achieved throughput, {} pkts/point\n",
         scale.packets
     );
-    let stock = sweep(HeadroomMode::Stock, scale.packets, scale.parallel)?;
+    let stock = sweep(HeadroomMode::Stock, &scale)?;
     let cd = sweep(
         HeadroomMode::CacheDirector {
             preferred_slices: 1,
         },
-        scale.packets,
-        scale.parallel,
+        &scale,
     )?;
     let mut t = Table::new([
         "Offered (Gbps)",

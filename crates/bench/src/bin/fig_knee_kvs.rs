@@ -31,7 +31,7 @@
 //! timeout (2.5 µs, 4 attempts) so retrying *through* a fault window
 //! is feasible before the deadline expires.
 
-use engine::AdmissionPolicy;
+use engine::{AdmissionPolicy, Execution};
 use kvs::store::{KvStore, Placement};
 use kvs::{run_openloop, OpenLoopConfig, OpenLoopReport};
 use llc_sim::hash::{SliceHash, XorSliceHash};
@@ -143,14 +143,14 @@ fn goodput_mops(rep: &OpenLoopReport) -> f64 {
     }
 }
 
-fn sweep(mode: Mode, ops: usize, parallel: bool) -> Vec<(f64, OpenLoopReport)> {
+fn sweep(mode: Mode, ops: usize, execution: Execution) -> Vec<(f64, OpenLoopReport)> {
     RATES
         .iter()
         .map(|&rate| {
             let cfg = mode
                 .apply(OpenLoopConfig::new(ops, 42).with_cores(CORES))
                 .with_deadline(DEADLINE_NS)
-                .with_execution(engine::Execution::from_flag(parallel, CORES));
+                .with_execution(execution);
             let mut arr = OpenLoopGen::constant(rate);
             (rate, run_one(&cfg, &mut arr))
         })
@@ -201,7 +201,7 @@ fn knee_stats(rows: &[(f64, OpenLoopReport)]) -> (f64, f64) {
     (peak, last)
 }
 
-fn run_sweep(ops: usize, parallel: bool) {
+fn run_sweep(ops: usize, execution: Execution) {
     println!(
         "Open-loop KVS knee — {CORES} cores, {} logical ops/point, \
          deadline {:.0} us, shed backlog {SHED_BACKLOG}\n",
@@ -210,7 +210,7 @@ fn run_sweep(ops: usize, parallel: bool) {
     );
     let mut all = Vec::new();
     for mode in [Mode::NoControl, Mode::Shedding, Mode::ShedRetry] {
-        let rows = sweep(mode, ops, parallel);
+        let rows = sweep(mode, ops, execution);
         print_mode_table(mode, &rows);
         all.push((mode, rows));
     }
@@ -238,7 +238,7 @@ fn run_sweep(ops: usize, parallel: bool) {
 /// arrivals actually end at E = T − 3 × flash_len = 0.7T; goodput is
 /// bucketed over [0, E) so every fault window — and a clean recovery
 /// window after the last one — sees arrival traffic.
-fn run_chaos(ops: usize, parallel: bool) {
+fn run_chaos(ops: usize, execution: Execution) {
     let base_rate = 20e6; // ~65 % of 2-core capacity.
     let horizon_ns = ops as f64 / base_rate * 1e9;
     let flash = (0.20 * horizon_ns, 0.30 * horizon_ns);
@@ -279,7 +279,7 @@ fn run_chaos(ops: usize, parallel: bool) {
             .with_cores(CORES)
             .with_deadline(deadline_ns)
             .with_faults(faults.clone())
-            .with_execution(engine::Execution::from_flag(parallel, CORES));
+            .with_execution(execution);
         cfg = match mode {
             Mode::NoControl => cfg.with_retries(timeout_ns, 1),
             _ => cfg
@@ -356,14 +356,15 @@ fn run_chaos(ops: usize, parallel: bool) {
 }
 
 fn main() {
-    let scale = bench::Scale::from_args(1, 30_000);
-    let chaos = std::env::args().any(|a| a == "--chaos");
+    let cli = bench::Cli::from_env(&["runs", "packets"], &["--chaos"]);
+    let scale = cli.scale(1, 30_000);
+    let execution = scale.execution(CORES);
     // Chaos needs a longer horizon than the sweep's per-point budget so
     // the fault windows are wide relative to queue drain times.
-    if chaos {
-        run_chaos(scale.packets.max(4_000), scale.parallel);
+    if cli.has("--chaos") {
+        run_chaos(scale.packets.max(4_000), execution);
     } else {
-        run_sweep(scale.packets, scale.parallel);
+        run_sweep(scale.packets, execution);
     }
     bench::eprint_sched_totals("fig_knee_kvs");
 }

@@ -27,11 +27,11 @@
 //!    vs. `Normal`, sharing one [`trafficgen::ZipfConstants`] setup
 //!    across both placements.
 //!
-//! Scale: `fig_scale_kvs [runs] [ops] [log2_keys] [--cores=N]
-//! [--rate=OPS_PER_S] [--smoke] [--parallel] [--scheduler=...]`.
-//! Default full scale is 2^21 keys x 10^6 ops; `--smoke` shrinks to
-//! 2^14 x 2000 for CI. Output is bit-identical across
-//! {serial, parallel} x {event-driven, reference-tick}.
+//! Usage: `fig_scale_kvs [runs] [packets] [log2_keys] [--smoke]
+//! [--parallel] [--cores=N] [--rate=OPS_PER_S]`, where `packets` is the
+//! ops per row. Default full scale is 2^21 keys x 10^6 ops; `--smoke`
+//! shrinks to 2^14 x 2000 for CI. Output is bit-identical serial vs
+//! parallel.
 
 use engine::Execution;
 use kvs::proto::RequestGen;
@@ -61,11 +61,6 @@ const ALPHA: f64 = 0.01;
 /// multi-queue capacity, so the rows measure service tails rather than
 /// queueing collapse.
 const DEFAULT_RATE: f64 = 8e6;
-
-fn flag<T: std::str::FromStr>(args: &[String], prefix: &str) -> Option<T> {
-    args.iter()
-        .find_map(|a| a.strip_prefix(prefix).and_then(|v| v.parse().ok()))
-}
 
 /// The §3 hot-pool sizing rule shared with fig08: half a slice spread
 /// over the cores, capped at an eighth of each core's key class.
@@ -127,7 +122,6 @@ fn run_closed(
     let mut cfg = ServerConfig::fig8(requests, 950, 1)
         .with_cores(cores)
         .with_execution(execution);
-    cfg.scheduler = bench::scheduler_from_args();
     cfg.migration = migration;
     let warm = ServerConfig {
         requests: requests / 4,
@@ -251,7 +245,6 @@ impl CompletionSink for SketchSink {
 fn open_cfg(ops: usize, cores: usize, execution: Execution) -> OpenLoopConfig {
     let mut cfg = OpenLoopConfig::new(ops, 42).with_cores(cores);
     cfg.execution = execution;
-    cfg.scheduler = bench::scheduler_from_args();
     cfg
 }
 
@@ -519,16 +512,15 @@ fn large_section(n_large: usize, value_size: usize, draws: usize) {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = bench::Scale::from_args(1, 1_000_000);
-    let args: Vec<String> = std::env::args().collect();
-    let default_log2 = if scale.smoke { 14 } else { 21 };
-    let log2_n: u32 = args
-        .get(3)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default_log2);
+    let cli = bench::Cli::from_env(
+        &["runs", "packets", "log2_keys"],
+        &["--cores=N", "--rate=OPS_PER_S"],
+    );
+    let scale = cli.scale(1, 1_000_000);
+    let log2_n = cli.log2_keys();
     let n_values = 1usize << log2_n;
-    let cores: usize = flag(&args, "--cores=").unwrap_or(4);
-    let rate: f64 = flag(&args, "--rate=").unwrap_or(DEFAULT_RATE);
+    let cores: usize = cli.value("--cores").unwrap_or(4);
+    let rate: f64 = cli.value("--rate").unwrap_or(DEFAULT_RATE);
     let execution = scale.execution(cores);
     let ops = scale.packets;
     // Smoke shrinks every scale knob; full scale defaults to a few
@@ -538,9 +530,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     } else {
         (4_096, 32_768, 100_000)
     };
-    // NOTE: --parallel and --scheduler deliberately do not change this
-    // banner — the golden regression diffs all four mode combinations
-    // against the same snapshot.
+    // NOTE: --parallel deliberately does not change this banner — the
+    // golden regression diffs both execution modes against the same
+    // snapshot.
     println!(
         "Scale study — multi-queue KVS, {cores} core(s), 2^{log2_n} x 64 B values \
          ({} MB store), {ops} ops/row\n",

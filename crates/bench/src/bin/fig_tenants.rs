@@ -15,11 +15,10 @@
 //!   the even split and re-partitioning CAT and DDIO ways from CBo
 //!   counters and windowed p99s.
 //!
-//! Usage: `fig_tenants [runs] [packets] [--smoke] [--parallel]
-//! [--scheduler=reference]`. Output is bit-identical across execution
-//! modes and schedulers (golden-pinned).
+//! Usage: `fig_tenants [runs] [packets] [--smoke] [--parallel]`. Output
+//! is bit-identical serial vs parallel (golden-pinned).
 
-use bench::{eprint_sched_totals, scheduler_from_args, Scale};
+use bench::{eprint_sched_totals, Scale};
 use tenancy::run::{run_tenancy, Regime, TenancyConfig, CONTROL_PERIOD_NS};
 use xstats::report::{f, Table};
 use xstats::violation_minutes;
@@ -30,7 +29,6 @@ fn main() {
     // storm begins at 1.0 ms); the generic 2k-packet smoke cap would
     // end the run before the chaos starts.
     let packets = if scale.smoke { 6_000 } else { scale.packets };
-    let scheduler = scheduler_from_args();
 
     println!("Multi-tenant SLO defense: online LLC isolation vs. static splits");
     println!(
@@ -41,7 +39,6 @@ fn main() {
     for regime in [Regime::StaticEven, Regime::StaticOracle, Regime::Online] {
         let cfg = TenancyConfig {
             execution: scale.execution(5),
-            scheduler,
             ..TenancyConfig::new(regime, packets)
         };
         let rep = run_tenancy(&cfg);

@@ -1,6 +1,9 @@
 //! Diagnostic: bare GET cost (no NIC path) for slice-aware vs normal
 //! value placement under Zipf keys. Used to attribute where Fig. 8's
 //! improvement comes from; not one of the paper's figures.
+//!
+//! Usage: `kvs_probe [runs] [packets] [log2_keys] [--smoke] [--parallel]`,
+//! where `packets` is the timed GETs per placement.
 
 use kvs::store::{KvStore, Placement};
 use llc_sim::hash::{SliceHash, XorSliceHash};
@@ -36,13 +39,9 @@ fn run(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = bench::Scale::from_args(1, 100_000);
-    let args: Vec<String> = std::env::args().collect();
-    let default_log2 = if scale.smoke { 14 } else { 21 };
-    let log2_n: u32 = args
-        .get(3)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default_log2);
+    let cli = bench::Cli::from_env(&["runs", "packets", "log2_keys"], &[]);
+    let scale = cli.scale(1, 100_000);
+    let log2_n = cli.log2_keys();
     let n = 1usize << log2_n;
     println!("store: 2^{log2_n} values = {} MB", (n * 64) >> 20);
     for theta in [0.99, 0.0] {

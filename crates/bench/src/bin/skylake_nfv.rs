@@ -8,6 +8,7 @@
 //! simulated Skylake part, sweeping how many preferred slices
 //! CacheDirector targets (1 = primary only, 3 = primary + secondaries).
 
+use bench::Scale;
 use llc_sim::machine::{Machine, MachineConfig};
 use nfv::runtime::{
     ChainSpec, HeadroomMode, RunConfig, RunResult, SetupError, SteeringKind, Testbed,
@@ -15,12 +16,7 @@ use nfv::runtime::{
 use trafficgen::{ArrivalSchedule, CampusTrace, SizeMix};
 use xstats::report::{f, Table};
 
-fn one(
-    headroom: HeadroomMode,
-    run: u64,
-    packets: usize,
-    parallel: bool,
-) -> Result<RunResult, SetupError> {
+fn one(headroom: HeadroomMode, run: u64, scale: &Scale) -> Result<RunResult, SetupError> {
     let mut cfg = RunConfig::paper_defaults(
         ChainSpec::RouterNaptLb {
             routes: 3120,
@@ -30,12 +26,12 @@ fn one(
         headroom,
     );
     cfg.seed ^= run;
-    cfg.execution = engine::Execution::from_flag(parallel, cfg.cores);
+    cfg.execution = scale.execution(cfg.cores);
     let m = Machine::new(MachineConfig::skylake_gold_6134().with_seed(cfg.seed));
     let mut tb = Testbed::on_machine(cfg, m)?;
     let mut trace = CampusTrace::new(SizeMix::campus(), 10_000, 42 + run);
     let mut sched = ArrivalSchedule::constant_gbps(100.0, 670.0);
-    for _ in 0..packets {
+    for _ in 0..scale.packets {
         let t = sched.next_arrival_ns();
         let spec = trace.next_packet();
         tb.offer(&spec.flow, spec.size, t);
@@ -44,7 +40,7 @@ fn one(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = bench::Scale::from_args(5, 120_000);
+    let scale = Scale::from_args(5, 120_000);
     println!(
         "§6 — Router-NAPT-LB @ 100 Gbps on Skylake (Xeon Gold 6134); median of {} runs x {} pkts\n",
         scale.runs, scale.packets
@@ -75,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (name, headroom) in configs {
         let mut per_run = Vec::with_capacity(scale.runs);
         for r in 0..scale.runs as u64 {
-            let res = one(headroom, r, scale.packets, scale.parallel)?;
+            let res = one(headroom, r, &scale)?;
             per_run.push(res.summary().ok_or("no latencies recorded")?.paper_row());
         }
         let row = bench::median_rows(&per_run);

@@ -3,11 +3,165 @@
 //! Every table and figure of the paper has a binary under `src/bin/`
 //! that regenerates it (see DESIGN.md §4 for the index and EXPERIMENTS.md
 //! for recorded paper-vs-measured numbers). This module carries the
-//! common bits: scale-argument parsing and median-of-runs aggregation.
+//! common bits: the one command-line parser, scale arguments and
+//! median-of-runs aggregation.
+
+use std::str::FromStr;
 
 use xstats::Summary;
 
 pub mod harness;
+
+/// The flags every binary accepts: `--smoke` (tiny scale, the one every
+/// golden snapshot is recorded at) and `--parallel` (engine workers on
+/// OS threads; bit-identical output).
+const COMMON_FLAGS: [&str; 2] = ["--smoke", "--parallel"];
+
+/// A binary's command line, checked against what the binary declares:
+/// its positionals by name, in order, and its flags besides
+/// [`COMMON_FLAGS`]. A flag spec reads `--name` (a switch),
+/// `--name=VALUE` (the value is required) or `--name[=VALUE]` (it is
+/// optional). Positionals are the arguments that do not start with
+/// `--`, counted wherever they appear.
+///
+/// Bad input is never replaced by a default: an undeclared flag, a
+/// value or positional that does not parse, or one positional too many
+/// prints the offending argument and the usage line on stderr and
+/// exits with code 2.
+#[derive(Debug)]
+pub struct Cli {
+    usage: String,
+    names: &'static [&'static str],
+    positionals: Vec<String>,
+    /// Each flag given: its name (up to any `=`) and its value.
+    flags: Vec<(String, Option<String>)>,
+}
+
+impl Cli {
+    /// Parses the process arguments; exits with code 2 on bad input.
+    pub fn from_env(positionals: &'static [&'static str], flags: &[&str]) -> Self {
+        let mut args = std::env::args();
+        let bin = args.next().unwrap_or_default();
+        let bin = bin.rsplit('/').next().unwrap_or_default();
+        Self::parse(bin, args, positionals, flags).unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parses `args` (program name excluded) for binary `bin`; the
+    /// error is the message [`Cli::from_env`] prints.
+    fn parse(
+        bin: &str,
+        args: impl IntoIterator<Item = String>,
+        positionals: &'static [&'static str],
+        flags: &[&str],
+    ) -> Result<Self, String> {
+        let specs: Vec<&str> = COMMON_FLAGS.iter().chain(flags).copied().collect();
+        let usage: Vec<String> = positionals
+            .iter()
+            .chain(&specs)
+            .map(|p| format!("[{p}]"))
+            .collect();
+        let mut cli = Self {
+            usage: format!("usage: {bin} {}", usage.join(" ")),
+            names: positionals,
+            positionals: Vec::new(),
+            flags: Vec::new(),
+        };
+        for arg in args {
+            if !arg.starts_with("--") {
+                if cli.positionals.len() == positionals.len() {
+                    return Err(cli.error(&format!("unexpected positional `{arg}`")));
+                }
+                cli.positionals.push(arg);
+                continue;
+            }
+            let (name, value) = match arg.split_once('=') {
+                Some((name, value)) => (name, Some(value.to_string())),
+                None => (arg.as_str(), None),
+            };
+            let declared = specs
+                .iter()
+                .find(|s| s.split(['=', '[']).next() == Some(name));
+            let ok =
+                declared.is_some_and(|s| s.contains("[=") || s.contains('=') == value.is_some());
+            if !ok {
+                return Err(cli.error(&format!("unexpected argument `{arg}`")));
+            }
+            cli.flags.push((name.to_string(), value));
+        }
+        Ok(cli)
+    }
+
+    /// Whether flag `name` (e.g. `"--chaos"`) was given, with or
+    /// without a value.
+    pub fn has(&self, name: &str) -> bool {
+        self.flags.iter().any(|(n, _)| n == name)
+    }
+
+    /// The value given to flag `name` (e.g. `"--cores"`), if any.
+    /// Exits with code 2 when it does not parse as `T`.
+    pub fn value<T: FromStr>(&self, name: &str) -> Option<T> {
+        let raw = self.flags.iter().find(|(n, _)| n == name)?.1.as_deref()?;
+        Some(self.parse_or_exit(raw, &format!("`{name}={raw}`")))
+    }
+
+    /// The positional declared as `name`, if given. Exits with code 2
+    /// when it does not parse as `T`.
+    pub fn positional<T: FromStr>(&self, name: &str) -> Option<T> {
+        let i = self.names.iter().position(|&n| n == name)?;
+        let raw = self.positionals.get(i)?;
+        Some(self.parse_or_exit(raw, &format!("[{name}] `{raw}`")))
+    }
+
+    /// The experiment scale: positionals `runs` and `packets` when
+    /// declared and given, else the defaults; `--smoke` overrides both
+    /// (see [`Scale`]).
+    pub fn scale(&self, default_runs: usize, default_packets: usize) -> Scale {
+        let runs = self.positional("runs").unwrap_or(default_runs);
+        let packets = self.positional("packets").unwrap_or(default_packets);
+        let smoke = self.has("--smoke");
+        Scale {
+            runs: if smoke { 1 } else { runs },
+            packets: if smoke {
+                default_packets.min(Scale::SMOKE_PACKETS)
+            } else {
+                packets
+            },
+            smoke,
+            parallel: self.has("--parallel"),
+        }
+    }
+
+    /// The KVS binaries' store size as a power of two: positional
+    /// `log2_keys`, by default 14 under `--smoke` and 21 otherwise.
+    /// Exits with code 2 above 24, the paper's 2^24-value (1 GB) store:
+    /// the simulated DRAM is a real allocation about nine times the
+    /// store.
+    pub fn log2_keys(&self) -> u32 {
+        let default = if self.has("--smoke") { 14 } else { 21 };
+        let log2 = self.positional("log2_keys").unwrap_or(default);
+        if log2 > 24 {
+            self.exit(&format!("[log2_keys] {log2} is above 24"));
+        }
+        log2
+    }
+
+    fn parse_or_exit<T: FromStr>(&self, raw: &str, what: &str) -> T {
+        raw.parse()
+            .unwrap_or_else(|_| self.exit(&format!("cannot parse {what}")))
+    }
+
+    fn error(&self, msg: &str) -> String {
+        format!("error: {msg}\n{}", self.usage)
+    }
+
+    fn exit(&self, msg: &str) -> ! {
+        eprintln!("{}", self.error(msg));
+        std::process::exit(2)
+    }
+}
 
 /// Experiment scale, from the command line:
 /// `<binary> [runs] [packets] [--smoke] [--parallel]`.
@@ -35,64 +189,29 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Parses `[runs] [packets]` from the process arguments, with the
-    /// given defaults. A literal `--smoke` in any position takes
-    /// precedence: one run, at most [`Scale::SMOKE_PACKETS`] packets.
-    /// `--parallel` composes with either form.
+    /// The scale of a binary whose command line is just
+    /// `[runs] [packets] [--smoke] [--parallel]`, with the given
+    /// defaults (see [`Cli::scale`]); exits with code 2 on anything
+    /// else.
     pub fn from_args(default_runs: usize, default_packets: usize) -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let parallel = args.iter().any(|a| a == "--parallel");
-        if args.iter().any(|a| a == "--smoke") {
-            return Self {
-                runs: 1,
-                packets: default_packets.min(Self::SMOKE_PACKETS),
-                smoke: true,
-                parallel,
-            };
-        }
-        let positional: Vec<&String> = args
-            .iter()
-            .skip(1)
-            .filter(|a| !a.starts_with("--"))
-            .collect();
-        Self {
-            runs: positional
-                .first()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(default_runs),
-            packets: positional
-                .get(1)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(default_packets),
-            smoke: false,
-            parallel,
-        }
+        Cli::from_env(&["runs", "packets"], &[]).scale(default_runs, default_packets)
     }
 
     /// The execution mode this scale selects for an engine with
     /// `workers` workers: [`engine::Execution::Serial`] by default, one
     /// OS thread per worker under `--parallel`.
     pub fn execution(&self, workers: usize) -> engine::Execution {
-        engine::Execution::from_flag(self.parallel, workers)
+        if self.parallel {
+            engine::Execution::Parallel {
+                threads: workers.max(1),
+            }
+        } else {
+            engine::Execution::Serial
+        }
     }
 
     /// Packets per run under `--smoke`.
     pub const SMOKE_PACKETS: usize = 2_000;
-}
-
-/// Diagnostic scheduler override from the command line:
-/// `--scheduler=reference` selects the retained tick-stepper,
-/// `--scheduler=event` (or no flag) the event-driven default. Reports
-/// and figure stdout are bit-identical either way — the knob exists so
-/// `scripts/bench.sh` can measure the empty-epoch tax the event-driven
-/// scheduler removes (the `[sched]` stderr line and wall-clock are the
-/// only things that move).
-pub fn scheduler_from_args() -> engine::Scheduler {
-    if std::env::args().any(|a| a == "--scheduler=reference") {
-        engine::Scheduler::ReferenceTick
-    } else {
-        engine::Scheduler::EventDriven
-    }
 }
 
 /// Prints the process-wide engine scheduler totals
@@ -160,6 +279,51 @@ pub fn speedup_percent(base: &[f64; 5], new: &[f64; 5]) -> [f64; 5] {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const FLAGS: [&str; 3] = ["--cores=N", "--chaos", "--churn[=EPOCH]"];
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        let args = args.iter().map(|a| a.to_string());
+        Cli::parse("fig", args, &["runs", "packets"], &FLAGS)
+    }
+
+    #[test]
+    fn cli_counts_positionals_around_flags() {
+        let cli = parse(&["--cores=4", "3", "--chaos", "700", "--churn"]).unwrap();
+        assert_eq!(cli.positional::<usize>("runs"), Some(3));
+        assert_eq!(cli.positional::<usize>("packets"), Some(700));
+        assert_eq!(cli.value::<usize>("--cores"), Some(4));
+        assert!(cli.has("--chaos") && cli.has("--churn") && !cli.has("--smoke"));
+        assert_eq!(cli.value::<usize>("--churn"), None);
+        let scale = cli.scale(1, 100);
+        assert_eq!((scale.runs, scale.packets, scale.parallel), (3, 700, false));
+        let smoke = parse(&["3", "700000", "--smoke", "--churn=64"]).unwrap();
+        assert_eq!(smoke.value::<usize>("--churn"), Some(64));
+        let scale = smoke.scale(1, 700_000);
+        assert_eq!((scale.runs, scale.packets), (1, Scale::SMOKE_PACKETS));
+    }
+
+    #[test]
+    fn cli_rejects_what_it_does_not_declare() {
+        for bad in [
+            &["--frobnicate"][..],
+            &["--chaos=1"],
+            &["--cores"],
+            &["--smoke=yes"],
+            &["1", "2", "3"],
+        ] {
+            let err = parse(bad).unwrap_err();
+            let arg = bad.last().unwrap();
+            assert!(err.contains(&format!("`{arg}`")), "{bad:?}: {err}");
+            assert!(
+                err.ends_with(
+                    "usage: fig [runs] [packets] [--smoke] [--parallel] \
+                     [--cores=N] [--chaos] [--churn[=EPOCH]]"
+                ),
+                "{err}"
+            );
+        }
+    }
 
     #[test]
     fn median_rows_takes_per_column_median() {

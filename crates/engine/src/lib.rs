@@ -134,21 +134,6 @@ pub enum Execution {
     },
 }
 
-impl Execution {
-    /// `Parallel` with one thread per worker when `parallel` is set,
-    /// else `Serial` — the shape the figure binaries' `--parallel` flag
-    /// wants.
-    pub fn from_flag(parallel: bool, workers: usize) -> Self {
-        if parallel {
-            Execution::Parallel {
-                threads: workers.max(1),
-            }
-        } else {
-            Execution::Serial
-        }
-    }
-}
-
 /// Which scheduler drives [`Engine::run_until`].
 ///
 /// Both schedulers run the *same* epoch algorithm (partition → shard
@@ -156,7 +141,10 @@ impl Execution {
 /// dispatched; they differ only in *when* epochs are dispatched. The
 /// differential and property suites (`tests/differential.rs`,
 /// `tests/prop.rs`) assert their reports are bit-identical, field for
-/// field, modulo the [`SchedStats`] counters.
+/// field, modulo the [`SchedStats`] counters. Every front-end builds
+/// its engine with the default; [`Scheduler::ReferenceTick`] is the
+/// oracle of this crate's tests, selected through
+/// [`EngineConfig::scheduler`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
     /// The virtual-time event scheduler (default): `run_until`
@@ -169,9 +157,9 @@ pub enum Scheduler {
     /// The tick-stepper this engine shipped with: every `run_until`
     /// call dispatches a full epoch — partition, merge walk, epoch
     /// hook — even when no worker is behind the horizon or has work.
-    /// Retained as the reference baseline for the differential tests;
-    /// `epochs_dispatched` under this scheduler measures the
-    /// empty-epoch tax the event scheduler removes.
+    /// Retained as the oracle of the engine's differential, property
+    /// and unit tests; `epochs_dispatched` under this scheduler
+    /// measures the empty-epoch tax the event scheduler removes.
     ReferenceTick,
 }
 
@@ -220,15 +208,6 @@ pub fn sched_totals() -> SchedStats {
         epochs_with_work: TOTAL_EPOCHS_WITH_WORK.load(Relaxed),
         events_processed: TOTAL_EVENTS_PROCESSED.load(Relaxed),
     }
-}
-
-/// Resets the process-wide totals (bench harnesses that time several
-/// workloads in one process).
-pub fn reset_sched_totals() {
-    use std::sync::atomic::Ordering::Relaxed;
-    TOTAL_EPOCHS_DISPATCHED.store(0, Relaxed);
-    TOTAL_EPOCHS_WITH_WORK.store(0, Relaxed);
-    TOTAL_EVENTS_PROCESSED.store(0, Relaxed);
 }
 
 /// Why the ingress admission filter shed a frame.
@@ -327,7 +306,8 @@ pub struct EngineConfig {
     /// Ingress admission filter (default: accept all).
     pub admission: AdmissionPolicy,
     /// Event-driven virtual-time scheduling (default) or the reference
-    /// tick-stepper (see [`Scheduler`]).
+    /// tick-stepper the engine's tests compare it against (see
+    /// [`Scheduler`]).
     pub scheduler: Scheduler,
 }
 

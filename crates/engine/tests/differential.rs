@@ -12,11 +12,16 @@
 //! (NFV chain, pipelined chain, KVS) get the same treatment in the
 //! workspace-level `tests/determinism.rs`.
 
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::rc::Rc;
+
 use engine::{
-    AdmissionPolicy, Ctx, Engine, EngineConfig, EngineReport, Execution, Hw, QueueApp, SchedStats,
-    Scheduler, Verdict, WorkerSpec,
+    AdmissionPolicy, Ctx, Engine, EngineConfig, EngineReport, Execution, Hw, MergeCtx, QueueApp,
+    SchedStats, Scheduler, Verdict, WorkerSpec,
 };
 use llc_sim::machine::{Machine, MachineConfig};
+use llc_sim::mem::Region;
 use rte::fault::{FaultPlan, Window};
 use rte::mempool::MbufPool;
 use rte::nic::{FixedHeadroom, Port, RxCompletion, TxDesc};
@@ -457,7 +462,7 @@ fn run_econ(execution: Execution, scheduler: Scheduler) -> (EngineReport, Vec<u6
     let mut calm = vec![0u32; queues];
     let mut dormant = vec![false; queues];
     eng.set_epoch_hook(Box::new(
-        move |apps: &mut [EconApp], mc: &mut engine::MergeCtx<'_>| {
+        move |apps: &mut [EconApp], mc: &mut MergeCtx<'_>| {
             for (w, app) in apps.iter_mut().enumerate() {
                 if app.seen < 60 {
                     continue;
@@ -549,6 +554,218 @@ fn stateful_economics_hook_is_bit_identical_across_modes_and_schedulers() {
                 ref_charged, charged,
                 "{execution:?}/{scheduler:?}: hook charged different cycles"
             );
+        }
+    }
+}
+
+/// Lines in the table [`ControlledApp`] reads: 4 MiB, which fits the
+/// LLC under a full CAT mask but not under a two-way one.
+const TABLE_LINES: u32 = 1 << 16;
+
+/// An app shaped like the engine's two control-plane users. It serves
+/// packets with table reads whose LLC fills obey the core's CAT mask
+/// (set by the control hook, as `tenancy` does), and runs work items
+/// the hook pushes into its backlog, logging when each one completes.
+struct ControlledApp {
+    table: Region,
+    rng: Rng64,
+    /// Packets served since the hook last drained this app.
+    served: u64,
+    /// Work items the hook pushed, waiting for `pump`.
+    backlog: VecDeque<u64>,
+    /// (item, completion time) per pumped item. The test drains it
+    /// after every bare catch-up, as `kvs::openloop` drains outcomes.
+    done: Vec<(u64, f64)>,
+}
+
+impl ControlledApp {
+    fn read_line(&self, ctx: &mut Ctx<'_>, line: u32) {
+        ctx.m
+            .touch_read(ctx.core, self.table.pa(line as usize * 64));
+    }
+}
+
+impl QueueApp for ControlledApp {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, comp: &RxCompletion) -> Verdict {
+        self.served += 1;
+        for _ in 0..4 {
+            let line = self.rng.gen_range(0..TABLE_LINES);
+            self.read_line(ctx, line);
+        }
+        Verdict::Tx(TxDesc {
+            mbuf: comp.mbuf,
+            data_pa: comp.data_pa,
+            len: comp.len,
+        })
+    }
+
+    fn pump(&mut self, ctx: &mut Ctx<'_>, _tx: &mut Vec<TxDesc>) -> usize {
+        let Some(item) = self.backlog.pop_front() else {
+            return 0;
+        };
+        self.read_line(ctx, (item as u32).wrapping_mul(0x9e37) % TABLE_LINES);
+        ctx.m.advance(ctx.core, 150);
+        self.done.push((item, ctx.wall_ns()));
+        1
+    }
+
+    fn has_backlog(&self) -> bool {
+        !self.backlog.is_empty()
+    }
+}
+
+/// Everything a controlled run observes: the report minus the
+/// scheduler counters, what the hook saw at each boundary (time, served
+/// count per app), the completions drained after each bare catch-up
+/// (offer index, worker, item, time), and each app's final
+/// `(served, backlog, done)`.
+type ControlledRun = (
+    EngineReport,
+    Vec<(f64, Vec<u64>)>,
+    Vec<(usize, usize, u64, f64)>,
+    Vec<(u64, Vec<u64>, Vec<(u64, f64)>)>,
+);
+
+/// Drives the engine the way its control-plane front-ends do. A 2 µs
+/// control hook — like `tenancy`'s isolation controller — drains each
+/// app's served count, narrows that core's CAT mask to two ways when
+/// the count reached 2 (else restores it), pushes one follow-up item
+/// per served packet into the app's backlog and charges cycles on one
+/// worker core. Between arrivals the test makes bare
+/// [`Engine::run_until`] calls at retry-timer times and drains
+/// completions, as `kvs::openloop` does.
+fn run_controlled(execution: Execution, scheduler: Scheduler) -> ControlledRun {
+    const WORKERS: usize = 4;
+    const DEPTH: usize = 32;
+    const CONTROL_NS: f64 = 2_000.0;
+    let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(64 << 20));
+    let table = m.mem_mut().alloc(TABLE_LINES as usize * 64, 4096).unwrap();
+    let full_mask = (1u64 << m.config().llc_slice.ways) - 1;
+    let mut pool = MbufPool::create(&mut m, (4 * WORKERS * DEPTH) as u32, 128, 2048).unwrap();
+    let mut port = Port::new(0, Steering::Rss(Rss::new(WORKERS)), DEPTH);
+    let mut policy = FixedHeadroom(128);
+    let mut hw = Hw {
+        m: &mut m,
+        port: &mut port,
+        pool: &mut pool,
+        policy: &mut policy,
+    };
+    let apps: Vec<ControlledApp> = (0..WORKERS)
+        .map(|w| ControlledApp {
+            table,
+            rng: Rng64::seed_from_u64(0xca7 ^ (w as u64).wrapping_mul(0x9e37)),
+            served: 0,
+            backlog: VecDeque::new(),
+            done: Vec::new(),
+        })
+        .collect();
+    let cfg = EngineConfig {
+        workers: WorkerSpec::run_to_completion(WORKERS),
+        queue_depth: DEPTH,
+        burst: 8,
+        faults: FaultPlan::none(),
+        execution,
+        admission: AdmissionPolicy::AcceptAll,
+        scheduler,
+    };
+    let mut eng = Engine::new(apps, cfg, &mut hw);
+    let hook_log = Rc::new(RefCell::new(Vec::new()));
+    let log = Rc::clone(&hook_log);
+    let mut next_item = 0u64;
+    eng.set_control_hook(
+        CONTROL_NS,
+        Box::new(
+            move |apps: &mut [ControlledApp], mc: &mut MergeCtx<'_>, t: f64| {
+                let mut window = Vec::new();
+                for (w, app) in apps.iter_mut().enumerate() {
+                    // Worker w runs on core w (run to completion).
+                    let served = std::mem::take(&mut app.served);
+                    mc.m.set_cat_mask(w, if served >= 2 { 0b11 } else { full_mask });
+                    app.backlog.extend(next_item..next_item + served);
+                    next_item += served;
+                    window.push(served);
+                }
+                let core = (t / CONTROL_NS) as usize % WORKERS;
+                mc.m.advance(core, 400);
+                log.borrow_mut().push((t, window));
+            },
+        ),
+    );
+    let mut rng = Rng64::seed_from_u64(0xc0de_0b5e);
+    let mut frame = vec![0u8; 128];
+    let mut drained = Vec::new();
+    let mut t_next = 1.0;
+    for i in 0..300usize {
+        let t = t_next;
+        let f = FlowTuple::tcp(
+            0x0a00_0000 + rng.gen_range(0u32..48),
+            2000 + rng.gen_range(0u32..48) as u16,
+            0xc0a8_0001,
+            443,
+        );
+        frame[0] = i as u8;
+        let _ = eng.offer(&mut hw, &f, &frame, t);
+        t_next = t + rng.gen_range(2u32..800) as f64;
+        if rng.gen_range(0u32..3) == 0 {
+            // A retry timer strictly between this arrival and the next.
+            let te = t + rng.gen_range(1..(t_next - t) as u32) as f64;
+            eng.run_until(&mut hw, te);
+            for w in 0..WORKERS {
+                let done = std::mem::take(&mut eng.app_mut(w).done);
+                drained.extend(done.into_iter().map(|(item, at)| (i, w, item, at)));
+            }
+        }
+    }
+    // Past the last arrival by two control periods: every boundary
+    // that saw traffic has fired.
+    eng.run_until(&mut hw, t_next + 2.0 * CONTROL_NS);
+    eng.drain(&mut hw);
+    let (mut rep, apps) = eng.finish(&mut hw);
+    rep.sched = SchedStats::default();
+    let states = apps
+        .into_iter()
+        .map(|a| (a.served, a.backlog.into_iter().collect(), a.done))
+        .collect();
+    let hooks = Rc::try_unwrap(hook_log).unwrap().into_inner();
+    (rep, hooks, drained, states)
+}
+
+/// The oracle for the engine's control-plane users. With a hook that
+/// does timed work, reprograms CAT masks and creates backlog at fixed
+/// boundaries, and with bare catch-ups between arrivals, the
+/// event-driven scheduler must match the reference tick-stepper in
+/// every execution mode: the report (scheduler counters aside), the
+/// hook's observations, every completion time drained between
+/// arrivals, and each app's final state.
+#[test]
+fn control_hook_and_bare_catch_ups_match_reference_tick_stepper() {
+    let reference = run_controlled(Execution::Serial, Scheduler::ReferenceTick);
+    let (_, hooks, drained, _) = &reference;
+    assert!(
+        hooks
+            .iter()
+            .any(|(_, window)| window.iter().any(|&n| n >= 2)),
+        "the hook must push backlog and narrow a CAT mask for this test to mean anything"
+    );
+    assert!(
+        !drained.is_empty(),
+        "bare catch-ups must observe completions"
+    );
+    for scheduler in [Scheduler::EventDriven, Scheduler::ReferenceTick] {
+        for execution in [
+            Execution::Serial,
+            Execution::Parallel { threads: 2 },
+            Execution::Parallel { threads: 4 },
+        ] {
+            let (rep, hooks, drained, states) = run_controlled(execution, scheduler);
+            let at = format!("{scheduler:?}/{execution:?} vs serial reference tick-stepper");
+            assert_eq!(rep, reference.0, "{at}: report");
+            assert_eq!(hooks, reference.1, "{at}: hook observations");
+            assert_eq!(
+                drained, reference.2,
+                "{at}: completions seen between arrivals"
+            );
+            assert_eq!(states, reference.3, "{at}: final app state");
         }
     }
 }

@@ -51,7 +51,7 @@ use std::collections::{HashMap, HashSet};
 /// The migration economics, read from the machine model. All constants
 /// are in core cycles; all decisions built on them are integer
 /// arithmetic over deterministic access counts, so runs stay
-/// bit-identical across execution modes and schedulers.
+/// bit-identical across execution modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostModel {
     /// Cycles one hot-area hit saves versus serving the same LLC hit

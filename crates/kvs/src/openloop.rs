@@ -119,10 +119,6 @@ pub struct OpenLoopConfig {
     /// Serial (reference) or parallel worker execution; reports are
     /// bit-identical either way.
     pub execution: Execution,
-    /// Event-driven virtual-time scheduling (default) or the engine's
-    /// reference tick-stepper; reports are bit-identical either way
-    /// (only `EngineReport::sched` differs).
-    pub scheduler: Scheduler,
 }
 
 impl OpenLoopConfig {
@@ -143,7 +139,6 @@ impl OpenLoopConfig {
             admission: AdmissionPolicy::AcceptAll,
             faults: FaultPlan::none(),
             execution: Execution::Serial,
-            scheduler: Scheduler::default(),
         }
     }
 
@@ -615,7 +610,7 @@ fn run_openloop_impl(
         faults: cfg.faults.clone(),
         execution: cfg.execution,
         admission: cfg.admission,
-        scheduler: cfg.scheduler,
+        scheduler: Scheduler::default(),
     };
     let mut hw = Hw {
         m,

@@ -95,10 +95,6 @@ pub struct ServerConfig {
     /// [`Placement::HotSliceAware`] on a single core or
     /// [`Placement::StripedHot`] with one slice per core.
     pub migration: MigrationMode,
-    /// Event-driven virtual-time scheduling (default) or the engine's
-    /// reference tick-stepper; reports are bit-identical either way
-    /// (only `EngineReport::sched` differs).
-    pub scheduler: Scheduler,
 }
 
 impl ServerConfig {
@@ -113,7 +109,6 @@ impl ServerConfig {
             seed,
             faults: FaultPlan::none(),
             execution: Execution::Serial,
-            scheduler: Scheduler::default(),
             migration: MigrationMode::Off,
         }
     }
@@ -579,7 +574,7 @@ pub fn run_server(
         faults: cfg.faults.clone(),
         execution: cfg.execution,
         admission: AdmissionPolicy::AcceptAll,
-        scheduler: cfg.scheduler,
+        scheduler: Scheduler::default(),
     };
     let mut hw = Hw {
         m,

@@ -60,10 +60,6 @@ pub struct PipelineConfig {
     pub seed: u64,
     /// Serial or parallel worker execution (bit-identical either way).
     pub execution: Execution,
-    /// Event-driven virtual-time scheduling (default) or the engine's
-    /// reference tick-stepper; reports are bit-identical either way
-    /// (only `EngineReport::sched` differs).
-    pub scheduler: Scheduler,
 }
 
 impl PipelineConfig {
@@ -78,7 +74,6 @@ impl PipelineConfig {
             stage_cycles: 300,
             seed: 0x99,
             execution: Execution::Serial,
-            scheduler: Scheduler::default(),
         }
     }
 
@@ -291,7 +286,7 @@ pub fn run_pipeline(
         faults: FaultPlan::none(),
         execution: cfg.execution,
         admission: AdmissionPolicy::AcceptAll,
-        scheduler: cfg.scheduler,
+        scheduler: Scheduler::default(),
     };
     let mut hw = Hw {
         m: &mut m,

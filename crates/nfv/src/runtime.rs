@@ -189,10 +189,6 @@ pub struct RunConfig {
     /// Serial (reference) or parallel worker execution; results are
     /// bit-identical either way.
     pub execution: Execution,
-    /// Event-driven virtual-time scheduling (default) or the engine's
-    /// reference tick-stepper; reports are bit-identical either way
-    /// (only `EngineReport::sched` differs).
-    pub scheduler: Scheduler,
 }
 
 impl RunConfig {
@@ -216,7 +212,6 @@ impl RunConfig {
             seed: 0x0dfe_11ce,
             faults: FaultPlan::none(),
             execution: Execution::Serial,
-            scheduler: Scheduler::default(),
         }
     }
 
@@ -458,7 +453,7 @@ impl Testbed {
             faults: cfg.faults.clone(),
             execution: cfg.execution,
             admission: AdmissionPolicy::AcceptAll,
-            scheduler: cfg.scheduler,
+            scheduler: Scheduler::default(),
         };
         let mut policy = policy;
         // The engine performs the initial descriptor posting.
@@ -619,7 +614,6 @@ mod tests {
             seed: 7,
             faults: FaultPlan::none(),
             execution: Execution::Serial,
-            scheduler: Scheduler::default(),
         }
     }
 

@@ -7,7 +7,7 @@
 //! to [`IsolationController::observe`] and nothing else — while
 //! [`crate::run`] feeds it from the engine's control hook and applies
 //! the returned [`ControlAction`]s to the machine. Purity is what makes
-//! the loop deterministic across schedulers and execution modes: the
+//! the loop deterministic across execution modes: the
 //! observations (windowed latency percentiles, uncore fill deltas) are
 //! bit-identical in every mode, so the decision sequence is too.
 //!

@@ -19,7 +19,7 @@
 //! * [`run`] — the chaos harness: scenario, control hook, reports.
 //!
 //! Everything is deterministic: [`run::run_tenancy`] reports are
-//! bit-identical across schedulers and execution modes.
+//! bit-identical across execution modes.
 
 pub mod apps;
 pub mod controller;

@@ -47,12 +47,12 @@
 //!
 //! # Determinism
 //!
-//! Control epochs fire at fixed virtual times in both schedulers;
-//! observations are derived from merged machine state and canonical-
-//! order outcome logs; the controller is a pure function of its
-//! observations. Reports are therefore bit-identical across
-//! {event-driven, reference-tick} × {serial, parallel} — asserted by
-//! the repo's determinism battery and the `fig_tenants` golden.
+//! Control epochs fire at fixed virtual times whatever epochs the
+//! engine dispatches in between; observations are derived from merged
+//! machine state and canonical-order outcome logs; the controller is a
+//! pure function of its observations. Reports are therefore
+//! bit-identical serial vs parallel — asserted by the repo's
+//! determinism battery and the `fig_tenants` golden.
 
 use crate::apps::{PhasedGaps, TenantApp, TenantKind};
 use crate::controller::{ControllerConfig, IsolationController};
@@ -187,9 +187,6 @@ pub struct TenancyConfig {
     pub packets: usize,
     /// Serial or parallel worker execution (bit-identical reports).
     pub execution: Execution,
-    /// Event-driven or reference-tick scheduling (bit-identical
-    /// reports).
-    pub scheduler: Scheduler,
     /// Fault plan (composes with the storm chaos). Must not contain
     /// TX-stall windows — FIFO completion matching, as in
     /// `kvs::openloop`.
@@ -206,7 +203,6 @@ impl TenancyConfig {
             regime,
             packets,
             execution: Execution::Serial,
-            scheduler: Scheduler::default(),
             faults: FaultPlan::none(),
             seed: 0x007e_4a47,
         }
@@ -489,7 +485,7 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
         faults: cfg.faults.clone(),
         execution: cfg.execution,
         admission: AdmissionPolicy::AcceptAll,
-        scheduler: cfg.scheduler,
+        scheduler: Scheduler::default(),
     };
     let mut hw = Hw {
         m: &mut m,
@@ -524,7 +520,7 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
 
     // The control loop: drain the latency windows, poll the CBo fill
     // window, let the controller decide, apply. Runs at every control
-    // boundary in both schedulers, at identical virtual times.
+    // boundary, at exact virtual times.
     let hook_shared = Rc::clone(&shared);
     eng.set_control_hook(
         CONTROL_PERIOD_NS,

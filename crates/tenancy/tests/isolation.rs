@@ -1,9 +1,9 @@
 //! The multi-tenant SLO-defense battery: the online controller must
 //! strictly beat the static even split for every victim tenant, never
-//! starve anyone, stay bit-identical across schedulers and execution
-//! modes, and compose with injected NIC faults.
+//! starve anyone, stay bit-identical across execution modes, and
+//! compose with injected NIC faults.
 
-use engine::{Execution, Scheduler};
+use engine::Execution;
 use rte::fault::{FaultPlan, Window};
 use tenancy::run::{run_tenancy, Regime, TenancyConfig, FLOOR_WAYS};
 
@@ -87,25 +87,22 @@ fn online_controller_strictly_beats_static_even_for_every_victim() {
 }
 
 #[test]
-fn reports_are_bit_identical_across_schedulers_and_execution_modes() {
+fn reports_are_bit_identical_across_execution_modes() {
     let base = TenancyConfig::new(Regime::Online, SMOKE);
     let mut golden: Option<String> = None;
-    for scheduler in [Scheduler::EventDriven, Scheduler::ReferenceTick] {
-        for execution in [
-            Execution::Serial,
-            Execution::Parallel { threads: 2 },
-            Execution::Parallel { threads: 4 },
-        ] {
-            let cfg = TenancyConfig {
-                scheduler,
-                execution,
-                ..base.clone()
-            };
-            let rep = format!("{:?}", run_tenancy(&cfg));
-            match &golden {
-                None => golden = Some(rep),
-                Some(g) => assert_eq!(g, &rep, "report diverged under {scheduler:?}/{execution:?}"),
-            }
+    for execution in [
+        Execution::Serial,
+        Execution::Parallel { threads: 2 },
+        Execution::Parallel { threads: 4 },
+    ] {
+        let cfg = TenancyConfig {
+            execution,
+            ..base.clone()
+        };
+        let rep = format!("{:?}", run_tenancy(&cfg));
+        match &golden {
+            None => golden = Some(rep),
+            Some(g) => assert_eq!(g, &rep, "report diverged under {execution:?}"),
         }
     }
 }

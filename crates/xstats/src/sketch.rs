@@ -28,7 +28,7 @@
 //! Everything is deterministic `f64` math: the same sample stream
 //! always produces the same sketch and the same quantile answers, so
 //! figure output built on sketches stays bit-identical across
-//! schedulers and execution modes.
+//! execution modes.
 
 /// A streaming log-bucket quantile sketch with relative error `α`.
 #[derive(Debug, Clone)]

@@ -2,7 +2,7 @@
 # Offline CI gate for the workspace. Everything here runs without
 # network access: no crates.io dependencies, no rustup downloads.
 #
-#   scripts/ci.sh         # fmt + clippy + tests (debug) + determinism
+#   scripts/ci.sh         # fmt + doc paths + clippy + tests + determinism
 #   scripts/ci.sh full    # ...plus release build, bench-harness check,
 #                         # a --smoke run of every figure binary
 #                         # (serial AND --parallel), and the llcbench
@@ -56,12 +56,12 @@ smoke() {
     ./target/release/fig_knee_kvs --smoke --parallel --chaos > /dev/null
 }
 
-# Determinism gate: the differential suite (serial vs parallel AND
-# event-driven vs reference tick-stepper), a byte-level double-run diff
-# of an engine-backed figure binary under --parallel, a byte-level
-# scheduler diff (the event-driven scheduler must print the same stdout
-# as the retained tick-stepper), and the pinned epoch ceiling (the
-# empty-epoch tax must stay dead).
+# Determinism gate: the engine's differential suite (serial vs parallel
+# AND event-driven vs the reference tick-stepper it keeps as its
+# oracle), a byte-level double-run diff of an engine-backed figure
+# binary under --parallel, and the pinned epoch ceiling (the empty-epoch
+# tax must stay dead). Serial vs parallel stdout of every figure is
+# diffed against one snapshot by crates/bench/tests/figures_golden.rs.
 det() {
     echo "==> determinism: differential suite (serial/parallel + reference/event-driven)"
     cargo test -p engine --test differential -q
@@ -75,24 +75,6 @@ det() {
     ./target/release/fig08_kvs --smoke --parallel --cores=4 > "$out_a"
     ./target/release/fig08_kvs --smoke --parallel --cores=4 > "$out_b"
     diff -u "$out_a" "$out_b"
-    echo "==> determinism: scheduler diff of fig08_kvs --smoke (event vs reference)"
-    ./target/release/fig08_kvs --smoke --cores=4 --scheduler=reference > "$out_b"
-    ./target/release/fig08_kvs --smoke --cores=4 > "$out_a"
-    diff -u "$out_b" "$out_a"
-    # The multi-tenant controller study: the stateful isolation control
-    # loop (streaks, cooldown, DDIO calm counter) must also be invisible
-    # to scheduler choice and worker threading, at the byte level.
-    echo "==> determinism: scheduler+mode diff of fig_tenants --smoke"
-    ./target/release/fig_tenants --smoke > "$out_a"
-    ./target/release/fig_tenants --smoke --parallel --scheduler=reference > "$out_b"
-    diff -u "$out_a" "$out_b"
-    # The scale study: streamed sketch quantiles, trace replay, and the
-    # migrator must all be invisible to scheduler choice and worker
-    # threading, at the byte level.
-    echo "==> determinism: scheduler+mode diff of fig_scale_kvs --smoke"
-    ./target/release/fig_scale_kvs --smoke > "$out_a"
-    ./target/release/fig_scale_kvs --smoke --parallel --scheduler=reference > "$out_b"
-    diff -u "$out_a" "$out_b"
     rm -f "$out_a" "$out_b"
     echo "==> scheduler: pinned epoch ceiling on fig08_kvs --smoke --cores=4"
     # The event-driven scheduler dispatches ~300 epochs here (one per
@@ -104,6 +86,38 @@ det() {
     dispatched="$(sed -n 's/.*epochs_dispatched=\([0-9]*\).*/\1/p' <<<"${sched}")"
     if [[ -z "${dispatched}" ]] || (( dispatched == 0 || dispatched > ceiling )); then
         echo "FAIL: epochs_dispatched=${dispatched:-unparsed} outside (0, ${ceiling}]" >&2
+        exit 1
+    fi
+}
+
+# Doc-path check: every repo path the docs and Rust sources cite in
+# backticks must exist, so deleting or moving a file cannot leave stale
+# citations behind. A token is checked when it contains `/` and ends in
+# .rs/.sh/.json/.toml/.md/.txt, or is a bare *.json/*.sh/*.md name. It
+# must exist relative to the repo root; a Rust file's citation may also
+# be relative to its crate directory. CHANGES.md is a dated log and is
+# not scanned. Cite a retired file without a checkable token, e.g.
+# `git show <commit>:path`.
+docpaths() {
+    echo "==> doc paths: cited files exist"
+    local files=(README.md DESIGN.md ROADMAP.md EXPERIMENTS.md .claude/skills/verify/SKILL.md)
+    mapfile -t -O "${#files[@]}" files < <(find crates src tests -name '*.rs' | sort)
+    local stale=0 file crate tok
+    for file in "${files[@]}"; do
+        crate=.
+        if [[ ${file} == crates/* ]]; then
+            crate="$(cut -d/ -f1-2 <<<"${file}")"
+        fi
+        while IFS= read -r tok; do
+            tok="${tok//\`/}"
+            [[ -e ${tok} ]] && continue
+            [[ ${file} == *.rs && -e ${crate}/${tok} ]] && continue
+            echo "    ${file}: \`${tok}\` does not exist" >&2
+            stale=1
+        done < <(grep -oE '`([A-Za-z0-9_.-]+/)+[A-Za-z0-9_.-]+\.(rs|sh|json|toml|md|txt)`|`[A-Za-z0-9_.-]+\.(json|sh|md)`' "${file}" | sort -u)
+    done
+    if (( stale )); then
+        echo "FAIL: stale file citations (see above)" >&2
         exit 1
     fi
 }
@@ -122,6 +136,8 @@ fi
 
 echo "==> rustfmt (check only)"
 cargo fmt --all --check
+
+docpaths
 
 echo "==> clippy, all targets, warnings are errors"
 cargo clippy --workspace --all-targets -q -- -D warnings

@@ -9,7 +9,7 @@
 //! (flow tables, LPM lookups, the shared KV store, cross-core
 //! handoffs).
 
-use engine::{Execution, Scheduler};
+use engine::Execution;
 use kvs::proto::RequestGen;
 use kvs::server::{flow_for_queue, run_server, MigrationMode, ServerConfig, ServerReport};
 use kvs::store::{KvStore, Placement};
@@ -129,11 +129,9 @@ fn pipelined_chain_results_are_identical_serial_vs_parallel() {
 /// StripedHot, clients scramble their keys, and every core runs the
 /// hot-set migration loop at engine-epoch boundaries — the timed swaps
 /// go through the coordinator-side merge hook, which this suite must
-/// prove bit-identical across execution modes (and, for the cost-aware
-/// controller, across schedulers too).
+/// prove bit-identical across execution modes.
 fn kvs_run_on(
     execution: Execution,
-    scheduler: Scheduler,
     migration: MigrationMode,
     theta: f64,
     requests: usize,
@@ -174,7 +172,6 @@ fn kvs_run_on(
     let mut cfg = ServerConfig::fig8(requests, 900, 1)
         .with_cores(cores)
         .with_execution(execution);
-    cfg.scheduler = scheduler;
     cfg.migration = migration;
     run_server(
         &mut m,
@@ -187,15 +184,15 @@ fn kvs_run_on(
     )
 }
 
-/// Shorthand for the pre-existing cases: event-driven scheduling, the
-/// always-migrate policy at epoch 500 when `migrate` is set.
+/// Shorthand for the pre-existing cases: the always-migrate policy at
+/// epoch 500 when `migrate` is set.
 fn kvs_run(execution: Execution, migrate: bool, theta: f64) -> ServerReport {
     let migration = if migrate {
         MigrationMode::Always { epoch: 500 }
     } else {
         MigrationMode::Off
     };
-    kvs_run_on(execution, Scheduler::EventDriven, migration, theta, 6_000)
+    kvs_run_on(execution, migration, theta, 6_000)
 }
 
 #[test]
@@ -238,24 +235,19 @@ fn kvs_migration_results_are_identical_serial_vs_parallel() {
 }
 
 #[test]
-fn kvs_cost_aware_migration_is_identical_across_modes_and_schedulers() {
+fn kvs_cost_aware_migration_is_identical_across_modes() {
     // The cost-aware controller is stateful across epochs (cost
     // estimate, calm counter, dormancy, epoch-length tuner), so any
-    // dependence on *how many* merges the scheduler dispatches — rather
-    // than on the noted access counts — would diverge here. Decisions
-    // must be pure functions of per-epoch counts, which evolve only at
-    // epochs with work; those coincide between the schedulers.
+    // dependence on thread scheduling — rather than on the noted access
+    // counts — would diverge here. Decisions must be pure functions of
+    // per-epoch counts. (That they also ignore how many workless epochs
+    // the engine dispatches is the engine suites' oracle, see
+    // `stateful_economics_hook_is_bit_identical_across_modes_and_schedulers`.)
     // Epoch 1000 over partitioned Zipf(0.99): the hottest keys' nets
     // clear the ~800-cycle measured swap cost while the tail stays
     // below it, so every decision path (execute, veto, ledger) is live.
     let mode = MigrationMode::CostAware { epoch: 1000 };
-    let reference = kvs_run_on(
-        Execution::Serial,
-        Scheduler::EventDriven,
-        mode,
-        0.99,
-        12_000,
-    );
+    let reference = kvs_run_on(Execution::Serial, mode, 0.99, 12_000);
     assert!(
         reference.migrated > 0,
         "the skewed cost-aware case must actually migrate"
@@ -268,19 +260,17 @@ fn kvs_cost_aware_migration_is_identical_across_modes_and_schedulers() {
         reference.swaps_at_loss, 0,
         "cost-aware must never execute a swap at a projected loss"
     );
-    for scheduler in [Scheduler::EventDriven, Scheduler::ReferenceTick] {
-        for execution in [
-            Execution::Serial,
-            Execution::Parallel { threads: 2 },
-            Execution::Parallel { threads: 4 },
-        ] {
-            let run = kvs_run_on(execution, scheduler, mode, 0.99, 12_000);
-            assert_eq!(
-                format!("{reference:?}"),
-                format!("{run:?}"),
-                "kvs cost-aware: {execution:?} under {scheduler:?} diverged"
-            );
-        }
+    for execution in [
+        Execution::Serial,
+        Execution::Parallel { threads: 2 },
+        Execution::Parallel { threads: 4 },
+    ] {
+        let run = kvs_run_on(execution, mode, 0.99, 12_000);
+        assert_eq!(
+            format!("{reference:?}"),
+            format!("{run:?}"),
+            "kvs cost-aware: {execution:?} diverged"
+        );
     }
 }
 
@@ -303,43 +293,42 @@ fn kvs_migration_with_tied_counts_is_identical_serial_vs_parallel() {
 }
 
 /// The multi-tenant chaos harness at one mode point.
-fn tenancy_run(execution: Execution, scheduler: Scheduler) -> tenancy::run::TenancyReport {
+fn tenancy_run(execution: Execution) -> tenancy::run::TenancyReport {
     let cfg = tenancy::run::TenancyConfig {
         execution,
-        scheduler,
         ..tenancy::run::TenancyConfig::new(tenancy::run::Regime::Online, 6_000)
     };
     tenancy::run::run_tenancy(&cfg)
 }
 
 #[test]
-fn tenancy_controller_results_are_identical_across_modes_and_schedulers() {
+fn tenancy_controller_results_are_identical_across_modes() {
     // The isolation controller is stateful across control epochs
     // (streaks, cooldown, calm counter, the held-p99 series), and its
     // observations come from worker-produced latency logs and merged
-    // uncore counters — the maximal surface for a scheduler- or
-    // thread-count dependence to leak in. The full report (per-tenant
-    // ledgers, violation integrals, every controller action count) must
-    // be bit-identical across the grid.
-    let reference = tenancy_run(Execution::Serial, Scheduler::EventDriven);
+    // uncore counters — the maximal surface for a thread-count
+    // dependence to leak in. The full report (per-tenant ledgers,
+    // violation integrals, every controller action count) must be
+    // bit-identical across execution modes. (The control hook's
+    // independence of the scheduler is the engine suites' oracle, see
+    // `control_hook_and_bare_catch_ups_match_reference_tick_stepper`.)
+    let reference = tenancy_run(Execution::Serial);
     assert!(
         reference.moves > 0 && reference.ddio_shrinks > 0,
         "the online case must actually exercise the controller"
     );
-    for scheduler in [Scheduler::EventDriven, Scheduler::ReferenceTick] {
-        for execution in [
-            Execution::Serial,
-            Execution::Parallel { threads: 1 },
-            Execution::Parallel { threads: 2 },
-            Execution::Parallel { threads: 4 },
-        ] {
-            let run = tenancy_run(execution, scheduler);
-            assert_eq!(
-                format!("{reference:?}"),
-                format!("{run:?}"),
-                "tenancy: {execution:?} under {scheduler:?} diverged"
-            );
-        }
+    for execution in [
+        Execution::Serial,
+        Execution::Parallel { threads: 1 },
+        Execution::Parallel { threads: 2 },
+        Execution::Parallel { threads: 4 },
+    ] {
+        let run = tenancy_run(execution);
+        assert_eq!(
+            format!("{reference:?}"),
+            format!("{run:?}"),
+            "tenancy: {execution:?} diverged"
+        );
     }
 }
 
@@ -350,7 +339,7 @@ fn tenancy_per_tenant_ledgers_partition_the_aggregate_identities() {
     // the groups sum to the run's totals — no frame is lost between or
     // double-counted across tenants. Checked in both execution modes.
     for execution in [Execution::Serial, Execution::Parallel { threads: 2 }] {
-        let rep = tenancy_run(execution, Scheduler::EventDriven);
+        let rep = tenancy_run(execution);
         let mut sums = (0u64, 0u64, 0u64, 0u64);
         for (group, tenant) in rep.per_group.iter().zip(&rep.tenants) {
             assert_eq!(

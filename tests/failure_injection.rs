@@ -25,7 +25,6 @@ fn starved_mbuf_pool_drops_but_conserves() {
         seed: 1,
         faults: FaultPlan::none(),
         execution: Execution::Serial,
-        scheduler: engine::Scheduler::default(),
     };
     let mut trace = CampusTrace::fixed_size(64, 64, 1);
     let mut sched = ArrivalSchedule::constant_pps(20_000_000.0);
@@ -52,7 +51,6 @@ fn single_core_single_descriptor() {
         seed: 2,
         faults: FaultPlan::none(),
         execution: Execution::Serial,
-        scheduler: engine::Scheduler::default(),
     };
     let mut trace = CampusTrace::fixed_size(64, 4, 2);
     let mut sched = ArrivalSchedule::constant_pps(1000.0);
@@ -118,7 +116,6 @@ fn zero_route_table_drops_everything() {
         seed: 3,
         faults: FaultPlan::none(),
         execution: Execution::Serial,
-        scheduler: engine::Scheduler::default(),
     };
     let mut trace = CampusTrace::fixed_size(64, 32, 3);
     let mut sched = ArrivalSchedule::constant_pps(10_000.0);
