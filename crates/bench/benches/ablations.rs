@@ -28,11 +28,7 @@ fn slice_loop_cycles(repl: ReplacementKind) -> u64 {
             .with_dram_capacity(256 << 20),
     );
     let region = m.mem_mut().alloc(128 << 20, 1 << 20).expect("bench region");
-    let h = llc_sim::hash::XorSliceHash::haswell_8slice();
-    let mut alloc = SliceAllocator::new(region, move |pa| {
-        use llc_sim::hash::SliceHash;
-        h.slice_of(pa)
-    });
+    let mut alloc = SliceAllocator::new(region, m.slice_oracle());
     let buf = alloc.alloc_lines(0, 1_441_792 / 64).expect("buffer fits");
     warm_buffer(&mut m, 0, &buf);
     random_access(&mut m, 0, &buf, 5_000, AccessKind::Read, 1)

@@ -61,14 +61,12 @@ fn bench_pipeline() {
 
 fn bench_kvs() {
     use kvs::store::{KvStore, Placement};
-    use llc_sim::hash::{SliceHash, XorSliceHash};
     use llc_sim::machine::{Machine, MachineConfig};
     use slice_aware::alloc::SliceAllocator;
     let g = Group::new("kvs");
     let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(256 << 20));
     let region = m.mem_mut().alloc(64 << 20, 1 << 20).expect("bench region");
-    let h = XorSliceHash::haswell_8slice();
-    let mut alloc = SliceAllocator::new(region, move |pa| h.slice_of(pa));
+    let mut alloc = SliceAllocator::new(region, m.slice_oracle());
     let store = KvStore::build(&mut m, &mut alloc, 1 << 14, Placement::Normal).expect("store fits");
     let mut out = [0u8; 64];
     let mut key = 0u32;

@@ -5,7 +5,6 @@
 //! uniformly at random 10 000 times per run, compare against the same
 //! loop over contiguous ("normal") memory.
 
-use llc_sim::hash::{SliceHash, XorSliceHash};
 use llc_sim::machine::{Machine, MachineConfig};
 use llc_sim::AccessKind;
 use slice_aware::alloc::SliceAllocator;
@@ -19,8 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale = bench::Scale::from_args(20, 10_000);
     let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(1 << 30));
     let region = m.mem_mut().alloc(512 << 20, 1 << 20)?;
-    let hash = XorSliceHash::haswell_8slice();
-    let mut alloc = SliceAllocator::new(region, move |pa| hash.slice_of(pa));
+    let mut alloc = SliceAllocator::new(region, m.slice_oracle());
     let lines = BUF_BYTES / 64;
     let normal = alloc.alloc_contiguous_lines(lines)?;
     let slice_bufs = (0..8)

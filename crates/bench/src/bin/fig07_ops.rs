@@ -6,7 +6,6 @@
 //! while the per-core set fits a slice (≤ 2.5 MB), with both collapsing
 //! to DRAM speed beyond the LLC.
 
-use llc_sim::hash::{SliceHash, XorSliceHash};
 use llc_sim::machine::{Machine, MachineConfig};
 use llc_sim::AccessKind;
 use slice_aware::alloc::SliceAllocator;
@@ -53,8 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let mut m =
                 Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(7 << 30));
             let region = m.mem_mut().alloc(6 << 30, 1 << 20)?;
-            let hash = XorSliceHash::haswell_8slice();
-            let mut alloc = SliceAllocator::new(region, move |pa| hash.slice_of(pa));
+            let mut alloc = SliceAllocator::new(region, m.slice_oracle());
             let lines = size / 64;
             let normal = (0..8)
                 .map(|_| alloc.alloc_contiguous_lines(lines))

@@ -14,7 +14,6 @@ use engine::Execution;
 use kvs::proto::RequestGen;
 use kvs::server::{flow_for_queue, run_server, MigrationMode, ServerConfig};
 use kvs::store::{KvStore, Placement};
-use llc_sim::hash::{SliceHash, XorSliceHash};
 use llc_sim::machine::{Machine, MachineConfig};
 use rte::mempool::MbufPool;
 use rte::nic::{FixedHeadroom, Port};
@@ -23,28 +22,41 @@ use slice_aware::alloc::SliceAllocator;
 use trafficgen::{FlowTuple, PhaseGen, PhaseSchedule, ZipfGen};
 use xstats::report::{f, Table};
 
-/// One benchmark point: warm-up pass, then a measured run.
-///
-/// `make_placement` sees the built machine (the migration study homes
-/// each core's hot pool in that core's closest slice); `scramble`
-/// passes client keys through a seeded bijection so Zipf popularity is
-/// decorrelated from key identity; `migration` selects the §8 hot-set
-/// migration policy; `churn` runs every client through the given phase
-/// schedule (rank rotation per phase — the non-stationary workload of
-/// the `--churn` study).
-#[allow(clippy::too_many_arguments)]
-fn run_config(
+/// What every point of one study shares.
+#[derive(Clone, Copy)]
+struct Study<'a> {
     n_values: usize,
-    make_placement: &dyn Fn(&Machine) -> Placement,
-    theta: f64,
-    get_permille: u32,
     requests: usize,
     cores: usize,
     execution: Execution,
+    /// Client keys pass through a seeded bijection, so Zipf popularity
+    /// is decorrelated from key identity.
     scramble: bool,
+    /// Every client runs through this phase schedule (rank rotation per
+    /// phase — the non-stationary workload of the `--churn` study).
+    churn: Option<&'a PhaseSchedule>,
+}
+
+/// One benchmark point: warm-up pass, then a measured run.
+///
+/// `make_placement` sees the built machine (the migration study homes
+/// each core's hot pool in that core's closest slice); `migration`
+/// selects the §8 hot-set migration policy.
+fn run_config(
+    study: &Study<'_>,
+    make_placement: &dyn Fn(&Machine) -> Placement,
+    theta: f64,
+    get_permille: u32,
     migration: MigrationMode,
-    churn: Option<&PhaseSchedule>,
 ) -> Result<kvs::ServerReport, Box<dyn std::error::Error>> {
+    let Study {
+        n_values,
+        requests,
+        cores,
+        execution,
+        scramble,
+        churn,
+    } = *study;
     // The slice-aware carving needs ~slices x the store's footprint.
     let store_bytes = n_values * 64;
     let region_bytes = (store_bytes * 9).max(64 << 20);
@@ -54,8 +66,7 @@ fn run_config(
     );
     let placement = make_placement(&m);
     let region = m.mem_mut().alloc(region_bytes, 1 << 20)?;
-    let hash = XorSliceHash::haswell_8slice();
-    let mut alloc = SliceAllocator::new(region, move |pa| hash.slice_of(pa));
+    let mut alloc = SliceAllocator::new(region, m.slice_oracle());
     let store = KvStore::build(&mut m, &mut alloc, n_values, placement.clone())?;
     let mut pool = MbufPool::create(&mut m, (1024 * cores) as u32, 128, 2048)?;
     let mut port = Port::new(0, Steering::Rss(Rss::new(cores)), 256);
@@ -134,14 +145,12 @@ fn run_config(
 /// Zipf clients (so the popular keys start *cold* and only migration
 /// can move them into the slice-local hot pools).
 fn run_migration_study(
-    n_values: usize,
+    base: &Study<'_>,
     log2_n: u32,
     theta: f64,
     epoch: usize,
-    requests: usize,
-    cores: usize,
-    execution: Execution,
 ) -> Result<(), Box<dyn std::error::Error>> {
+    let (n_values, cores) = (base.n_values, base.cores);
     // Hot pool per core: the §3 half-slice rule of thumb, capped at an
     // eighth of the core's key class so the hot area stays selective at
     // smoke scale.
@@ -151,7 +160,12 @@ fn run_migration_study(
     // least three of them in the measured run, whatever scale was asked
     // for (at --smoke scale the raw request budget would never reach
     // one).
-    let requests = requests.max(cores * epoch * 3);
+    let requests = base.requests.max(cores * epoch * 3);
+    let study = Study {
+        requests,
+        scramble: true,
+        ..*base
+    };
     println!(
         "Fig. 8 addendum — §8 hot-set migration, {cores} core(s), 2^{log2_n} x 64 B values, \
          Zipf({theta}) scrambled keys, epoch {epoch}, {requests} requests/point\n"
@@ -183,18 +197,7 @@ fn run_migration_study(
     ]);
     let mut reports = Vec::new();
     for (label, make_placement, migration) in configs {
-        let rep = run_config(
-            n_values,
-            make_placement,
-            theta,
-            950,
-            requests,
-            cores,
-            execution,
-            true,
-            migration,
-            None,
-        )?;
+        let rep = run_config(&study, make_placement, theta, 950, migration)?;
         t.row([
             label.to_string(),
             f(rep.hot_hit_rate() * 100.0, 1),
@@ -237,20 +240,18 @@ fn run_migration_study(
 /// TPS, and the cost-aware controller never executes a swap at a
 /// projected loss.
 fn run_churn_study(
-    n_values: usize,
+    base: &Study<'_>,
     log2_n: u32,
     theta: f64,
     epoch: usize,
-    requests: usize,
-    cores: usize,
-    execution: Execution,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let class_len = n_values / cores;
+    let cores = base.cores;
+    let class_len = base.n_values / cores;
     let hot_per_core = (20_000 / cores).min(class_len / 8).max(1);
     // Every core sees at least six epoch boundaries (two per phase), so
     // the controller gets a convergence window inside each phase even
     // at --smoke scale.
-    let requests = requests.max(cores * epoch * 6);
+    let requests = base.requests.max(cores * epoch * 6);
     let phases = 3usize;
     let phase_len = (requests / cores / phases).max(1) as u64;
     // Any non-zero rotation lands on a disjoint key set (clients
@@ -258,6 +259,12 @@ fn run_churn_study(
     // phases' heads pairwise far apart.
     let step = (class_len as u64 / 3).max(1);
     let schedule = PhaseSchedule::hot_set_churn(phases, phase_len, step);
+    let study = Study {
+        requests,
+        scramble: true,
+        churn: Some(&schedule),
+        ..*base
+    };
     println!(
         "Fig. 8 addendum — cost-aware migration under hot-set churn, {cores} core(s), \
          2^{log2_n} x 64 B values, Zipf({theta}) scrambled keys, {phases} phases x \
@@ -286,18 +293,7 @@ fn run_churn_study(
     ]);
     let mut reports = Vec::new();
     for (label, migration) in configs {
-        let rep = run_config(
-            n_values,
-            &striped_hot,
-            theta,
-            950,
-            requests,
-            cores,
-            execution,
-            true,
-            migration,
-            Some(&schedule),
-        )?;
+        let rep = run_config(&study, &striped_hot, theta, 950, migration)?;
         t.row([
             label.to_string(),
             f(rep.hot_hit_rate() * 100.0, 1),
@@ -348,36 +344,43 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale = cli.scale(1, 150_000);
     let log2_n = cli.log2_keys();
     let n_values = 1usize << log2_n;
-    let cores: usize = cli.value("--cores").unwrap_or(1);
-    let execution = scale.execution(cores);
-    let zipf: f64 = cli.value("--zipf").unwrap_or(0.99);
-    let churn = cli
-        .has("--churn")
-        .then(|| cli.value::<usize>("--churn").unwrap_or(4096));
-    let migrate = cli.value::<usize>("--migrate");
+    let max_cores = MachineConfig::haswell_e5_2667_v3().cores;
+    // The migration and churn studies scramble each core's key class,
+    // which needs a power-of-two class size.
+    let scrambles = cli.has("--migrate") || cli.has("--churn");
+    let cores: usize = if scrambles {
+        cli.value_where(
+            "--cores",
+            &format!("a power of two up to {max_cores} with --migrate or --churn"),
+            |&c: &usize| c.is_power_of_two() && c <= max_cores,
+        )
+    } else {
+        cli.value_where("--cores", &format!("1..={max_cores}"), |c| {
+            (1..=max_cores).contains(c)
+        })
+    }
+    .unwrap_or(1);
+    let zipf: f64 = cli
+        .value_where("--zipf", "a skew in [0, 1)", |t| (0.0..1.0).contains(t))
+        .unwrap_or(0.99);
+    let epoch = |name| cli.value_where(name, "a positive epoch", |&e: &usize| e > 0);
+    let churn = cli.has("--churn").then(|| epoch("--churn").unwrap_or(4096));
+    let migrate = epoch("--migrate");
+    let study = Study {
+        n_values,
+        requests: scale.packets,
+        cores,
+        execution: scale.execution(cores),
+        scramble: false,
+        churn: None,
+    };
     if let Some(epoch) = churn {
-        let res = run_churn_study(
-            n_values,
-            log2_n,
-            zipf,
-            epoch,
-            scale.packets,
-            cores,
-            execution,
-        );
+        let res = run_churn_study(&study, log2_n, zipf, epoch);
         bench::eprint_sched_totals("fig08_kvs");
         return res;
     }
     if let Some(epoch) = migrate {
-        let res = run_migration_study(
-            n_values,
-            log2_n,
-            zipf,
-            epoch,
-            scale.packets,
-            cores,
-            execution,
-        );
+        let res = run_migration_study(&study, log2_n, zipf, epoch);
         bench::eprint_sched_totals("fig08_kvs");
         return res;
     }
@@ -413,16 +416,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             (Placement::Normal, 0.0),
         ] {
             let tps = run_config(
-                n_values,
+                &study,
                 &|_| placement.clone(),
                 theta,
                 permille,
-                scale.packets,
-                cores,
-                execution,
-                false,
                 MigrationMode::Off,
-                None,
             )?
             .tps / 1e6;
             by_cfg.push(tps);

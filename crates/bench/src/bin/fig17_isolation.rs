@@ -5,7 +5,6 @@
 //! via CAT (2/11 ≈ 18% of the LLC), and slice-0 isolation via slice-aware
 //! allocation (1/18 ≈ 5.6% of the LLC).
 
-use llc_sim::hash::{FoldedSliceHash, SliceHash};
 use llc_sim::machine::{Machine, MachineConfig};
 use llc_sim::AccessKind;
 use slice_aware::isolation::{setup_isolation, IsolationScenario};
@@ -31,8 +30,7 @@ fn run_scenario(
 ) -> Result<f64, Box<dyn std::error::Error>> {
     let mut m = Machine::new(MachineConfig::skylake_gold_6134().with_dram_capacity(2 << 30));
     let region = m.mem_mut().alloc(1 << 30, 1 << 20)?;
-    let hash = FoldedSliceHash::skylake_18slice();
-    let mut alloc = slice_aware::alloc::SliceAllocator::new(region, move |pa| hash.slice_of(pa));
+    let mut alloc = slice_aware::alloc::SliceAllocator::new(region, m.slice_oracle());
     let setup = setup_isolation(&mut m, &mut alloc, scenario, 0, 1, main_bytes, NOISE_BYTES)?;
     warm_buffer(&mut m, 0, &setup.main_buf);
     warm_buffer(&mut m, 1, &setup.noise_buf);

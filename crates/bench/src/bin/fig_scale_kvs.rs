@@ -38,10 +38,9 @@ use kvs::proto::RequestGen;
 use kvs::server::{flow_for_queue, run_server, MigrationMode, ServerConfig};
 use kvs::store::{KvStore, Placement};
 use kvs::{
-    run_openloop, run_openloop_streaming, CompletionSink, LargeKvStore, LargePlacement,
-    OpenLoopConfig, OpenLoopReport,
+    run_openloop_streaming, CompletionSink, LargeKvStore, LargePlacement, OpenLoopConfig,
+    OpenLoopReport,
 };
-use llc_sim::hash::{SliceHash, XorSliceHash};
 use llc_sim::machine::{Machine, MachineConfig};
 use rte::mempool::MbufPool;
 use rte::nic::{FixedHeadroom, Port};
@@ -99,8 +98,7 @@ fn run_closed(
         hot_per_core: hot_per_core(n_values, cores),
     };
     let region = m.mem_mut().alloc(region_bytes, 1 << 20)?;
-    let hash = XorSliceHash::haswell_8slice();
-    let mut alloc = SliceAllocator::new(region, move |pa| hash.slice_of(pa));
+    let mut alloc = SliceAllocator::new(region, m.slice_oracle());
     let store = KvStore::build(&mut m, &mut alloc, n_values, placement)?;
     let mut pool = MbufPool::create(&mut m, (1024 * cores) as u32, 128, 2048)?;
     let mut port = Port::new(0, Steering::Rss(Rss::new(cores)), 256);
@@ -263,8 +261,7 @@ fn run_open(
         hot_per_core: hot_per_core(n_values, cfg.cores),
     };
     let region = m.mem_mut().alloc(region_bytes, 1 << 20).unwrap();
-    let hash = XorSliceHash::haswell_8slice();
-    let mut alloc = SliceAllocator::new(region, move |pa| hash.slice_of(pa));
+    let mut alloc = SliceAllocator::new(region, m.slice_oracle());
     let store = KvStore::build(&mut m, &mut alloc, n_values, placement).unwrap();
     let mut pool = MbufPool::create(&mut m, (8 * cfg.cores * cfg.queue_depth) as u32, 128, 2048)
         .expect("pool sized to the rings");
@@ -400,16 +397,16 @@ fn differential_section(n_values: usize, ops: usize, cores: usize, rate: f64, ex
         hot_per_core: hot_per_core(n_values, cores),
     };
     let region = m.mem_mut().alloc(region_bytes, 1 << 20).unwrap();
-    let hash = XorSliceHash::haswell_8slice();
-    let mut alloc = SliceAllocator::new(region, move |pa| hash.slice_of(pa));
+    let mut alloc = SliceAllocator::new(region, m.slice_oracle());
     let store = KvStore::build(&mut m, &mut alloc, n_values, placement).unwrap();
     let mut pool =
         MbufPool::create(&mut m, (8 * cores * cfg.queue_depth) as u32, 128, 2048).unwrap();
     let mut port = Port::new(0, Steering::Rss(Rss::new(cores)), cfg.queue_depth);
     let mut policy = FixedHeadroom(128);
     let mut arr = OpenLoopGen::poisson(rate, 7);
-    // The exact (Vec-collecting) path the sketch replaced.
-    let rep = run_openloop(
+    // Every completion record: the exact series the sketch replaced.
+    let mut records: Vec<(f64, f64)> = Vec::new();
+    run_openloop_streaming(
         &mut m,
         &store,
         &mut pool,
@@ -417,8 +414,9 @@ fn differential_section(n_values: usize, ops: usize, cores: usize, rate: f64, ex
         &mut policy,
         &mut arr,
         &cfg,
+        &mut records,
     );
-    let mut exact = rep.latencies();
+    let mut exact: Vec<f64> = records.iter().map(|&(_, l)| l).collect();
     exact.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     let mut sketch = LogHist::latency_ns(ALPHA);
     for &l in &exact {
@@ -471,8 +469,7 @@ fn large_section(n_large: usize, value_size: usize, draws: usize) {
             _ => LargePlacement::SliceSet(vec![m.closest_slice(0)]),
         };
         let region = m.mem_mut().alloc(region_bytes, 1 << 20).unwrap();
-        let hash = XorSliceHash::haswell_8slice();
-        let mut alloc = SliceAllocator::new(region, move |pa| hash.slice_of(pa));
+        let mut alloc = SliceAllocator::new(region, m.slice_oracle());
         let store = LargeKvStore::build(&mut alloc, n_large, value_size, &placement).unwrap();
         let freq_ghz = m.config().freq_ghz;
         let mut buf = vec![0u8; value_size];
@@ -519,8 +516,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale = cli.scale(1, 1_000_000);
     let log2_n = cli.log2_keys();
     let n_values = 1usize << log2_n;
-    let cores: usize = cli.value("--cores").unwrap_or(4);
-    let rate: f64 = cli.value("--rate").unwrap_or(DEFAULT_RATE);
+    // The closed-loop section scrambles each core's key class, which
+    // needs a power-of-two class size.
+    let max_cores = MachineConfig::haswell_e5_2667_v3().cores;
+    let cores: usize = cli
+        .value_where(
+            "--cores",
+            &format!("a power of two up to {max_cores}"),
+            |&c: &usize| c.is_power_of_two() && c <= max_cores,
+        )
+        .unwrap_or(4);
+    let rate: f64 = cli
+        .value_where("--rate", "a positive, finite rate", |&r: &f64| {
+            r > 0.0 && r.is_finite()
+        })
+        .unwrap_or(DEFAULT_RATE);
     let execution = scale.execution(cores);
     let ops = scale.packets;
     // Smoke shrinks every scale knob; full scale defaults to a few

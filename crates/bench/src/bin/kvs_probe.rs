@@ -6,7 +6,6 @@
 //! where `packets` is the timed GETs per placement.
 
 use kvs::store::{KvStore, Placement};
-use llc_sim::hash::{SliceHash, XorSliceHash};
 use llc_sim::machine::{Machine, MachineConfig};
 use slice_aware::alloc::SliceAllocator;
 use trafficgen::ZipfGen;
@@ -22,8 +21,7 @@ fn run(
         MachineConfig::haswell_e5_2667_v3().with_dram_capacity(store_bytes * 9 + (256 << 20)),
     );
     let region = m.mem_mut().alloc(store_bytes * 9, 1 << 20)?;
-    let hash = XorSliceHash::haswell_8slice();
-    let mut alloc = SliceAllocator::new(region, move |pa| hash.slice_of(pa));
+    let mut alloc = SliceAllocator::new(region, m.slice_oracle());
     let store = KvStore::build(&mut m, &mut alloc, n, placement)?;
     let mut keygen = ZipfGen::new(n as u64, theta, 4242);
     let mut out = [0u8; 64];

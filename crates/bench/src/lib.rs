@@ -25,9 +25,9 @@ const COMMON_FLAGS: [&str; 2] = ["--smoke", "--parallel"];
 /// `--`, counted wherever they appear.
 ///
 /// Bad input is never replaced by a default: an undeclared flag, a
-/// value or positional that does not parse, or one positional too many
-/// prints the offending argument and the usage line on stderr and
-/// exits with code 2.
+/// value or positional that does not parse or is out of range, or one
+/// positional too many prints the offending argument and the usage line
+/// on stderr and exits with code 2.
 #[derive(Debug)]
 pub struct Cli {
     usage: String,
@@ -103,8 +103,24 @@ impl Cli {
     /// The value given to flag `name` (e.g. `"--cores"`), if any.
     /// Exits with code 2 when it does not parse as `T`.
     pub fn value<T: FromStr>(&self, name: &str) -> Option<T> {
+        self.value_where(name, "", |_| true)
+    }
+
+    /// [`Cli::value`] for a flag whose values are limited: also exits
+    /// with code 2 when `valid` rejects the value, naming `expected`.
+    pub fn value_where<T: FromStr>(
+        &self,
+        name: &str,
+        expected: &str,
+        valid: impl Fn(&T) -> bool,
+    ) -> Option<T> {
         let raw = self.flags.iter().find(|(n, _)| n == name)?.1.as_deref()?;
-        Some(self.parse_or_exit(raw, &format!("`{name}={raw}`")))
+        let what = format!("`{name}={raw}`");
+        let value = self.parse_or_exit(raw, &what);
+        if !valid(&value) {
+            self.exit(&format!("{what} is out of range: expected {expected}"));
+        }
+        Some(value)
     }
 
     /// The positional declared as `name`, if given. Exits with code 2

@@ -41,6 +41,7 @@ fn assert_rejected(exe: &str, args: &[&str], offending: &str) {
 
 const KVS_PROBE: &str = env!("CARGO_BIN_EXE_kvs_probe");
 const FIG08_KVS: &str = env!("CARGO_BIN_EXE_fig08_kvs");
+const FIG_SCALE_KVS: &str = env!("CARGO_BIN_EXE_fig_scale_kvs");
 
 #[test]
 fn log2_keys_is_the_third_positional_after_smoke() {
@@ -74,4 +75,32 @@ fn scheduler_flag_is_gone_and_exits_2() {
         &["--smoke", "--scheduler=reference"],
         "--scheduler=reference",
     );
+}
+
+#[test]
+fn out_of_range_values_exit_2_before_any_work() {
+    // Each of these parses, and each used to panic inside the library:
+    // a core off the machine, no core at all, an empty epoch, a Zipf
+    // skew outside [0, 1), a key class that cannot be scrambled, or an
+    // arrival rate that never advances time.
+    for (exe, args) in [
+        (FIG08_KVS, &["--cores=0"][..]),
+        (FIG08_KVS, &["--cores=64"]),
+        (FIG08_KVS, &["--migrate=0"]),
+        (FIG08_KVS, &["--churn=0"]),
+        (FIG08_KVS, &["--zipf=1"]),
+        (FIG08_KVS, &["--zipf=-1"]),
+        (FIG08_KVS, &["--zipf=nan"]),
+        (FIG08_KVS, &["--migrate=64", "--cores=3"]),
+        (FIG_SCALE_KVS, &["--cores=0"]),
+        (FIG_SCALE_KVS, &["--cores=3"]),
+        (FIG_SCALE_KVS, &["--rate=0"]),
+        (FIG_SCALE_KVS, &["--rate=nan"]),
+    ] {
+        let offending = args.last().expect("one offending flag per case");
+        let argv: Vec<&str> = std::iter::once("--smoke")
+            .chain(args.iter().copied())
+            .collect();
+        assert_rejected(exe, &argv, &format!("`{offending}` is out of range"));
+    }
 }

@@ -1586,11 +1586,7 @@ mod tests {
     impl QueueApp for Echo {
         fn on_packet(&mut self, ctx: &mut Ctx<'_>, comp: &RxCompletion) -> Verdict {
             ctx.m.advance(ctx.core, self.work);
-            Verdict::Tx(TxDesc {
-                mbuf: comp.mbuf,
-                data_pa: comp.data_pa,
-                len: comp.len,
-            })
+            Verdict::Tx(TxDesc::echo(comp))
         }
     }
 

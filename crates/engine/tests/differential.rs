@@ -60,11 +60,7 @@ impl QueueApp for GridApp {
         match self.kind {
             AppKind::Echo => {
                 ctx.m.advance(ctx.core, 120);
-                Verdict::Tx(TxDesc {
-                    mbuf: comp.mbuf,
-                    data_pa: comp.data_pa,
-                    len: comp.len,
-                })
+                Verdict::Tx(TxDesc::echo(comp))
             }
             AppKind::Chaos => {
                 ctx.m
@@ -72,11 +68,7 @@ impl QueueApp for GridApp {
                 if self.rng.gen_range(0u32..1000) < 250 {
                     Verdict::Drop
                 } else {
-                    Verdict::Tx(TxDesc {
-                        mbuf: comp.mbuf,
-                        data_pa: comp.data_pa,
-                        len: comp.len,
-                    })
+                    Verdict::Tx(TxDesc::echo(comp))
                 }
             }
             AppKind::Backlog => {
@@ -94,11 +86,7 @@ impl QueueApp for GridApp {
         let take = self.burst.min(self.inbox.len());
         for c in self.inbox.drain(..take) {
             ctx.m.advance(ctx.core, 90);
-            tx.push(TxDesc {
-                mbuf: c.mbuf,
-                data_pa: c.data_pa,
-                len: c.len,
-            });
+            tx.push(TxDesc::echo(&c));
         }
         take
     }
@@ -412,11 +400,7 @@ impl QueueApp for EconApp {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, comp: &RxCompletion) -> Verdict {
         ctx.m.advance(ctx.core, 100);
         self.seen += 1;
-        Verdict::Tx(TxDesc {
-            mbuf: comp.mbuf,
-            data_pa: comp.data_pa,
-            len: comp.len,
-        })
+        Verdict::Tx(TxDesc::echo(comp))
     }
 }
 
@@ -592,11 +576,7 @@ impl QueueApp for ControlledApp {
             let line = self.rng.gen_range(0..TABLE_LINES);
             self.read_line(ctx, line);
         }
-        Verdict::Tx(TxDesc {
-            mbuf: comp.mbuf,
-            data_pa: comp.data_pa,
-            len: comp.len,
-        })
+        Verdict::Tx(TxDesc::echo(comp))
     }
 
     fn pump(&mut self, ctx: &mut Ctx<'_>, _tx: &mut Vec<TxDesc>) -> usize {

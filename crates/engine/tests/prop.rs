@@ -48,11 +48,7 @@ impl QueueApp for ChaosApp {
         if self.rng.gen_range(0u32..1000) < self.drop_permille {
             Verdict::Drop
         } else {
-            Verdict::Tx(TxDesc {
-                mbuf: comp.mbuf,
-                data_pa: comp.data_pa,
-                len: comp.len,
-            })
+            Verdict::Tx(TxDesc::echo(comp))
         }
     }
 }

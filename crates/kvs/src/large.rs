@@ -115,7 +115,6 @@ fn scattered_from(segments: SliceBuffer, len: usize) -> ScatteredBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llc_sim::hash::{SliceHash, XorSliceHash};
     use llc_sim::machine::{Machine, MachineConfig};
 
     fn setup() -> (
@@ -124,8 +123,8 @@ mod tests {
     ) {
         let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(256 << 20));
         let r = m.mem_mut().alloc(128 << 20, 1 << 20).unwrap();
-        let h = XorSliceHash::haswell_8slice();
-        (m, SliceAllocator::new(r, move |pa| h.slice_of(pa)))
+        let alloc = SliceAllocator::new(r, m.slice_oracle());
+        (m, alloc)
     }
 
     #[test]

@@ -19,14 +19,12 @@
 //!
 //! ```
 //! use kvs::store::{KvStore, Placement};
-//! use llc_sim::hash::{SliceHash, XorSliceHash};
 //! use llc_sim::machine::{Machine, MachineConfig};
 //! use slice_aware::alloc::SliceAllocator;
 //!
 //! let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3());
 //! let region = m.mem_mut().alloc(64 << 20, 1 << 20).unwrap();
-//! let h = XorSliceHash::haswell_8slice();
-//! let mut alloc = SliceAllocator::new(region, move |pa| h.slice_of(pa));
+//! let mut alloc = SliceAllocator::new(region, m.slice_oracle());
 //! let closest = m.closest_slice(0);
 //! let mut kv = KvStore::build(
 //!     &mut m,
@@ -53,9 +51,7 @@ pub mod store;
 
 pub use large::{LargeKvStore, LargePlacement};
 pub use migrate::{CostModel, HotMigrator, MigrateError, MigrationPolicy, MigrationReport};
-pub use openloop::{
-    run_openloop, run_openloop_streaming, CompletionSink, OpenLoopConfig, OpenLoopReport,
-};
+pub use openloop::{run_openloop_streaming, CompletionSink, OpenLoopConfig, OpenLoopReport};
 pub use proto::{KvOp, KvRequest};
 pub use server::{run_server, MigrationMode, ServerConfig, ServerReport};
 pub use store::{KvStore, Placement, SwapError};

@@ -544,7 +544,6 @@ impl HotMigrator {
 mod tests {
     use super::*;
     use crate::store::Placement;
-    use llc_sim::hash::{SliceHash, XorSliceHash};
     use llc_sim::machine::MachineConfig;
     use slice_aware::alloc::SliceAllocator;
     use trafficgen::Rng64;
@@ -555,8 +554,7 @@ mod tests {
 
     fn build(m: &mut Machine, n: usize, placement: Placement) -> KvStore {
         let region = m.mem_mut().alloc(64 << 20, 1 << 20).unwrap();
-        let h = XorSliceHash::haswell_8slice();
-        let mut alloc = SliceAllocator::new(region, move |pa| h.slice_of(pa));
+        let mut alloc = SliceAllocator::new(region, m.slice_oracle());
         KvStore::build(m, &mut alloc, n, placement).unwrap()
     }
 

@@ -35,6 +35,12 @@ pub const PAYLOAD_OFF: usize = 54;
 /// lands near the paper's ~160-cycle figure (§3.1).
 pub const SERVE_WORK: u64 = 15;
 
+/// PMD burst size of the closed-loop server.
+const BURST: usize = 32;
+
+/// RX descriptor ring depth per queue of the closed-loop server.
+const QUEUE_DEPTH: usize = 256;
+
 /// How (and whether) the serving cores migrate their hot areas (§8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MigrationMode {
@@ -76,10 +82,6 @@ pub struct ServerConfig {
     pub cores: usize,
     /// Requests to serve (across all cores).
     pub requests: usize,
-    /// PMD burst size.
-    pub burst: usize,
-    /// RX descriptor ring depth (per queue).
-    pub queue_depth: usize,
     /// GET ratio in permille (1000 = 100 % GET).
     pub get_permille: u32,
     /// RNG seed.
@@ -98,13 +100,11 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// Fig. 8 defaults: one core, bursts of 32, no faults.
+    /// Fig. 8 defaults: one core, no faults.
     pub fn fig8(requests: usize, get_permille: u32, seed: u64) -> Self {
         Self {
             cores: 1,
             requests,
-            burst: 32,
-            queue_depth: 256,
             get_permille,
             seed,
             faults: FaultPlan::none(),
@@ -338,12 +338,73 @@ pub enum Served {
     Malformed,
 }
 
+impl Served {
+    /// The engine verdict for this outcome: a served request's response
+    /// leaves in the request's own buffer; every other outcome is a
+    /// silent drop.
+    pub fn verdict(self, comp: &RxCompletion) -> Verdict {
+        match self {
+            Served::Ok { .. } => Verdict::Tx(TxDesc::echo(comp)),
+            _ => Verdict::Drop,
+        }
+    }
+}
+
+/// What one serving core's app did with its delivered requests: the
+/// GETs among those served and the software drop causes of
+/// [`ServerDrops`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ServedCounts {
+    /// GETs among the served requests.
+    pub(crate) gets: u64,
+    /// See [`ServerDrops::malformed`].
+    pub(crate) malformed: u64,
+    /// See [`ServerDrops::truncated`].
+    pub(crate) truncated: u64,
+    /// See [`ServerDrops::expired`].
+    pub(crate) expired: u64,
+}
+
+impl ServedCounts {
+    /// Counts `outcome` and returns its [`Served::verdict`].
+    pub(crate) fn tally(&mut self, outcome: Served, comp: &RxCompletion) -> Verdict {
+        match outcome {
+            Served::Ok { op } => self.gets += u64::from(op == KvOp::Get),
+            Served::Expired => self.expired += 1,
+            Served::Truncated => self.truncated += 1,
+            Served::Malformed => self.malformed += 1,
+        }
+        outcome.verdict(comp)
+    }
+
+    /// The drop ledger: the engine's NIC/driver causes plus these.
+    pub(crate) fn drops(&self, nic: NicDrops) -> ServerDrops {
+        ServerDrops {
+            nic,
+            malformed: self.malformed,
+            truncated: self.truncated,
+            expired: self.expired,
+        }
+    }
+}
+
+impl std::iter::Sum for ServedCounts {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |a, b| Self {
+            gets: a.gets + b.gets,
+            malformed: a.malformed + b.malformed,
+            truncated: a.truncated + b.truncated,
+            expired: a.expired + b.expired,
+        })
+    }
+}
+
 /// The serve path every KVS server app shares: parse the request from
 /// the frame's first cache line, check its wire deadline, run the store
 /// access, and (for a served request) write the response payload in
 /// place. Returns the outcome plus this request's hot-hit delta (0
-/// without a migrator). The *caller* turns the outcome into a
-/// [`Verdict`] and its own counters.
+/// without a migrator). The caller turns the outcome into a
+/// [`Verdict`] with [`Served::verdict`].
 pub fn serve_packet(
     store: &KvStore,
     migrator: Option<&mut HotMigrator>,
@@ -404,17 +465,13 @@ pub fn serve_packet(
 }
 
 /// The KVS as a [`QueueApp`]: parse → store access → response, with
-/// served/GET/parse-failure counters. One instance exists per worker
+/// GET and drop-cause counters. One instance exists per worker
 /// (queue); all instances share one read-only [`KvStore`] handle —
 /// SETs mutate simulated memory only, and the multi-queue key
 /// partition keeps concurrent workers' writes disjoint.
 struct KvApp<'s> {
     store: &'s KvStore,
-    served: u64,
-    gets: u64,
-    malformed: u64,
-    truncated: u64,
-    expired: u64,
+    counts: ServedCounts,
     /// This queue's hot-area monitor/migrator; `None` when the store's
     /// placement declares no hot area for this core. Access counting
     /// happens untimed in `on_packet`; the timed migration swaps run
@@ -457,31 +514,7 @@ impl QueueApp for KvApp<'_> {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, comp: &RxCompletion) -> Verdict {
         let (outcome, hot_hits) = serve_packet(self.store, self.migrator.as_mut(), ctx, comp);
         self.hot_hits += hot_hits;
-        match outcome {
-            Served::Ok { op } => {
-                if op == KvOp::Get {
-                    self.gets += 1;
-                }
-                self.served += 1;
-                Verdict::Tx(TxDesc {
-                    mbuf: comp.mbuf,
-                    data_pa: comp.data_pa,
-                    len: comp.len,
-                })
-            }
-            Served::Expired => {
-                self.expired += 1;
-                Verdict::Drop
-            }
-            Served::Truncated => {
-                self.truncated += 1;
-                Verdict::Drop
-            }
-            Served::Malformed => {
-                self.malformed += 1;
-                Verdict::Drop
-            }
-        }
+        self.counts.tally(outcome, comp)
     }
 }
 
@@ -543,11 +576,7 @@ pub fn run_server(
     let apps: Vec<KvApp<'_>> = (0..cores)
         .map(|q| KvApp {
             store,
-            served: 0,
-            gets: 0,
-            malformed: 0,
-            truncated: 0,
-            expired: 0,
+            counts: ServedCounts::default(),
             migrator: monitored.then(|| {
                 let mig = HotMigrator::for_store(m, store, q, epoch_len)
                     .expect("placement declared a hot area for every serving core");
@@ -569,8 +598,8 @@ pub fn run_server(
         .collect();
     let ecfg = EngineConfig {
         workers: WorkerSpec::run_to_completion(cores),
-        queue_depth: cfg.queue_depth,
-        burst: cfg.burst,
+        queue_depth: QUEUE_DEPTH,
+        burst: BURST,
         faults: cfg.faults.clone(),
         execution: cfg.execution,
         admission: AdmissionPolicy::AcceptAll,
@@ -603,7 +632,7 @@ pub fn run_server(
     // the target), the loop still terminates with conservation intact.
     let offer_cap = (cfg.requests as u64)
         .saturating_mul(16)
-        .saturating_add(16 * (cfg.queue_depth * cores) as u64);
+        .saturating_add(16 * (QUEUE_DEPTH * cores) as u64);
     // The clients keep every queue saturated (closed loop): top each
     // queue up with fresh requests before each poll round. The attempt
     // cap bounds a top-up when the fault plan rejects every frame (e.g.
@@ -613,7 +642,7 @@ pub fn run_server(
         let mut progressed = false;
         for (q, gen) in gens.iter_mut().enumerate() {
             let mut attempts = 0;
-            while hw.port.posted_count(q) > 0 && attempts < 2 * cfg.queue_depth {
+            while hw.port.posted_count(q) > 0 && attempts < 2 * QUEUE_DEPTH {
                 attempts += 1;
                 let req = gen.next_request();
                 nfv::packet::encode_frame(&mut frame, &gen.flow(), REQUEST_SIZE, t, seq);
@@ -650,13 +679,8 @@ pub fn run_server(
             offered: l.offered,
             carried: l.carried,
             served: l.delivered,
-            gets: apps[q].gets,
-            drops: ServerDrops {
-                nic: l.nic,
-                malformed: apps[q].malformed,
-                truncated: apps[q].truncated,
-                expired: apps[q].expired,
-            },
+            gets: apps[q].counts.gets,
+            drops: apps[q].counts.drops(l.nic),
             in_flight: l.in_flight,
             busy_cycles: busy,
             tps: if busy == 0 {
@@ -672,15 +696,11 @@ pub fn run_server(
             swaps_at_loss: apps[q].swaps_at_loss,
         });
     }
-    let drops = ServerDrops {
-        nic: rep.nic,
-        malformed: apps.iter().map(|a| a.malformed).sum(),
-        truncated: apps.iter().map(|a| a.truncated).sum(),
-        expired: apps.iter().map(|a| a.expired).sum(),
-    };
+    let counts: ServedCounts = apps.iter().map(|a| a.counts).sum();
+    let drops = counts.drops(rep.nic);
     debug_assert_eq!(
         rep.app_drops,
-        drops.malformed + drops.truncated + drops.expired
+        counts.malformed + counts.truncated + counts.expired
     );
     let served = rep.delivered;
     let tps = if busy_max == 0 {
@@ -692,7 +712,7 @@ pub fn run_server(
         offered: rep.offered,
         carried: rep.carried,
         served,
-        gets: apps.iter().map(|a| a.gets).sum(),
+        gets: counts.gets,
         drops,
         in_flight: rep.in_flight,
         busy_cycles: busy_max,
@@ -716,7 +736,7 @@ pub fn run_server(
 mod tests {
     use super::*;
     use crate::store::Placement;
-    use llc_sim::hash::{SliceHash, XorSliceHash};
+
     use llc_sim::machine::MachineConfig;
     use rte::nic::FixedHeadroom;
     use rte::steering::{Rss, Steering};
@@ -733,8 +753,7 @@ mod tests {
     fn build(n: usize, placement: Placement, region_mb: usize) -> Bench {
         let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(512 << 20));
         let region = m.mem_mut().alloc(region_mb << 20, 1 << 20).unwrap();
-        let h = XorSliceHash::haswell_8slice();
-        let mut alloc = SliceAllocator::new(region, move |pa| h.slice_of(pa));
+        let mut alloc = SliceAllocator::new(region, m.slice_oracle());
         let store = KvStore::build(&mut m, &mut alloc, n, placement).unwrap();
         let pool = MbufPool::create(&mut m, 1024, 128, 2048).unwrap();
         let port = Port::new(0, Steering::Rss(Rss::new(1)), 256);
@@ -868,8 +887,7 @@ mod tests {
         let cores = 4;
         let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(512 << 20));
         let region = m.mem_mut().alloc(32 << 20, 1 << 20).unwrap();
-        let h = XorSliceHash::haswell_8slice();
-        let mut alloc = SliceAllocator::new(region, move |pa| h.slice_of(pa));
+        let mut alloc = SliceAllocator::new(region, m.slice_oracle());
         let slices: Vec<usize> = (0..cores).map(|c| m.closest_slice(c)).collect();
         let store =
             KvStore::build(&mut m, &mut alloc, 4096, Placement::Striped { slices }).unwrap();
@@ -967,8 +985,7 @@ mod tests {
         let cores = 4;
         let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(512 << 20));
         let region = m.mem_mut().alloc(32 << 20, 1 << 20).unwrap();
-        let h = XorSliceHash::haswell_8slice();
-        let mut alloc = SliceAllocator::new(region, move |pa| h.slice_of(pa));
+        let mut alloc = SliceAllocator::new(region, m.slice_oracle());
         let slices: Vec<usize> = (0..cores).map(|c| m.closest_slice(c)).collect();
         let store = KvStore::build(
             &mut m,
@@ -1078,8 +1095,7 @@ mod tests {
         let cores = 4;
         let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(512 << 20));
         let region = m.mem_mut().alloc(32 << 20, 1 << 20).unwrap();
-        let h = XorSliceHash::haswell_8slice();
-        let mut alloc = SliceAllocator::new(region, move |pa| h.slice_of(pa));
+        let mut alloc = SliceAllocator::new(region, m.slice_oracle());
         let slices: Vec<usize> = (0..cores).map(|c| m.closest_slice(c)).collect();
         let store = KvStore::build(
             &mut m,

@@ -453,7 +453,6 @@ impl std::error::Error for BuildError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llc_sim::hash::{SliceHash, XorSliceHash};
     use llc_sim::machine::MachineConfig;
 
     fn setup(region_mb: usize) -> (Machine, SliceAllocator<impl FnMut(PhysAddr) -> usize>) {
@@ -461,8 +460,8 @@ mod tests {
             MachineConfig::haswell_e5_2667_v3().with_dram_capacity((region_mb * 3) << 20),
         );
         let r = m.mem_mut().alloc(region_mb << 20, 1 << 20).unwrap();
-        let h = XorSliceHash::haswell_8slice();
-        (m, SliceAllocator::new(r, move |pa| h.slice_of(pa)))
+        let alloc = SliceAllocator::new(r, m.slice_oracle());
+        (m, alloc)
     }
 
     #[test]

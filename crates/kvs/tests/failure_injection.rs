@@ -7,7 +7,6 @@
 use kvs::proto::RequestGen;
 use kvs::server::{flow_for_queue, run_server, ServerConfig, ServerReport};
 use kvs::store::{KvStore, Placement};
-use llc_sim::hash::{SliceHash, XorSliceHash};
 use llc_sim::machine::{Machine, MachineConfig};
 use rte::fault::{FaultPlan, Window};
 use rte::mempool::MbufPool;
@@ -22,8 +21,7 @@ const KEYS: usize = 4096;
 fn run_with(faults: FaultPlan, requests: usize) -> ServerReport {
     let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(512 << 20));
     let region = m.mem_mut().alloc(32 << 20, 1 << 20).unwrap();
-    let h = XorSliceHash::haswell_8slice();
-    let mut alloc = SliceAllocator::new(region, move |pa| h.slice_of(pa));
+    let mut alloc = SliceAllocator::new(region, m.slice_oracle());
     let slices: Vec<usize> = (0..CORES).map(|c| m.closest_slice(c)).collect();
     let store = KvStore::build(&mut m, &mut alloc, KEYS, Placement::Striped { slices }).unwrap();
     let mut pool = MbufPool::create(&mut m, 4096, 128, 2048).unwrap();
@@ -153,7 +151,7 @@ fn queue_stall_reports_match_the_fault_free_baseline_elsewhere() {
 #[test]
 fn flash_crowd_and_pool_exhaustion_recover_to_pre_fault_goodput() {
     use engine::AdmissionPolicy;
-    use kvs::{run_openloop, OpenLoopConfig};
+    use kvs::{run_openloop_streaming, OpenLoopConfig};
     use trafficgen::{OpenLoopGen, RateProfile};
 
     const SERVE_CORES: usize = 2;
@@ -172,8 +170,7 @@ fn flash_crowd_and_pool_exhaustion_recover_to_pre_fault_goodput() {
 
     let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(256 << 20));
     let region = m.mem_mut().alloc(8 << 20, 1 << 20).unwrap();
-    let h = XorSliceHash::haswell_8slice();
-    let mut alloc = SliceAllocator::new(region, move |pa| h.slice_of(pa));
+    let mut alloc = SliceAllocator::new(region, m.slice_oracle());
     let store = KvStore::build(&mut m, &mut alloc, KEYS, Placement::Normal).unwrap();
     let mut pool = MbufPool::create(&mut m, 4096, 128, 2048).unwrap();
     let mut port = Port::new(0, Steering::Rss(Rss::new(SERVE_CORES)), 256);
@@ -191,7 +188,8 @@ fn flash_crowd_and_pool_exhaustion_recover_to_pre_fault_goodput() {
         );
     let mut arr = OpenLoopGen::poisson(base_rate, 11)
         .with_profile(RateProfile::flat().with_flash(flash.0, flash.1, 4.0));
-    let rep = run_openloop(
+    let mut completions: Vec<(f64, f64)> = Vec::new();
+    let rep = run_openloop_streaming(
         &mut m,
         &store,
         &mut pool,
@@ -199,6 +197,7 @@ fn flash_crowd_and_pool_exhaustion_recover_to_pre_fault_goodput() {
         &mut policy,
         &mut arr,
         &cfg,
+        &mut completions,
     );
     rep.assert_conservation();
 
@@ -219,7 +218,7 @@ fn flash_crowd_and_pool_exhaustion_recover_to_pre_fault_goodput() {
     // last two buckets must already be back at pre-fault goodput.
     let bucket_ns = arrive_end_ns / 10.0;
     let mut buckets = [0u64; 10];
-    for &(tc, _) in &rep.completions {
+    for &(tc, _) in &completions {
         buckets[((tc / bucket_ns) as usize).min(9)] += 1;
     }
     let pre = (buckets[0] + buckets[1]) as f64 / 2.0;

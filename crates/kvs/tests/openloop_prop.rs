@@ -6,20 +6,20 @@
 //! policies, and fault plans (everything but TX-stall, which the
 //! open-loop matcher rejects by contract).
 //!
-//! [`kvs::run_openloop`] already asserts the extended conservation
-//! identities internally on every run (logical: `completed + gave_up ==
-//! logical_ops`, `offered == logical_ops + retries`; physical:
-//! `offered == accepted + rejected`, `accepted == delivered + server
-//! drops`, `delivered == completed + late`). This test's job is to
-//! drive those asserts through a configuration space wide enough that
-//! nothing survives by coincidence, and to pin serial/parallel
-//! equivalence of the *entire report* per seed. A failure prints its
-//! iteration seed and replays exactly.
+//! [`kvs::run_openloop_streaming`] already asserts the extended
+//! conservation identities internally on every run (logical:
+//! `completed + gave_up == logical_ops`, `offered == logical_ops +
+//! retries`; physical: `offered == accepted + rejected`, `accepted ==
+//! delivered + server drops`, `delivered == completed + late`). This
+//! test's job is to drive those asserts through a configuration space
+//! wide enough that nothing survives by coincidence, and to pin
+//! serial/parallel equivalence of the *entire report and every
+//! completion record* per seed. A failure prints its iteration seed and
+//! replays exactly.
 
 use engine::{AdmissionPolicy, Execution};
 use kvs::store::{KvStore, Placement};
-use kvs::{run_openloop, OpenLoopConfig, OpenLoopReport};
-use llc_sim::hash::{SliceHash, XorSliceHash};
+use kvs::{run_openloop_streaming, CompletionSink, OpenLoopConfig, OpenLoopReport};
 use llc_sim::machine::{Machine, MachineConfig};
 use rte::fault::{FaultPlan, Window};
 use rte::mempool::MbufPool;
@@ -63,7 +63,7 @@ fn draw(rng: &mut Rng64, seed: u64) -> Scenario {
     };
     // Fault windows sit inside the first ~half of the nominal arrival
     // span so they actually see traffic. TX-stall is excluded by the
-    // open-loop contract (run_openloop rejects it).
+    // open-loop contract (run_openloop_streaming rejects it).
     let horizon = OPS as f64 / rate_pps * 1e9;
     let faults = match rng.gen_range(0u32..4) {
         0 => FaultPlan::none(),
@@ -108,19 +108,40 @@ fn arrivals(s: &Scenario) -> OpenLoopGen {
     }
 }
 
+/// Every completion record with the queue that served it:
+/// `(queue, completion ns, latency ns)`.
+#[derive(Default)]
+struct Records(Vec<(usize, f64, f64)>);
+
+impl CompletionSink for Records {
+    fn record(&mut self, queue: usize, completion_ns: f64, latency_ns: f64) {
+        self.0.push((queue, completion_ns, latency_ns));
+    }
+}
+
 /// One full run: fresh machine, store, pool, and port (the open-loop
 /// completion matcher requires pristine rings).
-fn run(cfg: &OpenLoopConfig, arr: &mut dyn Arrivals) -> OpenLoopReport {
+fn run(cfg: &OpenLoopConfig, arr: &mut dyn Arrivals) -> (OpenLoopReport, Records) {
     let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(256 << 20));
     let region = m.mem_mut().alloc(8 << 20, 1 << 20).unwrap();
-    let h = XorSliceHash::haswell_8slice();
-    let mut alloc = SliceAllocator::new(region, move |pa| h.slice_of(pa));
+    let mut alloc = SliceAllocator::new(region, m.slice_oracle());
     let store = KvStore::build(&mut m, &mut alloc, KEYS, Placement::Normal).unwrap();
     let mut pool = MbufPool::create(&mut m, (8 * cfg.cores * cfg.queue_depth) as u32, 128, 2048)
         .expect("pool sized to the rings");
     let mut port = Port::new(0, Steering::Rss(Rss::new(cfg.cores)), cfg.queue_depth);
     let mut policy = FixedHeadroom(128);
-    run_openloop(&mut m, &store, &mut pool, &mut port, &mut policy, arr, cfg)
+    let mut records = Records::default();
+    let rep = run_openloop_streaming(
+        &mut m,
+        &store,
+        &mut pool,
+        &mut port,
+        &mut policy,
+        arr,
+        cfg,
+        &mut records,
+    );
+    (rep, records)
 }
 
 #[test]
@@ -132,25 +153,38 @@ fn random_scenarios_conserve_and_match_across_execution_modes() {
         let s = draw(&mut rng, seed);
         let threads = s.cfg.cores;
 
-        let serial = run(
+        let (serial, serial_records) = run(
             &s.cfg.clone().with_execution(Execution::Serial),
             &mut arrivals(&s),
         );
-        let parallel = run(
+        let (parallel, parallel_records) = run(
             &s.cfg
                 .clone()
                 .with_execution(Execution::Parallel { threads }),
             &mut arrivals(&s),
         );
 
-        // run_openloop asserted conservation internally; re-assert on
-        // the returned reports so a future refactor can't silently
-        // drop the internal check.
+        // run_openloop_streaming asserted conservation internally;
+        // re-assert on the returned reports so a future refactor can't
+        // silently drop the internal check.
         serial.assert_conservation();
         parallel.assert_conservation();
         assert_eq!(
             serial, parallel,
             "iteration {iter} (seed {seed:#x}): serial and parallel reports diverged"
+        );
+        assert_eq!(
+            serial_records.0.len() as u64,
+            serial.completed,
+            "iteration {iter} (seed {seed:#x}): one record per completed op"
+        );
+        assert!(
+            serial_records.0.iter().all(|&(q, _, _)| q < s.cfg.cores),
+            "iteration {iter} (seed {seed:#x}): a record names a queue off the port"
+        );
+        assert!(
+            serial_records.0 == parallel_records.0,
+            "iteration {iter} (seed {seed:#x}): serial and parallel records diverged"
         );
         // Liveness: the retry loop must terminate with every logical op
         // resolved one way or the other, never wedged in flight.

@@ -27,8 +27,8 @@
 use crate::addr::{split_lines, PhysAddr};
 use crate::cache::{Fill, SetAssocCache};
 use crate::epoch::{EpochShard, LlcOp, SharedMem};
-use crate::hash::{FoldedSliceHash, SliceHash, XorSliceHash};
-use crate::machine::{HashConfig, InterconnectConfig, LlcMode, MachineConfig};
+use crate::hash::SliceHash;
+use crate::machine::{InterconnectConfig, LlcMode, MachineConfig};
 use crate::mem::PhysMem;
 use crate::prefetch::StreamerState;
 use crate::topology::{Interconnect, Mesh, RingBus};
@@ -88,10 +88,7 @@ impl Machine {
     /// Panics when the hash slice count disagrees with `cfg.slices` or the
     /// interconnect dimensions disagree with the core/slice counts.
     pub fn new(cfg: MachineConfig) -> Self {
-        let hash: Box<dyn SliceHash> = match cfg.hash {
-            HashConfig::XorPow2 { bits } => Box::new(XorSliceHash::for_slices_pow2(bits)),
-            HashConfig::Folded { slices } => Box::new(FoldedSliceHash::new(slices)),
-        };
+        let hash = cfg.hash.build();
         assert_eq!(hash.slices(), cfg.slices, "hash/slice count mismatch");
         let topo: Box<dyn Interconnect> = match cfg.interconnect {
             InterconnectConfig::Ring { base, hop, cross } => {
@@ -165,6 +162,14 @@ impl Machine {
     /// The slice Complex Addressing maps `pa` to.
     pub fn slice_of(&self, pa: PhysAddr) -> usize {
         self.hash.slice_of(pa)
+    }
+
+    /// This machine's Complex Addressing function as an owned PA → slice
+    /// oracle (e.g. for a `SliceAllocator`), so it can be used while the
+    /// machine is borrowed mutably.
+    pub fn slice_oracle(&self) -> impl Fn(PhysAddr) -> usize + Send + Sync + 'static {
+        let hash = self.cfg.hash.build();
+        move |pa| hash.slice_of(pa)
     }
 
     /// LLC hit latency from `core` to `slice`.
@@ -706,6 +711,25 @@ mod tests {
 
     fn skylake() -> Machine {
         Machine::new(MachineConfig::skylake_gold_6134().with_dram_capacity(64 * 1024 * 1024))
+    }
+
+    /// The oracle a machine hands out is its own hash, and for each preset
+    /// that hash is the one the preset's CPU has.
+    #[test]
+    fn slice_oracle_is_the_presets_hash() {
+        use crate::hash::{FoldedSliceHash, XorSliceHash};
+        let presets: [(Machine, Box<dyn SliceHash>); 2] = [
+            (haswell(), Box::new(XorSliceHash::haswell_8slice())),
+            (skylake(), Box::new(FoldedSliceHash::skylake_18slice())),
+        ];
+        for (m, hash) in presets {
+            let oracle = m.slice_oracle();
+            for line in (0..1u64 << 38).step_by((1 << 20) + 64 * 7) {
+                let pa = PhysAddr(line);
+                assert_eq!(oracle(pa), m.slice_of(pa));
+                assert_eq!(oracle(pa), hash.slice_of(pa));
+            }
+        }
     }
 
     #[test]

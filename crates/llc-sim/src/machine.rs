@@ -1,5 +1,6 @@
 //! Machine configuration and the two CPU presets the paper evaluates.
 
+use crate::hash::{FoldedSliceHash, SliceHash, XorSliceHash};
 use crate::prefetch::PrefetchConfig;
 use crate::replacement::ReplacementKind;
 
@@ -49,6 +50,16 @@ pub enum HashConfig {
         /// Slice count.
         slices: usize,
     },
+}
+
+impl HashConfig {
+    /// The slice hash this configuration names.
+    pub(crate) fn build(self) -> Box<dyn SliceHash> {
+        match self {
+            HashConfig::XorPow2 { bits } => Box::new(XorSliceHash::for_slices_pow2(bits)),
+            HashConfig::Folded { slices } => Box::new(FoldedSliceHash::new(slices)),
+        }
+    }
 }
 
 /// Which interconnect floorplan to instantiate.

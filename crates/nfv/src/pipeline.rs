@@ -41,38 +41,38 @@ pub enum PipelineHeadroom {
     Compromise,
 }
 
+/// Core running RX + parse + first element.
+const STAGE1_CORE: usize = 0;
+
+/// Core running the stateful elements + TX.
+const STAGE2_CORE: usize = 2;
+
+/// Poll burst size.
+const BURST: usize = 32;
+
+/// Per-stage fixed framework cycles.
+const STAGE_CYCLES: u64 = 300;
+
+/// Seed of the machine and of the campus trace.
+const SEED: u64 = 0x99;
+
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
-    /// Core running RX + parse + first element.
-    pub stage1_core: usize,
-    /// Core running the stateful elements + TX.
-    pub stage2_core: usize,
     /// Header placement.
     pub headroom: PipelineHeadroom,
     /// RX descriptor and handoff ring depth.
     pub queue_depth: usize,
-    /// Poll burst size.
-    pub burst: usize,
-    /// Per-stage fixed framework cycles.
-    pub stage_cycles: u64,
-    /// RNG seed.
-    pub seed: u64,
     /// Serial or parallel worker execution (bit-identical either way).
     pub execution: Execution,
 }
 
 impl PipelineConfig {
-    /// Defaults: cores 0 and 2, moderate queues.
+    /// Defaults: moderate queues, serial execution.
     pub fn new(headroom: PipelineHeadroom) -> Self {
         Self {
-            stage1_core: 0,
-            stage2_core: 2,
             headroom,
             queue_depth: 256,
-            burst: 32,
-            stage_cycles: 300,
-            seed: 0x99,
             execution: Execution::Serial,
         }
     }
@@ -120,26 +120,18 @@ enum StageApp {
     /// RX + parse + first element; hands off via `outbox`.
     Stage1 {
         chain: ServiceChain,
-        stage_cycles: u64,
         outbox: Vec<Handoff>,
     },
     /// Stateful elements + TX; fed through `inbox` by the epoch hook.
     Stage2 {
         chain: ServiceChain,
-        stage_cycles: u64,
         inbox: Ring<Handoff>,
-        burst: usize,
     },
 }
 
 impl QueueApp for StageApp {
     fn on_packet(&mut self, ctx: &mut PollCtx<'_>, comp: &RxCompletion) -> Verdict {
-        let Self::Stage1 {
-            chain,
-            stage_cycles,
-            outbox,
-        } = self
-        else {
+        let Self::Stage1 { chain, outbox } = self else {
             // Stage 2 is queue-less and never receives RX completions.
             return Verdict::Drop;
         };
@@ -153,7 +145,7 @@ impl QueueApp for StageApp {
             let _ = pkt.flow(&mut ec);
             let _ = chain.process(&mut ec, &mut pkt);
         }
-        ctx.m.advance(ctx.core, *stage_cycles);
+        ctx.m.advance(ctx.core, STAGE_CYCLES);
         // Unconditionally park in the outbox; the epoch hook applies the
         // ring-capacity backpressure when it moves packets across cores.
         outbox.push(Handoff { comp: *comp });
@@ -161,17 +153,11 @@ impl QueueApp for StageApp {
     }
 
     fn pump(&mut self, ctx: &mut PollCtx<'_>, tx: &mut Vec<TxDesc>) -> usize {
-        let Self::Stage2 {
-            chain,
-            stage_cycles,
-            inbox,
-            burst,
-        } = self
-        else {
+        let Self::Stage2 { chain, inbox } = self else {
             // The stage-1 worker has nothing to pump.
             return 0;
         };
-        let batch = inbox.dequeue_burst(*burst);
+        let batch = inbox.dequeue_burst(BURST);
         for h in &batch {
             let mut pkt = Pkt::from_completion(&h.comp);
             let action = {
@@ -183,13 +169,9 @@ impl QueueApp for StageApp {
                 let _ = pkt.flow(&mut ec);
                 chain.process(&mut ec, &mut pkt).0
             };
-            ctx.m.advance(ctx.core, *stage_cycles);
+            ctx.m.advance(ctx.core, STAGE_CYCLES);
             match action {
-                Action::Forward => tx.push(TxDesc {
-                    mbuf: h.comp.mbuf,
-                    data_pa: h.comp.data_pa,
-                    len: h.comp.len,
-                }),
+                Action::Forward => tx.push(TxDesc::echo(&h.comp)),
                 Action::Drop(_) => ctx.drop_packet(h.comp.mbuf),
             }
         }
@@ -216,8 +198,8 @@ pub fn run_pipeline(
     pps: f64,
     n: usize,
 ) -> Result<PipelineResult, SetupError> {
-    let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_seed(cfg.seed));
-    let (c1, c2) = (cfg.stage1_core, cfg.stage2_core);
+    let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_seed(SEED));
+    let (c1, c2) = (STAGE1_CORE, STAGE2_CORE);
     let policy = PlacementPolicy::from_topology(&m);
     let compromise = policy.compromise_slice(&m, &[c1, c2]);
     let headroom_cap = match cfg.headroom {
@@ -258,14 +240,11 @@ pub fn run_pipeline(
     let apps = vec![
         StageApp::Stage1 {
             chain: stage1,
-            stage_cycles: cfg.stage_cycles,
             outbox: Vec::new(),
         },
         StageApp::Stage2 {
             chain: stage2,
-            stage_cycles: cfg.stage_cycles,
             inbox: Ring::new(cfg.queue_depth),
-            burst: cfg.burst,
         },
     ];
     let ecfg = EngineConfig {
@@ -282,7 +261,7 @@ pub fn run_pipeline(
             },
         ],
         queue_depth: cfg.queue_depth,
-        burst: cfg.burst,
+        burst: BURST,
         faults: FaultPlan::none(),
         execution: cfg.execution,
         admission: AdmissionPolicy::AcceptAll,
@@ -320,7 +299,7 @@ pub fn run_pipeline(
     }));
     let (s1_start, s2_start) = (hw.m.now(c1), hw.m.now(c2));
 
-    let mut trace = CampusTrace::fixed_size(128, flows, cfg.seed);
+    let mut trace = CampusTrace::fixed_size(128, flows, SEED);
     let mut sched = ArrivalSchedule::constant_pps(pps);
     let mut frame = vec![0u8; 2048];
     for _ in 0..n {

@@ -324,11 +324,7 @@ impl QueueApp for ChainApp {
                 // Per-packet completion time, attributed as processing
                 // ends.
                 self.latencies.push(ctx.wall_ns() - comp.arrival_ns);
-                Verdict::Tx(TxDesc {
-                    mbuf: comp.mbuf,
-                    data_pa: comp.data_pa,
-                    len: comp.len,
-                })
+                Verdict::Tx(TxDesc::echo(comp))
             }
             Action::Drop(cause) => {
                 self.count_chain(cause);

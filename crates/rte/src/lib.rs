@@ -49,11 +49,7 @@
 //! let q = port.deliver(&mut m, &[0u8; 64], &flow, 0.0).unwrap();
 //! let (batch, _cycles) = port.rx_burst(&mut m, &pool, q, q, 8);
 //! assert_eq!(batch.len(), 1);
-//! port.tx_burst(&mut m, &mut pool, q, &[TxDesc {
-//!     mbuf: batch[0].mbuf,
-//!     data_pa: batch[0].data_pa,
-//!     len: batch[0].len,
-//! }]);
+//! port.tx_burst(&mut m, &mut pool, q, &[TxDesc::echo(&batch[0])]);
 //! assert_eq!(port.stats().tx_pkts, 1);
 //! ```
 

@@ -88,6 +88,18 @@ pub struct TxDesc {
     pub len: u16,
 }
 
+impl TxDesc {
+    /// Transmits a received frame from its own buffer, as it now
+    /// stands (a response written in place, or a forwarded packet).
+    pub fn echo(comp: &RxCompletion) -> Self {
+        Self {
+            mbuf: comp.mbuf,
+            data_pa: comp.data_pa,
+            len: comp.len,
+        }
+    }
+}
+
 /// Why the NIC dropped a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DropReason {
@@ -657,16 +669,7 @@ mod tests {
         let q = port.deliver(&mut m, &frame, &flow(), 0.0).unwrap();
         let (batch, _) = port.rx_burst(&mut m, &pool, q, 0, 4);
         let c = batch[0];
-        port.tx_burst(
-            &mut m,
-            &mut pool,
-            0,
-            &[TxDesc {
-                mbuf: c.mbuf,
-                data_pa: c.data_pa,
-                len: c.len,
-            }],
-        );
+        port.tx_burst(&mut m, &mut pool, 0, &[TxDesc::echo(&c)]);
         assert_eq!(pool.available(), before + 1);
         let s = port.stats();
         assert_eq!(s.tx_pkts, 1);

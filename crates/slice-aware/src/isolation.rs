@@ -170,7 +170,6 @@ pub fn setup_isolation<F: FnMut(PhysAddr) -> usize>(
 mod tests {
     use super::*;
     use crate::workload::{random_access, warm_buffer};
-    use llc_sim::hash::{FoldedSliceHash, SliceHash};
     use llc_sim::machine::MachineConfig;
     use llc_sim::AccessKind;
 
@@ -186,8 +185,8 @@ mod tests {
     fn setup() -> (Machine, SliceAllocator<impl FnMut(PhysAddr) -> usize>) {
         let mut m = Machine::new(MachineConfig::skylake_gold_6134().with_dram_capacity(512 << 20));
         let r = m.mem_mut().alloc(256 << 20, 1 << 20).unwrap();
-        let h = FoldedSliceHash::skylake_18slice();
-        (m, SliceAllocator::new(r, move |pa| h.slice_of(pa)))
+        let alloc = SliceAllocator::new(r, m.slice_oracle());
+        (m, alloc)
     }
 
     /// Runs main + neighbour interleaved and returns the main app's cycles.
@@ -298,11 +297,7 @@ mod tests {
             llc_sim::machine::MachineConfig::haswell_e5_2667_v3().with_dram_capacity(512 << 20),
         );
         let region = m.mem_mut().alloc(256 << 20, 1 << 20).unwrap();
-        let h = llc_sim::hash::XorSliceHash::haswell_8slice();
-        let mut a = SliceAllocator::new(region, move |pa| {
-            use llc_sim::hash::SliceHash;
-            h.slice_of(pa)
-        });
+        let mut a = SliceAllocator::new(region, m.slice_oracle());
         let main_bytes = 512 * 1024;
         let ops = 10_000;
         let way = setup_isolation(
@@ -351,17 +346,16 @@ mod tests {
             1 << 20,
         )
         .unwrap();
-        let h = FoldedSliceHash::skylake_18slice();
         assert!(s
             .main_buf
             .lines()
             .iter()
-            .all(|&pa| h.slice_of(pa) == protected));
+            .all(|&pa| m.slice_of(pa) == protected));
         assert!(s
             .noise_buf
             .lines()
             .iter()
-            .all(|&pa| h.slice_of(pa) != protected));
+            .all(|&pa| m.slice_of(pa) != protected));
     }
 
     #[test]

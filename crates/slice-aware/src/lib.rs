@@ -33,11 +33,7 @@
 //!
 //! // Allocate 64 lines that all live in core 0's closest slice.
 //! let target = m.closest_slice(0);
-//! let hash = llc_sim::hash::XorSliceHash::haswell_8slice();
-//! let mut alloc = SliceAllocator::new(page, move |pa| {
-//!     use llc_sim::hash::SliceHash;
-//!     hash.slice_of(pa)
-//! });
+//! let mut alloc = SliceAllocator::new(page, m.slice_oracle());
 //! let buf = alloc.alloc_lines(target, 64).unwrap();
 //! assert!(buf.lines().iter().all(|&pa| m.slice_of(pa) == target));
 //! ```

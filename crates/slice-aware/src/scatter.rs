@@ -155,14 +155,13 @@ impl ScatteredBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llc_sim::hash::{SliceHash, XorSliceHash};
     use llc_sim::machine::MachineConfig;
 
     fn setup() -> (Machine, SliceAllocator<impl FnMut(PhysAddr) -> usize>) {
         let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(64 << 20));
         let r = m.mem_mut().alloc(16 << 20, 1 << 20).unwrap();
-        let h = XorSliceHash::haswell_8slice();
-        (m, SliceAllocator::new(r, move |pa| h.slice_of(pa)))
+        let alloc = SliceAllocator::new(r, m.slice_oracle());
+        (m, alloc)
     }
 
     #[test]

@@ -102,7 +102,6 @@ pub fn aggregate_ops_per_sec(totals: &[Cycles], ops_per_core: usize, freq_ghz: f
 mod tests {
     use super::*;
     use crate::alloc::SliceAllocator;
-    use llc_sim::hash::{SliceHash, XorSliceHash};
     use llc_sim::machine::MachineConfig;
 
     fn setup() -> (
@@ -111,8 +110,8 @@ mod tests {
     ) {
         let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(256 << 20));
         let r = m.mem_mut().alloc(128 << 20, 1 << 20).unwrap();
-        let h = XorSliceHash::haswell_8slice();
-        (m, SliceAllocator::new(r, move |pa| h.slice_of(pa)))
+        let alloc = SliceAllocator::new(r, m.slice_oracle());
+        (m, alloc)
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! refills.
 
 use engine::{Ctx, QueueApp, Verdict};
-use kvs::server::{serve_packet, Served};
+use kvs::server::serve_packet;
 use kvs::store::KvStore;
 use llc_sim::{PhysAddr, CACHE_LINE};
 use rte::nic::{RxCompletion, TxDesc};
@@ -77,8 +77,6 @@ pub struct TenantApp<'s> {
     pub outcomes: Vec<(f64, bool)>,
     /// Frames that produced a response.
     pub served_ok: u64,
-    /// Frames dropped in the app (parse/serve failures).
-    pub app_dropped: u64,
 }
 
 impl TenantApp<'_> {
@@ -107,7 +105,6 @@ impl QueueApp for TenantApp<'_> {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, comp: &RxCompletion) -> Verdict {
         let (hdr, _) = nfv::packet::parse_header(ctx.m, ctx.core, comp.data_pa, comp.len.into());
         if hdr.is_none() {
-            self.app_dropped += 1;
             self.outcomes.push((ctx.wall_ns(), false));
             return Verdict::Drop;
         }
@@ -117,24 +114,12 @@ impl QueueApp for TenantApp<'_> {
         let verdict = match self.kind {
             TenantKind::Kvs => {
                 let store = self.store.expect("a KVS tenant carries its store");
-                let (outcome, _) = serve_packet(store, None, ctx, comp);
-                match outcome {
-                    Served::Ok { .. } => Verdict::Tx(TxDesc {
-                        mbuf: comp.mbuf,
-                        data_pa: comp.data_pa,
-                        len: comp.len,
-                    }),
-                    _ => Verdict::Drop,
-                }
+                serve_packet(store, None, ctx, comp).0.verdict(comp)
             }
             TenantKind::Nfv => {
                 nfv::packet::decrement_ttl(ctx.m, ctx.core, comp.data_pa);
                 nfv::packet::mac_swap(ctx.m, ctx.core, comp.data_pa);
-                Verdict::Tx(TxDesc {
-                    mbuf: comp.mbuf,
-                    data_pa: comp.data_pa,
-                    len: comp.len,
-                })
+                Verdict::Tx(TxDesc::echo(comp))
             }
             TenantKind::Antagonist => {
                 if let Some((base, lines, cursor)) = self.thrash.as_mut() {
@@ -147,19 +132,11 @@ impl QueueApp for TenantApp<'_> {
                     }
                 }
                 nfv::packet::mac_swap(ctx.m, ctx.core, comp.data_pa);
-                Verdict::Tx(TxDesc {
-                    mbuf: comp.mbuf,
-                    data_pa: comp.data_pa,
-                    len: comp.len,
-                })
+                Verdict::Tx(TxDesc::echo(comp))
             }
         };
         let ok = matches!(verdict, Verdict::Tx(_));
-        if ok {
-            self.served_ok += 1;
-        } else {
-            self.app_dropped += 1;
-        }
+        self.served_ok += u64::from(ok);
         self.outcomes.push((ctx.wall_ns(), ok));
         verdict
     }

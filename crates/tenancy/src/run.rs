@@ -395,10 +395,7 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
     let nfv_pressure = build_pressure_set(&m, &pressure_region, nfv_set % sets, NFV_DEPTH);
 
     let store_region = m.mem_mut().alloc(8 << 20, 1 << 20).unwrap();
-    let h = llc_sim::hash::XorSliceHash::haswell_8slice();
-    let mut alloc = SliceAllocator::new(store_region, move |pa| {
-        llc_sim::hash::SliceHash::slice_of(&h, pa)
-    });
+    let mut alloc = SliceAllocator::new(store_region, m.slice_oracle());
     let store = KvStore::build(&mut m, &mut alloc, STORE_KEYS, Placement::Normal).unwrap();
 
     let thrash_region = m.mem_mut().alloc(THRASH_BYTES, 1 << 20).unwrap();
@@ -473,7 +470,6 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
                 rng: (cfg.seed ^ (w as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)) | 1,
                 outcomes: Vec::new(),
                 served_ok: 0,
-                app_dropped: 0,
             }
         })
         .collect();

@@ -10,7 +10,6 @@
 use kvs::proto::RequestGen;
 use kvs::server::{run_server, ServerConfig};
 use kvs::store::{KvStore, Placement};
-use llc_sim::hash::{SliceHash, XorSliceHash};
 use llc_sim::machine::{Machine, MachineConfig};
 use rte::mempool::MbufPool;
 use rte::nic::{FixedHeadroom, Port};
@@ -23,8 +22,7 @@ const N_VALUES: usize = 1 << 20; // 64 MB of 64 B values.
 fn serve(placement: Placement, requests: usize) -> Result<(f64, f64), Box<dyn std::error::Error>> {
     let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(2 << 30));
     let region = m.mem_mut().alloc(N_VALUES * 64 * 9, 1 << 20)?;
-    let hash = XorSliceHash::haswell_8slice();
-    let mut alloc = SliceAllocator::new(region, move |pa| hash.slice_of(pa));
+    let mut alloc = SliceAllocator::new(region, m.slice_oracle());
     let store = KvStore::build(&mut m, &mut alloc, N_VALUES, placement)?;
     let mut pool = MbufPool::create(&mut m, 1024, 128, 2048)?;
     let mut port = Port::new(0, Steering::Rss(Rss::new(1)), 256);

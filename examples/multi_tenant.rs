@@ -8,7 +8,6 @@
 //!
 //! Run with: `cargo run --release --example multi_tenant`
 
-use llc_sim::hash::SliceHash;
 use llc_sim::machine::{Machine, MachineConfig};
 use llc_sim::AccessKind;
 use slice_aware::alloc::SliceAllocator;
@@ -18,8 +17,7 @@ use slice_aware::workload::{random_access, warm_buffer};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3());
     let page = m.mem_mut().alloc(512 << 20, 1 << 20)?;
-    let hash = llc_sim::hash::XorSliceHash::haswell_8slice();
-    let alloc = SliceAllocator::new(page, move |pa| hash.slice_of(pa));
+    let alloc = SliceAllocator::new(page, m.slice_oracle());
     let mut hv = SlicePartitioner::new(alloc, 8);
 
     // The "hypervisor" grants slices: a small latency-sensitive tenant

@@ -93,7 +93,7 @@ det() {
 # Doc-path check: every repo path the docs and Rust sources cite in
 # backticks must exist, so deleting or moving a file cannot leave stale
 # citations behind. A token is checked when it contains `/` and ends in
-# .rs/.sh/.json/.toml/.md/.txt, or is a bare *.json/*.sh/*.md name. It
+# .rs/.sh/.json/.toml/.md/.txt, or is a bare *.json/*.sh/*.md/*.txt name. It
 # must exist relative to the repo root; a Rust file's citation may also
 # be relative to its crate directory. CHANGES.md is a dated log and is
 # not scanned. Cite a retired file without a checkable token, e.g.
@@ -114,7 +114,7 @@ docpaths() {
             [[ ${file} == *.rs && -e ${crate}/${tok} ]] && continue
             echo "    ${file}: \`${tok}\` does not exist" >&2
             stale=1
-        done < <(grep -oE '`([A-Za-z0-9_.-]+/)+[A-Za-z0-9_.-]+\.(rs|sh|json|toml|md|txt)`|`[A-Za-z0-9_.-]+\.(json|sh|md)`' "${file}" | sort -u)
+        done < <(grep -oE '`([A-Za-z0-9_.-]+/)+[A-Za-z0-9_.-]+\.(rs|sh|json|toml|md|txt)`|`[A-Za-z0-9_.-]+\.(json|sh|md|txt)`' "${file}" | sort -u)
     done
     if (( stale )); then
         echo "FAIL: stale file citations (see above)" >&2

@@ -13,7 +13,6 @@ use engine::Execution;
 use kvs::proto::RequestGen;
 use kvs::server::{flow_for_queue, run_server, MigrationMode, ServerConfig, ServerReport};
 use kvs::store::{KvStore, Placement};
-use llc_sim::hash::{SliceHash, XorSliceHash};
 use llc_sim::machine::{Machine, MachineConfig};
 use nfv::pipeline::{run_pipeline, PipelineConfig, PipelineHeadroom};
 use nfv::runtime::{run_experiment, ChainSpec, HeadroomMode, RunConfig, RunResult, SteeringKind};
@@ -140,8 +139,7 @@ fn kvs_run_on(
     let migrate = migration != MigrationMode::Off;
     let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(512 << 20));
     let region = m.mem_mut().alloc(32 << 20, 1 << 20).unwrap();
-    let h = XorSliceHash::haswell_8slice();
-    let mut alloc = SliceAllocator::new(region, move |pa| h.slice_of(pa));
+    let mut alloc = SliceAllocator::new(region, m.slice_oracle());
     let slices: Vec<usize> = (0..cores).map(|c| m.closest_slice(c)).collect();
     let placement = if migrate {
         Placement::StripedHot {

@@ -23,7 +23,6 @@ use kvs::proto::RequestGen;
 use kvs::server::{flow_for_queue, run_server, MigrationMode, ServerConfig, ServerReport};
 use kvs::store::{KvStore, Placement};
 use kvs::{CostModel, HotMigrator, MigrationPolicy};
-use llc_sim::hash::{SliceHash, XorSliceHash};
 use llc_sim::machine::{Machine, MachineConfig};
 use rte::mempool::MbufPool;
 use rte::nic::{FixedHeadroom, Port};
@@ -45,8 +44,7 @@ fn migrated_run_with(
     let cores = 4;
     let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(512 << 20));
     let region = m.mem_mut().alloc(32 << 20, 1 << 20).unwrap();
-    let h = XorSliceHash::haswell_8slice();
-    let mut alloc = SliceAllocator::new(region, move |pa| h.slice_of(pa));
+    let mut alloc = SliceAllocator::new(region, m.slice_oracle());
     let slices: Vec<usize> = (0..cores).map(|c| m.closest_slice(c)).collect();
     let store = KvStore::build(
         &mut m,
@@ -183,8 +181,7 @@ fn cost_aware_controller_reconverges_after_a_hot_set_shift() {
     // the stationary stretch.
     let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(512 << 20));
     let region = m.mem_mut().alloc(32 << 20, 1 << 20).unwrap();
-    let h = XorSliceHash::haswell_8slice();
-    let mut alloc = SliceAllocator::new(region, move |pa| h.slice_of(pa));
+    let mut alloc = SliceAllocator::new(region, m.slice_oracle());
     let slice = m.closest_slice(0);
     let store = KvStore::build(
         &mut m,
@@ -252,8 +249,7 @@ fn churn_run(migration: MigrationMode) -> ServerReport {
     let cores = 4;
     let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(512 << 20));
     let region = m.mem_mut().alloc(32 << 20, 1 << 20).unwrap();
-    let h = XorSliceHash::haswell_8slice();
-    let mut alloc = SliceAllocator::new(region, move |pa| h.slice_of(pa));
+    let mut alloc = SliceAllocator::new(region, m.slice_oracle());
     let slices: Vec<usize> = (0..cores).map(|c| m.closest_slice(c)).collect();
     let store = KvStore::build(
         &mut m,
@@ -343,8 +339,7 @@ fn hot_hit_rate_is_monotone_across_epochs_under_stationary_zipf() {
     // not sampling noise.
     let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(512 << 20));
     let region = m.mem_mut().alloc(32 << 20, 1 << 20).unwrap();
-    let h = XorSliceHash::haswell_8slice();
-    let mut alloc = SliceAllocator::new(region, move |pa| h.slice_of(pa));
+    let mut alloc = SliceAllocator::new(region, m.slice_oracle());
     let slice = m.closest_slice(0);
     let store = KvStore::build(
         &mut m,
