@@ -125,30 +125,38 @@ fn run_scenario(
     faulty: bool,
     execution: Execution,
 ) -> EngineReport {
-    run_scheduled(
+    let point = Point {
         app,
         steer,
         queues,
         depth,
         burst,
         faulty,
-        execution,
-        Scheduler::EventDriven,
-    )
+    };
+    run_scheduled(point, execution, Scheduler::EventDriven)
 }
 
-/// [`run_scenario`] with the scheduler as an explicit axis.
-#[allow(clippy::too_many_arguments)]
-fn run_scheduled(
+/// One point of the scenario grid.
+#[derive(Clone, Copy)]
+struct Point {
     app: AppKind,
     steer: SteerKind,
     queues: usize,
     depth: usize,
     burst: usize,
     faulty: bool,
-    execution: Execution,
-    scheduler: Scheduler,
-) -> EngineReport {
+}
+
+/// [`run_scenario`] with the scheduler as an explicit axis.
+fn run_scheduled(point: Point, execution: Execution, scheduler: Scheduler) -> EngineReport {
+    let Point {
+        app,
+        steer,
+        queues,
+        depth,
+        burst,
+        faulty,
+    } = point;
     let seed = 0xd1f_0000
         ^ (queues as u64) << 4
         ^ (depth as u64) << 8
@@ -267,27 +275,17 @@ fn event_driven_scheduler_matches_reference_tick_stepper() {
         for steer in [SteerKind::Rss, SteerKind::FlowDirector] {
             for &(queues, depth, burst) in GEOMETRIES {
                 for faulty in [false, true] {
+                    let point = Point {
+                        app,
+                        steer,
+                        queues,
+                        depth,
+                        burst,
+                        faulty,
+                    };
                     for execution in [Execution::Serial, Execution::Parallel { threads: 2 }] {
-                        let evt = run_scheduled(
-                            app,
-                            steer,
-                            queues,
-                            depth,
-                            burst,
-                            faulty,
-                            execution,
-                            Scheduler::EventDriven,
-                        );
-                        let tick = run_scheduled(
-                            app,
-                            steer,
-                            queues,
-                            depth,
-                            burst,
-                            faulty,
-                            execution,
-                            Scheduler::ReferenceTick,
-                        );
+                        let evt = run_scheduled(point, execution, Scheduler::EventDriven);
+                        let tick = run_scheduled(point, execution, Scheduler::ReferenceTick);
                         assert_eq!(
                             sans_sched(evt.clone()),
                             sans_sched(tick.clone()),

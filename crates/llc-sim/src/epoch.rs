@@ -17,6 +17,11 @@
 //!   per-shard application data, read-only shared tables), which keeps
 //!   concurrent *writes* disjoint.
 //!
+//! A shard walks its core's caches with the same code as a direct
+//! [`Machine`] access (the crate-internal `Walk` of [`crate::hierarchy`]).
+//! The one difference between the two is when LLC effects apply: a direct
+//! access applies them at once, a shard logs them for the merge.
+//!
 //! After the epoch, the coordinator replays every shard's log through
 //! [`Machine::replay_llc`] in a canonical worker order. Replay decisions
 //! (insert vs. refresh, victim choice, uncore counters) are made against
@@ -35,8 +40,8 @@
 use crate::addr::{split_lines, PhysAddr};
 use crate::cache::SetAssocCache;
 use crate::hash::SliceHash;
-use crate::hierarchy::{CoreState, Cycles, Machine};
-use crate::machine::{LlcMode, MachineConfig};
+use crate::hierarchy::{AccessKind, CoreState, Cycles, Machine, Walk};
+use crate::machine::MachineConfig;
 use crate::mem::PhysMem;
 use crate::topology::Interconnect;
 
@@ -205,7 +210,7 @@ impl SharedMem {
 
 /// A per-core slice of the machine, live for one epoch.
 ///
-/// Implements [`CoreMem`] with exactly the cost model of [`Machine`],
+/// Implements [`CoreMem`] with the walk of a direct [`Machine`] access,
 /// except that LLC *state* transitions are deferred to the epoch merge
 /// (see the module docs). Obtained from [`Machine::epoch_shards`];
 /// dissolves into its event log via [`EpochShard::into_log`].
@@ -262,117 +267,40 @@ impl<'a> EpochShard<'a> {
     pub fn into_log(self) -> Vec<LlcOp> {
         self.log
     }
+}
 
-    // -- cost engine, mirroring `Machine` ------------------------------
-
-    fn charge(&mut self, base: Cycles) -> Cycles {
-        self.st.wb_debt = self.st.wb_debt.saturating_sub(base);
-        let mut cost = base;
-        if self.st.wb_debt > self.cfg.wb_buffer_cap {
-            let stall = self.st.wb_debt - self.cfg.wb_buffer_cap;
-            cost += stall;
-            self.st.wb_debt = self.cfg.wb_buffer_cap;
-        }
-        self.st.clock += cost;
-        cost
+/// The shard's side of the shared walk: LLC interactions are timed
+/// against the frozen LLC and logged for [`Machine::replay_llc`]. A shard
+/// owns one core, so the `core` arguments are always its own.
+impl Walk for EpochShard<'_> {
+    fn cfg(&self) -> &MachineConfig {
+        self.cfg
     }
-
-    fn walk_read(&mut self, line: u64) -> Cycles {
-        if self.st.l1.lookup(line).is_some() {
-            return u64::from(self.cfg.l1.latency);
-        }
-        if self.st.l2.lookup(line).is_some() {
-            self.fill_l1(line, false);
-            return u64::from(self.cfg.l2.latency);
-        }
-        let lat = self.frozen_fetch(line);
-        self.fill_l2(line, false);
-        self.fill_l1(line, false);
-        self.run_prefetch(line);
-        lat
+    fn state(&mut self, _core: usize) -> &mut CoreState {
+        self.st
     }
-
-    fn walk_write(&mut self, line: u64) -> Cycles {
-        if self.st.l1.lookup(line).is_some() {
-            self.st.l1.mark_dirty(line);
-            return u64::from(self.cfg.store_hit_cost);
-        }
-        let fetch = if self.st.l2.lookup(line).is_some() {
-            u64::from(self.cfg.l2.latency)
-        } else {
-            let lat = self.frozen_fetch(line);
-            self.fill_l2(line, false);
-            self.run_prefetch(line);
-            lat
-        };
-        self.fill_l1(line, true);
-        self.st.wb_debt += fetch;
-        u64::from(self.cfg.store_miss_cost)
+    fn slice(&self, line: u64) -> usize {
+        self.hash.slice_of(PhysAddr(line << 6))
     }
-
-    /// L2-missed fetch against the frozen LLC: decides the *latency* from
-    /// the epoch-start snapshot and defers the state transition.
-    fn frozen_fetch(&mut self, line: u64) -> Cycles {
-        let s = self.hash.slice_of(PhysAddr(line << 6));
+    fn hop(&self, core: usize, slice: usize) -> Cycles {
+        u64::from(self.topo.llc_latency(core, slice))
+    }
+    fn llc_fetch(&mut self, _core: usize, line: u64) -> Option<usize> {
         self.log.push(LlcOp::Fetch { line });
-        if self.llc[s].probe(line) {
-            u64::from(self.topo.llc_latency(self.core, s))
-        } else {
-            u64::from(self.cfg.dram_latency)
-        }
+        let s = self.slice(line);
+        self.llc[s].probe(line).then_some(s)
     }
-
-    fn fill_l1(&mut self, line: u64, dirty: bool) {
-        if let Some(ev) = self.st.l1.insert(line, dirty) {
-            if ev.dirty && !self.st.l2.mark_dirty(ev.line) {
-                self.fill_l2(ev.line, true);
-            }
-        }
+    fn llc_l2_victim(&mut self, _core: usize, _slice: usize, line: u64, dirty: bool) {
+        self.log.push(LlcOp::L2Evict { line, dirty });
     }
-
-    fn fill_l2(&mut self, line: u64, dirty: bool) {
-        if let Some(ev) = self.st.l2.insert(line, dirty) {
-            self.l2_evict(ev);
-        }
+    fn llc_prefetch(&mut self, _core: usize, line: u64) {
+        self.log.push(LlcOp::Prefetch { line });
     }
-
-    fn l2_evict(&mut self, ev: crate::cache::Evicted) {
-        let s = self.hash.slice_of(PhysAddr(ev.line << 6));
-        match self.cfg.llc_mode {
-            LlcMode::Inclusive => {
-                if ev.dirty {
-                    self.log.push(LlcOp::L2Evict {
-                        line: ev.line,
-                        dirty: true,
-                    });
-                    self.st.wb_debt += u64::from(self.topo.llc_latency(self.core, s));
-                }
-            }
-            LlcMode::Victim => {
-                self.log.push(LlcOp::L2Evict {
-                    line: ev.line,
-                    dirty: ev.dirty,
-                });
-                if ev.dirty {
-                    self.st.wb_debt += u64::from(self.topo.llc_latency(self.core, s));
-                }
-            }
-        }
+    fn mem_read(&self, pa: PhysAddr, buf: &mut [u8]) {
+        self.mem.read(pa, buf);
     }
-
-    fn run_prefetch(&mut self, line: u64) {
-        let cfg = self.cfg.prefetch;
-        if !cfg.adjacent_line && !cfg.streamer {
-            return;
-        }
-        let cands = self.st.streamer.observe(line, &cfg);
-        for cand in cands {
-            if self.st.l2.probe(cand) {
-                continue;
-            }
-            self.log.push(LlcOp::Prefetch { line: cand });
-            self.fill_l2(cand, false);
-        }
+    fn mem_write(&mut self, pa: PhysAddr, data: &[u8]) {
+        self.mem.write(pa, data);
     }
 }
 
@@ -388,48 +316,27 @@ impl CoreMem for EpochShard<'_> {
 
     fn advance(&mut self, core: usize, cycles: Cycles) {
         debug_assert_eq!(core, self.core, "shard asked about a foreign core");
-        self.st.wb_debt = self.st.wb_debt.saturating_sub(cycles);
-        self.st.clock += cycles;
+        self.work(core, cycles);
     }
 
     fn touch_read(&mut self, core: usize, pa: PhysAddr) -> Cycles {
         debug_assert_eq!(core, self.core, "shard asked about a foreign core");
-        let lat = self.walk_read(pa.line());
-        self.charge(lat)
+        self.access(core, pa.line(), AccessKind::Read)
     }
 
     fn touch_write(&mut self, core: usize, pa: PhysAddr) -> Cycles {
         debug_assert_eq!(core, self.core, "shard asked about a foreign core");
-        let cost = self.walk_write(pa.line());
-        self.charge(cost)
+        self.access(core, pa.line(), AccessKind::Write)
     }
 
     fn read_bytes(&mut self, core: usize, pa: PhysAddr, buf: &mut [u8]) -> Cycles {
         debug_assert_eq!(core, self.core, "shard asked about a foreign core");
-        let mut total = 0;
-        let mut off = 0;
-        for (base, in_line, len) in split_lines(pa, buf.len()) {
-            let lat = self.walk_read(base.line());
-            total += self.charge(lat);
-            self.mem
-                .read(base.add(in_line as u64), &mut buf[off..off + len]);
-            off += len;
-        }
-        total
+        self.load(core, pa, buf)
     }
 
     fn write_bytes(&mut self, core: usize, pa: PhysAddr, data: &[u8]) -> Cycles {
         debug_assert_eq!(core, self.core, "shard asked about a foreign core");
-        let mut total = 0;
-        let mut off = 0;
-        for (base, in_line, len) in split_lines(pa, data.len()) {
-            let cost = self.walk_write(base.line());
-            total += self.charge(cost);
-            self.mem
-                .write(base.add(in_line as u64), &data[off..off + len]);
-            off += len;
-        }
-        total
+        self.store(core, pa, data)
     }
 
     fn dma_read(&mut self, pa: PhysAddr, buf: &mut [u8]) {
@@ -470,8 +377,8 @@ mod tests {
         }
     }
 
-    fn fresh(prefetch: bool) -> Machine {
-        let mut cfg = MachineConfig::haswell_e5_2667_v3().with_dram_capacity(32 << 20);
+    fn fresh(cfg: MachineConfig, prefetch: bool) -> Machine {
+        let mut cfg = cfg.with_dram_capacity(32 << 20);
         if prefetch {
             cfg = cfg.with_prefetch(PrefetchConfig::bios_default());
         }
@@ -486,12 +393,18 @@ mod tests {
         DmaRead(u64, usize),
     }
 
-    fn trace(seed: u64, n: usize, span: u64, cores: usize) -> Vec<(usize, Op)> {
+    /// Offset mask of a crowded trace: bits 8..18 cleared, so its lines
+    /// fall into four sets of every private cache and L1 and L2 victims,
+    /// clean and dirty, occur within a short trace.
+    const CROWDED: u64 = !(0x3ff << 8);
+
+    /// `n` random ops over `span` bytes; `mask` selects offset bits.
+    fn trace(seed: u64, n: usize, span: u64, cores: usize, mask: u64) -> Vec<(usize, Op)> {
         let mut rng = Lcg(seed);
         (0..n)
             .map(|_| {
                 let core = (rng.next() as usize) % cores;
-                let off = (rng.next() % span) & !7;
+                let off = (rng.next() % span) & mask & !7;
                 let len = 1 + (rng.next() as usize % 64);
                 let op = match rng.next() % 10 {
                     0..=3 => Op::Read(off, len),
@@ -504,7 +417,9 @@ mod tests {
             .collect()
     }
 
-    fn apply_direct(m: &mut Machine, base: PhysAddr, core: usize, op: Op) -> u64 {
+    /// Applies `op` through the worker-side interface, to a machine
+    /// directly or to a shard.
+    fn apply(m: &mut dyn CoreMem, base: PhysAddr, core: usize, op: Op) -> u64 {
         match op {
             Op::Read(off, len) => {
                 let mut buf = vec![0u8; len];
@@ -521,28 +436,6 @@ mod tests {
             Op::DmaRead(off, len) => {
                 let mut buf = vec![0u8; len];
                 m.dma_read(base.add(off), &mut buf);
-                0
-            }
-        }
-    }
-
-    fn apply_shard(s: &mut EpochShard<'_>, base: PhysAddr, core: usize, op: Op) -> u64 {
-        match op {
-            Op::Read(off, len) => {
-                let mut buf = vec![0u8; len];
-                s.read_bytes(core, base.add(off), &mut buf)
-            }
-            Op::Write(off, len) => {
-                let data = vec![core as u8 + 1; len];
-                s.write_bytes(core, base.add(off), &data)
-            }
-            Op::Advance(c) => {
-                s.advance(core, c);
-                0
-            }
-            Op::DmaRead(off, len) => {
-                let mut buf = vec![0u8; len];
-                s.dma_read(base.add(off), &mut buf);
                 0
             }
         }
@@ -568,36 +461,58 @@ mod tests {
 
     /// With one access per epoch, shard + replay is *exactly* the serial
     /// machine: same per-op cycles, same clocks, same LLC state and
-    /// counters. This pins the replay semantics to the reference model.
+    /// counters. This pins the replay semantics to the reference model,
+    /// on the inclusive Haswell LLC and on Skylake's victim-mode LLC.
     #[test]
     fn single_access_epochs_match_direct_execution_exactly() {
-        for prefetch in [false, true] {
-            let mut a = fresh(prefetch);
-            let mut b = fresh(prefetch);
-            let ra = a.mem_mut().alloc(8 << 20, 1 << 20).unwrap();
-            let rb = b.mem_mut().alloc(8 << 20, 1 << 20).unwrap();
-            assert_eq!(ra.base(), rb.base(), "identical layouts expected");
-            for (core, op) in trace(0xfeed, 1500, (8 << 20) - 64, 2) {
-                let ca = apply_direct(&mut a, ra.base(), core, op);
-                let cb = {
-                    let mut shards = b.epoch_shards(&[core]);
-                    let c = apply_shard(&mut shards[0], rb.base(), core, op);
-                    let log = shards.pop().unwrap().into_log();
-                    drop(shards);
-                    b.replay_llc(core, &log);
-                    c
-                };
-                assert_eq!(ca, cb, "per-op cycle cost must match the reference");
+        let presets = [
+            MachineConfig::haswell_e5_2667_v3,
+            MachineConfig::skylake_gold_6134,
+        ];
+        for preset in presets {
+            for prefetch in [false, true] {
+                for mask in [u64::MAX, CROWDED] {
+                    single_access_epochs_match_direct_execution(preset(), prefetch, mask);
+                }
             }
-            assert_eq!(snapshot(&a), snapshot(&b));
-            assert_eq!(a.check_inclusion(), None);
-            assert_eq!(b.check_inclusion(), None);
-            // Data is coherent: both machines hold the same bytes.
-            assert_eq!(
-                a.mem().slice(ra.base(), 1 << 20),
-                b.mem().slice(rb.base(), 1 << 20)
-            );
         }
+    }
+
+    fn single_access_epochs_match_direct_execution(cfg: MachineConfig, prefetch: bool, mask: u64) {
+        let mut a = fresh(cfg.clone(), prefetch);
+        let mut b = fresh(cfg, prefetch);
+        let ra = a.mem_mut().alloc(8 << 20, 1 << 20).unwrap();
+        let rb = b.mem_mut().alloc(8 << 20, 1 << 20).unwrap();
+        assert_eq!(ra.base(), rb.base(), "identical layouts expected");
+        let mut l2_victims = 0;
+        for (core, op) in trace(0xfeed, 1500, (8 << 20) - 64, 2, mask) {
+            let ca = apply(&mut a, ra.base(), core, op);
+            let cb = {
+                let mut shards = b.epoch_shards(&[core]);
+                let c = apply(&mut shards[0], rb.base(), core, op);
+                let log = shards.pop().unwrap().into_log();
+                drop(shards);
+                l2_victims += log
+                    .iter()
+                    .filter(|op| matches!(op, LlcOp::L2Evict { .. }))
+                    .count();
+                b.replay_llc(core, &log);
+                c
+            };
+            assert_eq!(ca, cb, "per-op cycle cost must match the reference");
+        }
+        assert!(
+            mask != CROWDED || l2_victims > 0,
+            "a crowded trace must send L2 victims to the LLC"
+        );
+        assert_eq!(snapshot(&a), snapshot(&b));
+        assert_eq!(a.check_inclusion(), None);
+        assert_eq!(b.check_inclusion(), None);
+        // Data is coherent: both machines hold the same bytes.
+        assert_eq!(
+            a.mem().slice(ra.base(), 1 << 20),
+            b.mem().slice(rb.base(), 1 << 20)
+        );
     }
 
     /// Multi-access epochs over two cores: running the two shards inline
@@ -606,7 +521,7 @@ mod tests {
     #[test]
     fn threaded_epochs_match_inline_epochs() {
         let build = |threaded: bool| {
-            let mut m = fresh(true);
+            let mut m = fresh(MachineConfig::haswell_e5_2667_v3(), true);
             let r = m.mem_mut().alloc(8 << 20, 1 << 20).unwrap();
             // Disjoint per-core working sets (the engine's contract).
             let spans = [(0u64, 4 << 20), (4 << 20, 4 << 20)];
@@ -616,9 +531,9 @@ mod tests {
                 let (s1, _) = rest.split_at_mut(1);
                 let run = |s: &mut EpochShard<'_>, core: usize| {
                     let (lo, span) = spans[core];
-                    for (c, op) in trace(epoch * 7 + core as u64, 40, span - 64, 1) {
+                    for (c, op) in trace(epoch * 7 + core as u64, 40, span - 64, 1, u64::MAX) {
                         debug_assert_eq!(c, 0);
-                        apply_shard(s, r.base().add(lo), core, op);
+                        apply(s, r.base().add(lo), core, op);
                     }
                 };
                 if threaded {
@@ -656,14 +571,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "requested twice")]
     fn duplicate_cores_are_rejected() {
-        let mut m = fresh(false);
+        let mut m = fresh(MachineConfig::haswell_e5_2667_v3(), false);
         let _ = m.epoch_shards(&[1, 1]);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_core_is_rejected() {
-        let mut m = fresh(false);
+        let mut m = fresh(MachineConfig::haswell_e5_2667_v3(), false);
         let _ = m.epoch_shards(&[99]);
     }
 }

@@ -23,9 +23,16 @@
 //! DMA (`dma_write`/`dma_read`) models DDIO: device writes allocate
 //! directly into the target LLC slice but only into a restricted set of
 //! ways (2 of 20 by default, the 10 % limit of §8).
+//!
+//! The per-core walk that applies these rules is written once (`Walk`)
+//! and serves both execution modes: a direct `Machine` access and an
+//! [`EpochShard`] of the epoch engine. They differ only in when the
+//! walk's LLC effects apply — at once, or logged as [`LlcOp`]s and
+//! applied at the epoch merge by [`Machine::replay_llc`], which calls the
+//! same machine methods a direct access does.
 
 use crate::addr::{split_lines, PhysAddr};
-use crate::cache::{Fill, SetAssocCache};
+use crate::cache::{Evicted, Fill, SetAssocCache};
 use crate::epoch::{EpochShard, LlcOp, SharedMem};
 use crate::hash::SliceHash;
 use crate::machine::{InterconnectConfig, LlcMode, MachineConfig};
@@ -194,9 +201,7 @@ impl Machine {
 
     /// Advances `core`'s clock by `cycles` of non-memory work.
     pub fn advance(&mut self, core: usize, cycles: Cycles) {
-        // Non-memory work also drains the write-back backlog.
-        self.cores[core].wb_debt = self.cores[core].wb_debt.saturating_sub(cycles);
-        self.cores[core].clock += cycles;
+        self.work(core, cycles);
     }
 
     /// Zeroes all core clocks and write-back backlogs.
@@ -317,42 +322,22 @@ impl Machine {
 
     /// Timed load of the line containing `pa` (no data movement).
     pub fn touch_read(&mut self, core: usize, pa: PhysAddr) -> Cycles {
-        let lat = self.walk_read(core, pa.line());
-        self.charge(core, lat)
+        self.access(core, pa.line(), AccessKind::Read)
     }
 
     /// Timed store to the line containing `pa` (no data movement).
     pub fn touch_write(&mut self, core: usize, pa: PhysAddr) -> Cycles {
-        let cost = self.walk_write(core, pa.line());
-        self.charge(core, cost)
+        self.access(core, pa.line(), AccessKind::Write)
     }
 
     /// Timed load of `buf.len()` bytes at `pa` into `buf`.
     pub fn read_bytes(&mut self, core: usize, pa: PhysAddr, buf: &mut [u8]) -> Cycles {
-        let mut total = 0;
-        let mut off = 0;
-        for (base, in_line, len) in split_lines(pa, buf.len()) {
-            let lat = self.walk_read(core, base.line());
-            total += self.charge(core, lat);
-            self.mem
-                .read(base.add(in_line as u64), &mut buf[off..off + len]);
-            off += len;
-        }
-        total
+        self.load(core, pa, buf)
     }
 
     /// Timed store of `data` at `pa`.
     pub fn write_bytes(&mut self, core: usize, pa: PhysAddr, data: &[u8]) -> Cycles {
-        let mut total = 0;
-        let mut off = 0;
-        for (base, in_line, len) in split_lines(pa, data.len()) {
-            let cost = self.walk_write(core, base.line());
-            total += self.charge(core, cost);
-            self.mem
-                .write(base.add(in_line as u64), &data[off..off + len]);
-            off += len;
-        }
-        total
+        self.store(core, pa, data)
     }
 
     /// Timed load of a little-endian `u64`.
@@ -430,91 +415,25 @@ impl Machine {
     /// DRAM; either way no cache state changes and no core cycles.
     pub fn dma_read(&mut self, pa: PhysAddr, buf: &mut [u8]) {
         for (base, _, _) in split_lines(pa, buf.len()) {
-            let s = self.hash.slice_of(base);
-            self.uncore.on_lookup(s);
+            self.llc_dma_probe(base.line());
         }
         self.mem.read(pa, buf);
     }
 
     // ------------------------------------------------------------------
-    // Engine internals.
+    // LLC side shared by direct accesses and `replay_llc`; the rest of it
+    // is the machine's `Walk` implementation below.
     // ------------------------------------------------------------------
 
-    /// Applies the write-back-budget mechanics to a base cost and advances
-    /// the core clock. See the module docs.
-    fn charge(&mut self, core: usize, base: Cycles) -> Cycles {
-        // Background write-backs retire while the core is busy.
-        self.cores[core].wb_debt = self.cores[core].wb_debt.saturating_sub(base);
-        let mut cost = base;
-        if self.cores[core].wb_debt > self.cfg.wb_buffer_cap {
-            let stall = self.cores[core].wb_debt - self.cfg.wb_buffer_cap;
-            cost += stall;
-            self.cores[core].wb_debt = self.cfg.wb_buffer_cap;
-        }
-        self.cores[core].clock += cost;
-        cost
-    }
-
-    /// Read walk: returns the load-to-use latency and applies all state
-    /// transitions (fills, evictions, prefetches).
-    fn walk_read(&mut self, core: usize, line: u64) -> Cycles {
-        if self.cores[core].l1.lookup(line).is_some() {
-            return u64::from(self.cfg.l1.latency);
-        }
-        if self.cores[core].l2.lookup(line).is_some() {
-            self.fill_l1(core, line, false);
-            return u64::from(self.cfg.l2.latency);
-        }
-        let lat = self.fetch_from_llc_or_dram(core, line);
-        self.fill_l2(core, line, false);
-        self.fill_l1(core, line, false);
-        self.run_prefetch(core, line);
-        lat
-    }
-
-    /// Write: L1 hit is cheap; a miss triggers a background
-    /// read-for-ownership charged to the write-back budget.
-    fn walk_write(&mut self, core: usize, line: u64) -> Cycles {
-        if self.cores[core].l1.lookup(line).is_some() {
-            self.cores[core].l1.mark_dirty(line);
-            return u64::from(self.cfg.store_hit_cost);
-        }
-        let fetch = if self.cores[core].l2.lookup(line).is_some() {
-            u64::from(self.cfg.l2.latency)
-        } else {
-            let lat = self.fetch_from_llc_or_dram(core, line);
-            self.fill_l2(core, line, false);
-            self.run_prefetch(core, line);
-            lat
-        };
-        self.fill_l1(core, line, true);
-        // The RFO fill occupies the memory pipeline but the store buffer
-        // hides it from the core until the budget saturates (Fig. 5b vs
-        // Fig. 6b).
-        self.cores[core].wb_debt += fetch;
-        u64::from(self.cfg.store_miss_cost)
-    }
-
-    /// L2-missed fetch: LLC hit latency or DRAM, with inclusive-mode LLC
-    /// allocation.
-    fn fetch_from_llc_or_dram(&mut self, core: usize, line: u64) -> Cycles {
-        let s = self.hash.slice_of(PhysAddr(line << 6));
+    /// A device DMA read of `line`: an uncore lookup, no state change.
+    fn llc_dma_probe(&mut self, line: u64) {
+        let s = self.slice(line);
         self.uncore.on_lookup(s);
-        if self.llc[s].lookup(line).is_some() {
-            u64::from(self.topo.llc_latency(core, s))
-        } else {
-            self.uncore.on_miss(s);
-            if self.cfg.llc_mode == LlcMode::Inclusive {
-                self.llc_insert(core, line, false);
-            }
-            u64::from(self.cfg.dram_latency)
-        }
     }
 
-    /// Inserts into the LLC under the core's CAT mask, handling victims
-    /// (and inclusive back-invalidation).
-    fn llc_insert(&mut self, core: usize, line: u64, dirty: bool) {
-        let s = self.hash.slice_of(PhysAddr(line << 6));
+    /// Inserts into slice `s` of the LLC under the core's CAT mask,
+    /// handling victims (and inclusive back-invalidation).
+    fn llc_insert(&mut self, core: usize, s: usize, line: u64, dirty: bool) {
         self.uncore.on_fill(s);
         let mask = self.cat_mask[core];
         if let Some(ev) = self.llc[s].insert_masked(line, dirty, mask) {
@@ -528,48 +447,6 @@ impl Machine {
             }
             // Dirty victims drain to DRAM through deep buffers; no core
             // cost is modelled for them.
-        }
-    }
-
-    /// Fills a line into `core`'s L1, spilling the victim to L2.
-    fn fill_l1(&mut self, core: usize, line: u64, dirty: bool) {
-        if let Some(ev) = self.cores[core].l1.insert(line, dirty) {
-            if ev.dirty && !self.cores[core].l2.mark_dirty(ev.line) {
-                // Not in L2 (victim-mode L2 may have dropped it):
-                // re-insert dirty.
-                self.fill_l2(core, ev.line, true);
-            }
-        }
-    }
-
-    /// Fills a line into `core`'s L2, spilling the victim toward the LLC.
-    fn fill_l2(&mut self, core: usize, line: u64, dirty: bool) {
-        if let Some(ev) = self.cores[core].l2.insert(line, dirty) {
-            self.l2_evict(core, ev);
-        }
-    }
-
-    /// Handles an L2 victim per the LLC mode.
-    fn l2_evict(&mut self, core: usize, ev: crate::cache::Evicted) {
-        let s = self.hash.slice_of(PhysAddr(ev.line << 6));
-        match self.cfg.llc_mode {
-            LlcMode::Inclusive => {
-                if ev.dirty {
-                    if !self.llc[s].mark_dirty(ev.line) {
-                        // Transiently absent (e.g. CAT shuffles): restore.
-                        self.llc_insert(core, ev.line, true);
-                    }
-                    // The dirty write-back occupies the path to the slice.
-                    self.cores[core].wb_debt += u64::from(self.topo.llc_latency(core, s));
-                }
-            }
-            LlcMode::Victim => {
-                // Skylake: L2 victims (clean or dirty) move into the LLC.
-                self.llc_insert(core, ev.line, ev.dirty);
-                if ev.dirty {
-                    self.cores[core].wb_debt += u64::from(self.topo.llc_latency(core, s));
-                }
-            }
         }
     }
 
@@ -630,72 +507,283 @@ impl Machine {
         for op in ops {
             match *op {
                 LlcOp::Fetch { line } => {
-                    let s = self.hash.slice_of(PhysAddr(line << 6));
-                    self.uncore.on_lookup(s);
-                    if self.llc[s].lookup(line).is_none() {
-                        self.uncore.on_miss(s);
-                        if self.cfg.llc_mode == LlcMode::Inclusive {
-                            self.llc_insert(core, line, false);
-                        }
-                    }
+                    self.llc_fetch(core, line);
                 }
-                LlcOp::L2Evict { line, dirty } => match self.cfg.llc_mode {
-                    LlcMode::Inclusive => {
-                        let s = self.hash.slice_of(PhysAddr(line << 6));
-                        if !self.llc[s].mark_dirty(line) {
-                            self.llc_insert(core, line, true);
-                        }
-                    }
-                    LlcMode::Victim => {
-                        self.llc_insert(core, line, dirty);
-                    }
-                },
-                LlcOp::Prefetch { line } => {
-                    let s = self.hash.slice_of(PhysAddr(line << 6));
-                    self.uncore.on_lookup(s);
-                    if !self.llc[s].probe(line) {
-                        self.uncore.on_miss(s);
-                        if self.cfg.llc_mode == LlcMode::Inclusive {
-                            self.llc_insert(core, line, false);
-                        }
-                    } else {
-                        self.llc[s].lookup(line);
-                    }
+                LlcOp::L2Evict { line, dirty } => {
+                    let s = self.slice(line);
+                    self.llc_l2_victim(core, s, line, dirty);
                 }
-                LlcOp::DmaProbe { line } => {
-                    let s = self.hash.slice_of(PhysAddr(line << 6));
-                    self.uncore.on_lookup(s);
-                }
+                LlcOp::Prefetch { line } => self.llc_prefetch(core, line),
+                LlcOp::DmaProbe { line } => self.llc_dma_probe(line),
+            }
+        }
+    }
+}
+
+/// The per-core cache walk — the cost model of the module docs, written
+/// once for both execution modes.
+///
+/// The provided methods are the walk: write-back charge, read and write
+/// walks, L1/L2 fills with the L2-victim rule, the prefetch loop and the
+/// per-line byte loops. An implementor says where the core's LLC
+/// interactions go: [`Machine`] applies them to the live LLC at once; an
+/// [`EpochShard`] times them against the frozen LLC and logs them as
+/// [`LlcOp`]s, which [`Machine::replay_llc`] applies at the epoch merge
+/// through the machine's own `llc_*` methods. Either way a demand
+/// fetch's LLC side runs before the L2/L1 fills: applied at once, an
+/// inclusive fetch may back-invalidate a line of the walking core's L2
+/// set and so change the L2 victim of the fill that follows.
+pub(crate) trait Walk {
+    /// The machine's configuration.
+    fn cfg(&self) -> &MachineConfig;
+    /// `core`'s L1, L2, clock, write-back debt and streamer.
+    fn state(&mut self, core: usize) -> &mut CoreState;
+    /// The slice Complex Addressing maps `line` to.
+    fn slice(&self, line: u64) -> usize;
+    /// LLC hit latency from `core` to `slice`.
+    fn hop(&self, core: usize, slice: usize) -> Cycles;
+    /// LLC side of an L2-missed demand fetch (read or RFO) of `line` by
+    /// `core`: the slice that serves it, `None` when DRAM does.
+    fn llc_fetch(&mut self, core: usize, line: u64) -> Option<usize>;
+    /// LLC side of an L2 victim of `core` headed for `slice` (see
+    /// [`Walk::spill_l2`] for which victims get there).
+    fn llc_l2_victim(&mut self, core: usize, slice: usize, line: u64, dirty: bool);
+    /// LLC side of a hardware-prefetch candidate of `core`.
+    fn llc_prefetch(&mut self, core: usize, line: u64);
+    /// Untimed copy out of physical memory.
+    fn mem_read(&self, pa: PhysAddr, buf: &mut [u8]);
+    /// Untimed copy into physical memory.
+    fn mem_write(&mut self, pa: PhysAddr, data: &[u8]);
+
+    /// Non-memory work: advances the clock and drains the write-back
+    /// backlog.
+    fn work(&mut self, core: usize, cycles: Cycles) {
+        let st = self.state(core);
+        st.wb_debt = st.wb_debt.saturating_sub(cycles);
+        st.clock += cycles;
+    }
+
+    /// Applies the write-back-budget mechanics to a base cost and advances
+    /// the core clock. See the module docs.
+    fn charge(&mut self, core: usize, base: Cycles) -> Cycles {
+        let cap = self.cfg().wb_buffer_cap;
+        let st = self.state(core);
+        // Background write-backs retire while the core is busy.
+        st.wb_debt = st.wb_debt.saturating_sub(base);
+        let mut cost = base;
+        if st.wb_debt > cap {
+            cost += st.wb_debt - cap;
+            st.wb_debt = cap;
+        }
+        st.clock += cost;
+        cost
+    }
+
+    /// A timed access to `line`: the walk and its charge. Inlined, so
+    /// that each caller's constant `kind` selects one walk.
+    #[inline]
+    fn access(&mut self, core: usize, line: u64, kind: AccessKind) -> Cycles {
+        let base = match kind {
+            AccessKind::Read => self.walk_read(core, line),
+            AccessKind::Write => self.walk_write(core, line),
+        };
+        self.charge(core, base)
+    }
+
+    /// Timed load of `buf.len()` bytes at `pa` into `buf`.
+    fn load(&mut self, core: usize, pa: PhysAddr, buf: &mut [u8]) -> Cycles {
+        let mut total = 0;
+        let mut off = 0;
+        for (base, in_line, len) in split_lines(pa, buf.len()) {
+            total += self.access(core, base.line(), AccessKind::Read);
+            self.mem_read(base.add(in_line as u64), &mut buf[off..off + len]);
+            off += len;
+        }
+        total
+    }
+
+    /// Timed store of `data` at `pa`.
+    fn store(&mut self, core: usize, pa: PhysAddr, data: &[u8]) -> Cycles {
+        let mut total = 0;
+        let mut off = 0;
+        for (base, in_line, len) in split_lines(pa, data.len()) {
+            total += self.access(core, base.line(), AccessKind::Write);
+            self.mem_write(base.add(in_line as u64), &data[off..off + len]);
+            off += len;
+        }
+        total
+    }
+
+    /// Read walk: returns the load-to-use latency and applies all state
+    /// transitions (fills, evictions, prefetches).
+    fn walk_read(&mut self, core: usize, line: u64) -> Cycles {
+        if self.state(core).l1.lookup(line).is_some() {
+            return u64::from(self.cfg().l1.latency);
+        }
+        if self.state(core).l2.lookup(line).is_some() {
+            self.fill_l1(core, line, false);
+            return u64::from(self.cfg().l2.latency);
+        }
+        let lat = self.fetch(core, line);
+        self.fill_l2(core, line, false);
+        self.fill_l1(core, line, false);
+        self.prefetch(core, line);
+        lat
+    }
+
+    /// Write: L1 hit is cheap; a miss triggers a background
+    /// read-for-ownership charged to the write-back budget.
+    fn walk_write(&mut self, core: usize, line: u64) -> Cycles {
+        if self.state(core).l1.lookup(line).is_some() {
+            self.state(core).l1.mark_dirty(line);
+            return u64::from(self.cfg().store_hit_cost);
+        }
+        let fetch = if self.state(core).l2.lookup(line).is_some() {
+            u64::from(self.cfg().l2.latency)
+        } else {
+            let lat = self.fetch(core, line);
+            self.fill_l2(core, line, false);
+            self.prefetch(core, line);
+            lat
+        };
+        self.fill_l1(core, line, true);
+        // The RFO fill occupies the memory pipeline but the store buffer
+        // hides it from the core until the budget saturates (Fig. 5b vs
+        // Fig. 6b).
+        self.state(core).wb_debt += fetch;
+        u64::from(self.cfg().store_miss_cost)
+    }
+
+    /// L2-missed fetch: LLC hit latency or DRAM.
+    fn fetch(&mut self, core: usize, line: u64) -> Cycles {
+        match self.llc_fetch(core, line) {
+            Some(s) => self.hop(core, s),
+            None => u64::from(self.cfg().dram_latency),
+        }
+    }
+
+    /// Fills a line into `core`'s L1, spilling the victim to L2. Inlined
+    /// into both walks: the L2-hit path runs it on every L1 miss.
+    #[inline]
+    fn fill_l1(&mut self, core: usize, line: u64, dirty: bool) {
+        if let Some(ev) = self.state(core).l1.insert(line, dirty) {
+            if ev.dirty && !self.state(core).l2.mark_dirty(ev.line) {
+                // Not in L2 (victim-mode L2 may have dropped it):
+                // re-insert dirty.
+                self.fill_l2(core, ev.line, true);
             }
         }
     }
 
+    /// Fills a line into `core`'s L2, spilling the victim toward the LLC.
+    fn fill_l2(&mut self, core: usize, line: u64, dirty: bool) {
+        if let Some(ev) = self.state(core).l2.insert(line, dirty) {
+            self.spill_l2(core, ev);
+        }
+    }
+
+    /// Handles an L2 victim per the LLC mode: an inclusive LLC already
+    /// holds the line, so only a dirty one reaches it; a victim LLC takes
+    /// every L2 victim.
+    fn spill_l2(&mut self, core: usize, ev: Evicted) {
+        if !ev.dirty && self.cfg().llc_mode == LlcMode::Inclusive {
+            return;
+        }
+        let s = self.slice(ev.line);
+        self.llc_l2_victim(core, s, ev.line, ev.dirty);
+        if ev.dirty {
+            // The dirty write-back occupies the path to the slice.
+            let hop = self.hop(core, s);
+            self.state(core).wb_debt += hop;
+        }
+    }
+
     /// Feeds the streamer with an L2 demand miss and fills candidates.
-    fn run_prefetch(&mut self, core: usize, line: u64) {
-        let cfg = self.cfg.prefetch;
+    fn prefetch(&mut self, core: usize, line: u64) {
+        let cfg = self.cfg().prefetch;
         if !cfg.adjacent_line && !cfg.streamer {
             return;
         }
-        let cands = self.cores[core].streamer.observe(line, &cfg);
+        let cands = self.state(core).streamer.observe(line, &cfg);
         for cand in cands {
-            if self.cores[core].l2.probe(cand) {
+            if self.state(core).l2.probe(cand) {
                 continue;
             }
             // Prefetch fetches through the LLC like a demand miss, without
             // charging the core.
-            let s = self.hash.slice_of(PhysAddr(cand << 6));
-            self.uncore.on_lookup(s);
-            if !self.llc[s].probe(cand) {
-                self.uncore.on_miss(s);
-                if self.cfg.llc_mode == LlcMode::Inclusive {
-                    self.llc_insert(core, cand, false);
-                }
-            } else {
-                // Refresh recency in the slice.
-                self.llc[s].lookup(cand);
-            }
+            self.llc_prefetch(core, cand);
             self.fill_l2(core, cand, false);
         }
+    }
+}
+
+/// Direct accesses: LLC effects apply to the live LLC at once. The
+/// `llc_*` methods are also what [`Machine::replay_llc`] applies a
+/// shard's log with.
+impl Walk for Machine {
+    fn cfg(&self) -> &MachineConfig {
+        &self.cfg
+    }
+
+    fn state(&mut self, core: usize) -> &mut CoreState {
+        &mut self.cores[core]
+    }
+
+    fn slice(&self, line: u64) -> usize {
+        self.hash.slice_of(PhysAddr(line << 6))
+    }
+
+    fn hop(&self, core: usize, slice: usize) -> Cycles {
+        u64::from(self.topo.llc_latency(core, slice))
+    }
+
+    /// On an LLC miss an inclusive LLC allocates the line.
+    fn llc_fetch(&mut self, core: usize, line: u64) -> Option<usize> {
+        let s = self.slice(line);
+        self.uncore.on_lookup(s);
+        if self.llc[s].lookup(line).is_some() {
+            return Some(s);
+        }
+        self.uncore.on_miss(s);
+        if self.cfg.llc_mode == LlcMode::Inclusive {
+            self.llc_insert(core, s, line, false);
+        }
+        None
+    }
+
+    fn llc_l2_victim(&mut self, core: usize, s: usize, line: u64, dirty: bool) {
+        match self.cfg.llc_mode {
+            LlcMode::Inclusive => {
+                if !self.llc[s].mark_dirty(line) {
+                    // Transiently absent (e.g. CAT shuffles): restore.
+                    self.llc_insert(core, s, line, true);
+                }
+            }
+            // Skylake: L2 victims (clean or dirty) move into the LLC.
+            LlcMode::Victim => self.llc_insert(core, s, line, dirty),
+        }
+    }
+
+    fn llc_prefetch(&mut self, core: usize, line: u64) {
+        let s = self.slice(line);
+        self.uncore.on_lookup(s);
+        if !self.llc[s].probe(line) {
+            self.uncore.on_miss(s);
+            if self.cfg.llc_mode == LlcMode::Inclusive {
+                self.llc_insert(core, s, line, false);
+            }
+        } else {
+            // Refresh recency in the slice.
+            self.llc[s].lookup(line);
+        }
+    }
+
+    fn mem_read(&self, pa: PhysAddr, buf: &mut [u8]) {
+        self.mem.read(pa, buf);
+    }
+
+    fn mem_write(&mut self, pa: PhysAddr, data: &[u8]) {
+        self.mem.write(pa, data);
     }
 }
 

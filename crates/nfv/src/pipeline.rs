@@ -27,7 +27,7 @@ use rte::nic::{FixedHeadroom, HeadroomPolicy, Port, RxCompletion, TxDesc};
 use rte::ring::Ring;
 use rte::steering::{Rss, Steering};
 use slice_aware::placement::PlacementPolicy;
-use trafficgen::{ArrivalSchedule, CampusTrace, FlowTuple};
+use trafficgen::{ArrivalSchedule, CampusTrace};
 
 /// Header placement for the pipelined chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -319,9 +319,6 @@ pub fn run_pipeline(
         compromise_slice: compromise,
     })
 }
-
-/// Convenience: `FlowTuple` re-export used by pipeline callers.
-pub type Flow = FlowTuple;
 
 #[cfg(test)]
 mod tests {

@@ -267,20 +267,6 @@ impl RunResult {
     }
 }
 
-enum Policy {
-    Fixed(FixedHeadroom),
-    Director(CacheDirector),
-}
-
-impl Policy {
-    fn as_dyn(&mut self) -> &mut dyn HeadroomPolicy {
-        match self {
-            Policy::Fixed(f) => f,
-            Policy::Director(cd) => cd,
-        }
-    }
-}
-
 /// The per-packet half of the testbed: one [`ServiceChain`] per worker
 /// instance, run under the engine's polling loop. Latency and
 /// chain-cause drop accounting live here; the NIC-side ledger lives in
@@ -341,7 +327,7 @@ pub struct Testbed {
     m: Machine,
     pool: MbufPool,
     port: Port,
-    policy: Policy,
+    policy: Box<dyn HeadroomPolicy>,
     engine: Engine<ChainApp>,
     lpm: Option<Arc<Lpm>>,
     installed_flows: HashSet<FlowTuple>,
@@ -383,10 +369,10 @@ impl Testbed {
         };
         let mut pool = MbufPool::create(&mut m, mbufs, headroom_cap, rte::mbuf::DEFAULT_DATAROOM)
             .map_err(mem_err("mbuf pool"))?;
-        let policy = match cfg.headroom {
-            HeadroomMode::Stock => Policy::Fixed(FixedHeadroom(rte::mbuf::DEFAULT_HEADROOM)),
+        let mut policy: Box<dyn HeadroomPolicy> = match cfg.headroom {
+            HeadroomMode::Stock => Box::new(FixedHeadroom(rte::mbuf::DEFAULT_HEADROOM)),
             HeadroomMode::CacheDirector { preferred_slices } => {
-                Policy::Director(CacheDirector::install(&mut m, &pool, preferred_slices, 0))
+                Box::new(CacheDirector::install(&mut m, &pool, preferred_slices, 0))
             }
         };
         let steering = match cfg.steering {
@@ -451,14 +437,13 @@ impl Testbed {
             admission: AdmissionPolicy::AcceptAll,
             scheduler: Scheduler::default(),
         };
-        let mut policy = policy;
         // The engine performs the initial descriptor posting.
         let engine = {
             let mut hw = Hw {
                 m: &mut m,
                 port: &mut port,
                 pool: &mut pool,
-                policy: policy.as_dyn(),
+                policy: policy.as_mut(),
             };
             Engine::new(apps, ecfg, &mut hw)
         };
@@ -518,7 +503,7 @@ impl Testbed {
             m: &mut self.m,
             port: &mut self.port,
             pool: &mut self.pool,
-            policy: self.policy.as_dyn(),
+            policy: self.policy.as_mut(),
         };
         let _ = self.engine.offer(&mut hw, flow, &self.scratch[..len], t_ns);
     }
@@ -538,7 +523,7 @@ impl Testbed {
             m: &mut m,
             port: &mut port,
             pool: &mut pool,
-            policy: policy.as_dyn(),
+            policy: policy.as_mut(),
         };
         // Process everything still queued, then close the ledgers (the
         // engine asserts conservation per queue, globally, and against

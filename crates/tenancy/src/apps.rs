@@ -71,10 +71,9 @@ pub struct TenantApp<'s> {
     pub thrash_per_packet: usize,
     /// xorshift64 state for the random pressure walk.
     pub rng: u64,
-    /// One `(serve-completion ns, responded)` entry per delivered
-    /// frame, in processing order — drained by the control hook and
-    /// matched against the harness's per-queue arrival FIFO.
-    pub outcomes: Vec<(f64, bool)>,
+    /// Sojourn latency (serve completion − offer time, ns) of every
+    /// served frame, in processing order — drained by the control hook.
+    pub latencies: Vec<f64>,
     /// Frames that produced a response.
     pub served_ok: u64,
 }
@@ -105,7 +104,6 @@ impl QueueApp for TenantApp<'_> {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, comp: &RxCompletion) -> Verdict {
         let (hdr, _) = nfv::packet::parse_header(ctx.m, ctx.core, comp.data_pa, comp.len.into());
         if hdr.is_none() {
-            self.outcomes.push((ctx.wall_ns(), false));
             return Verdict::Drop;
         }
         if !self.pressure.is_empty() {
@@ -135,9 +133,10 @@ impl QueueApp for TenantApp<'_> {
                 Verdict::Tx(TxDesc::echo(comp))
             }
         };
-        let ok = matches!(verdict, Verdict::Tx(_));
-        self.served_ok += u64::from(ok);
-        self.outcomes.push((ctx.wall_ns(), ok));
+        if matches!(verdict, Verdict::Tx(_)) {
+            self.served_ok += 1;
+            self.latencies.push(ctx.wall_ns() - comp.arrival_ns);
+        }
         verdict
     }
 }

@@ -49,7 +49,7 @@
 //!
 //! Control epochs fire at fixed virtual times whatever epochs the
 //! engine dispatches in between; observations are derived from merged
-//! machine state and canonical-order outcome logs; the controller is a
+//! machine state and canonical-order latency logs; the controller is a
 //! pure function of its observations. Reports are therefore
 //! bit-identical serial vs parallel — asserted by the repo's
 //! determinism battery and the `fig_tenants` golden.
@@ -73,7 +73,6 @@ use rte::nic::{FixedHeadroom, Port};
 use rte::steering::{Rss, Steering};
 use slice_aware::alloc::SliceAllocator;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 use trafficgen::{FlowTuple, Phase, PhaseSchedule, ZipfGen};
 use xstats::{slo_violation_ns, Summary};
@@ -188,8 +187,9 @@ pub struct TenancyConfig {
     /// Serial or parallel worker execution (bit-identical reports).
     pub execution: Execution,
     /// Fault plan (composes with the storm chaos). Must not contain
-    /// TX-stall windows — FIFO completion matching, as in
-    /// `kvs::openloop`.
+    /// TX-stall windows: a TX-stalled frame is served and timed by its
+    /// app but never delivered, which the app-vs-engine served
+    /// cross-check would reject.
     pub faults: FaultPlan,
     /// RNG seed (request streams and pressure walks).
     pub seed: u64,
@@ -269,11 +269,9 @@ pub struct TenancyReport {
     pub per_group: Vec<engine::QueueLedger>,
 }
 
-/// Everything the control hook and the harness share: the per-queue
-/// FIFO of accepted arrival times (the latency match), the latency
-/// windows, and the controller itself.
+/// Everything the control hook and the harness share: the latency
+/// windows and the controller itself.
 struct RunShared {
-    fifos: Vec<VecDeque<f64>>,
     windows: Vec<Vec<f64>>,
     all_latencies: Vec<Vec<f64>>,
     ctrl: IsolationController,
@@ -281,21 +279,14 @@ struct RunShared {
     act: bool,
 }
 
-/// Matches drained outcome logs against the arrival FIFOs, in canonical
-/// worker order — the same FIFO-matching contract as `kvs::openloop`.
+/// Moves the apps' served latencies into the tenants' windows, in
+/// canonical worker order.
 fn drain_apps(apps: &mut [TenantApp<'_>], sh: &mut RunShared) {
-    for (w, app) in apps.iter_mut().enumerate() {
-        let log = std::mem::take(&mut app.outcomes);
-        let tenant = app.tenant;
-        for (t, ok) in log {
-            let arr = sh.fifos[w]
-                .pop_front()
-                .expect("an outcome implies an accepted attempt at this queue's FIFO head");
-            if ok {
-                let lat = t - arr;
-                sh.windows[tenant].push(lat);
-                sh.all_latencies[tenant].push(lat);
-            }
+    for app in apps {
+        let t = app.tenant;
+        for lat in std::mem::take(&mut app.latencies) {
+            sh.windows[t].push(lat);
+            sh.all_latencies[t].push(lat);
         }
     }
 }
@@ -370,8 +361,9 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
     assert!(cfg.packets > 0, "empty run");
     assert!(
         cfg.faults.tx_stall.is_empty(),
-        "tenancy completion matching requires a plan without TX-stall \
-         windows (a TX-stalled frame is served but produces no response)"
+        "tenancy requires a plan without TX-stall windows (a TX-stalled \
+         frame is served and timed by its app but never delivered, so \
+         the app-vs-engine served cross-check would fail)"
     );
 
     let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(256 << 20));
@@ -468,7 +460,7 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
                 )),
                 thrash_per_packet: THRASH_READS,
                 rng: (cfg.seed ^ (w as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)) | 1,
-                outcomes: Vec::new(),
+                latencies: Vec::new(),
                 served_ok: 0,
             }
         })
@@ -506,7 +498,6 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
         initial_ways.to_vec(),
     );
     let shared = Rc::new(RefCell::new(RunShared {
-        fifos: vec![VecDeque::new(); queues],
         windows: vec![Vec::new(); TENANTS],
         all_latencies: vec![Vec::new(); TENANTS],
         fill_base: hw.m.uncore().snapshot(),
@@ -577,10 +568,7 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
         issued[tenant] += 1;
         let res = eng.offer(&mut hw, &flows[q], &frame, t);
         match res {
-            Ok(_) => {
-                accepted[tenant] += 1;
-                shared.borrow_mut().fifos[q].push_back(t);
-            }
+            Ok(_) => accepted[tenant] += 1,
             Err(_) => rejected[tenant] += 1,
         }
         // Schedule this tenant's next arrival.
@@ -609,13 +597,6 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
     {
         let sh = &mut *shared.borrow_mut();
         drain_apps(&mut apps, sh);
-        for (q, fifo) in sh.fifos.iter().enumerate() {
-            assert!(
-                fifo.is_empty(),
-                "queue {q}: {} accepted frames never produced an outcome",
-                fifo.len()
-            );
-        }
         sh.ctrl.finalize(rep.duration_ns.max(t_final));
     }
 

@@ -56,13 +56,17 @@ smoke() {
     ./target/release/fig_knee_kvs --smoke --parallel --chaos > /dev/null
 }
 
-# Determinism gate: the engine's differential suite (serial vs parallel
-# AND event-driven vs the reference tick-stepper it keeps as its
-# oracle), a byte-level double-run diff of an engine-backed figure
-# binary under --parallel, and the pinned epoch ceiling (the empty-epoch
-# tax must stay dead). Serial vs parallel stdout of every figure is
-# diffed against one snapshot by crates/bench/tests/figures_golden.rs.
+# Determinism gate: the cache walk's epoch tests (threaded vs inline
+# shards, and LLC effects applied at once vs logged and replayed), the
+# engine's differential suite (serial vs parallel AND event-driven vs
+# the reference tick-stepper it keeps as its oracle), a byte-level
+# double-run diff of an engine-backed figure binary under --parallel,
+# and the pinned epoch ceiling (the empty-epoch tax must stay dead).
+# Serial vs parallel stdout of every figure is diffed against one
+# snapshot by crates/bench/tests/figures_golden.rs.
 det() {
+    echo "==> determinism: cache walk (threaded/inline shards + apply-now/replay)"
+    cargo test -p llc-sim --lib -q epoch::
     echo "==> determinism: differential suite (serial/parallel + reference/event-driven)"
     cargo test -p engine --test differential -q
     # Same suite single-threaded: harness scheduling must not matter.
