@@ -392,9 +392,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scale.packets
     );
     // Hot set sized to half a slice (the §3 rule of thumb).
-    let hot = Placement::HotSliceAware {
-        slice: 0,
-        hot_count: 20_000,
+    let hot = Placement::StripedHot {
+        slices: vec![0],
+        hot_per_core: 20_000,
     };
     let mut t = Table::new([
         "Workload",

@@ -46,9 +46,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let aware = run(n, Placement::SliceAware { slice: 0 }, theta, scale.packets)?;
         let hot = run(
             n,
-            Placement::HotSliceAware {
-                slice: 0,
-                hot_count: 20_000,
+            Placement::StripedHot {
+                slices: vec![0],
+                hot_per_core: 20_000,
             },
             theta,
             scale.packets,

@@ -991,7 +991,7 @@ impl<A: QueueApp> Engine<A> {
         // arrival (their refills are what the outage starves). Shed
         // frames draw too, so the admission policy never shifts the
         // fault sequence of later frames.
-        let fault = self.faults.draw_for_queue(t_ns, q);
+        let fault = self.faults.draw(t_ns, q);
         hw.pool.set_outage(fault.pool_blocked);
         self.run_until(hw, t_ns);
         // An arrival is processed synchronously at its own virtual time

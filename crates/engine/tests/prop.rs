@@ -54,12 +54,7 @@ impl QueueApp for ChaosApp {
 }
 
 fn random_plan(rng: &mut Rng64, horizon_ns: u64, queues: usize) -> FaultPlan {
-    let mut plan = if rng.gen_range(0u32..2) == 0 {
-        FaultPlan::none()
-    } else {
-        FaultPlan::frame_indexed()
-    };
-    plan = plan.with_seed(rng.next_u64());
+    let mut plan = FaultPlan::none().with_seed(rng.next_u64());
     if rng.gen_range(0u32..2) == 0 {
         plan = plan.with_corrupt_prob(rng.gen_range(0u32..300) as f64 / 1000.0);
     }
@@ -117,17 +112,18 @@ enum HookKind {
 }
 
 /// Replays iteration `seed` under the given execution mode and
-/// scheduler, returning the final report plus which epoch hook the
-/// scenario installed. Everything — geometry, fault plan, app
-/// behaviour, arrivals, interleaved step calls — is a pure function
-/// of `seed`, so two calls with different `execution` or `scheduler`
-/// run the exact same scenario.
+/// scheduler, returning the final report, which epoch hook the scenario
+/// installed and whether its fault plan holds an outage window.
+/// Everything — geometry, fault plan, app behaviour, arrivals,
+/// interleaved step calls — is a pure function of `seed`, so two calls
+/// with different `execution` or `scheduler` run the exact same
+/// scenario.
 fn run_once(
     iter: u64,
     seed: u64,
     execution: Execution,
     scheduler: Scheduler,
-) -> (EngineReport, HookKind) {
+) -> (EngineReport, HookKind, bool) {
     let mut rng = Rng64::seed_from_u64(seed);
     let queues = 1usize << rng.gen_range(0u32..3); // 1, 2 or 4.
     let depth = [16usize, 32, 64][rng.gen_range(0u32..3) as usize];
@@ -136,6 +132,12 @@ fn run_once(
     let gap_ns = [50.0f64, 400.0, 3000.0][rng.gen_range(0u32..3) as usize];
     let horizon = ((offers as f64 * gap_ns) as u64).max(1);
     let plan = random_plan(&mut rng, horizon, queues);
+    let windowed = !(plan.pool_exhaust.is_empty()
+        && plan.rx_stall.is_empty()
+        && plan.link_flap.is_empty()
+        && plan.queue_rx_stall.is_empty()
+        && plan.ready_overrun.is_empty()
+        && plan.tx_stall.is_empty());
     let steering = if rng.gen_range(0u32..2) == 0 {
         Steering::Rss(Rss::new(queues))
     } else {
@@ -310,7 +312,7 @@ fn run_once(
         "iter {iter} (seed {seed:#x}, {execution:?}): queue partition"
     );
     assert!(rep.duration_ns > 0.0);
-    (rep, hook_kind)
+    (rep, hook_kind, windowed)
 }
 
 /// The same report with the scheduler counters blanked — the one field
@@ -324,13 +326,20 @@ fn sans_sched(mut rep: EngineReport) -> EngineReport {
 #[test]
 fn random_configs_conserve_packets_and_time_in_both_modes() {
     let mut meta = Rng64::seed_from_u64(0x9e37_79b9_7f4a_7c15);
+    let mut fired = 0;
     for iter in 0..60u64 {
         let seed = meta.next_u64();
-        let (serial, hooked) = run_once(iter, seed, Execution::Serial, Scheduler::EventDriven);
+        let (serial, hooked, windowed) =
+            run_once(iter, seed, Execution::Serial, Scheduler::EventDriven);
+        let n = &serial.nic;
+        let window_drops = n.pool_starved + n.link_down + n.rx_stall + n.ready_overrun + n.tx_stall;
+        if windowed && window_drops > 0 {
+            fired += 1;
+        }
         // Thread count varies with the iteration so the sweep covers
         // under- and over-subscribed dispatch, including threads == 1.
         let threads = 1 + (iter as usize % 3);
-        let (parallel, _) = run_once(
+        let (parallel, ..) = run_once(
             iter,
             seed,
             Execution::Parallel { threads },
@@ -350,8 +359,8 @@ fn random_configs_conserve_packets_and_time_in_both_modes() {
         // workless epochs, that synthetic one is deliberately not — see
         // DESIGN.md §3f). The economics-style hook honors the contract,
         // so its scenarios stay in the comparison.
-        let (ref_serial, _) = run_once(iter, seed, Execution::Serial, Scheduler::ReferenceTick);
-        let (ref_parallel, _) = run_once(
+        let (ref_serial, ..) = run_once(iter, seed, Execution::Serial, Scheduler::ReferenceTick);
+        let (ref_parallel, ..) = run_once(
             iter,
             seed,
             Execution::Parallel { threads },
@@ -376,4 +385,10 @@ fn random_configs_conserve_packets_and_time_in_both_modes() {
             );
         }
     }
+    // The outage windows must be live, not just present: with these
+    // seeds 59 of the 60 plans hold a window and 58 lose frames to one.
+    assert!(
+        fired >= 50,
+        "only {fired} of 60 scenarios lost a frame to an outage window"
+    );
 }

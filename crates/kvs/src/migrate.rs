@@ -34,9 +34,8 @@
 //! ([`HotMigrator::for_store`]): it reads the store's placement for the
 //! hot-slot geometry and the store's live index for the current
 //! residents, so it is correct against a freshly built store, an
-//! already-migrated store, and every placement that declares a hot area
-//! ([`crate::store::Placement::HotSliceAware`],
-//! [`crate::store::Placement::StripedHot`]). Placements
+//! already-migrated store, and the one placement that declares a hot
+//! area ([`crate::store::Placement::StripedHot`]). Placements
 //! without one are rejected with a typed [`MigrateError`] instead of
 //! silently corrupting the index on the first swap. In the multi-queue
 //! server one migrator exists per queue (core), each owning its key
@@ -206,7 +205,7 @@ impl std::fmt::Display for MigrateError {
             MigrateError::NoHotArea { core, placement } => write!(
                 f,
                 "placement {placement} has no hot area for core {core}; \
-                 migration needs HotSliceAware or StripedHot"
+                 migration needs StripedHot with a slice for every serving core"
             ),
             MigrateError::Swap(e) => write!(f, "migration swap rejected: {e}"),
         }
@@ -563,9 +562,9 @@ mod tests {
         let store = build(
             &mut m,
             n,
-            Placement::HotSliceAware {
-                slice: 0,
-                hot_count: hot,
+            Placement::StripedHot {
+                slices: vec![0],
+                hot_per_core: hot,
             },
         );
         (m, store)

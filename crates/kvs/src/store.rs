@@ -18,18 +18,6 @@ pub enum Placement {
         /// Target slice.
         slice: usize,
     },
-    /// Only the hottest `hot_count` slots (the lowest key ranks) map to
-    /// `slice`; the rest are contiguous. This is the §8 refinement for
-    /// stores larger than a slice ("applications which only use
-    /// slice-aware memory management for the 'hot' data"): it keeps the
-    /// latency advantage for the popular keys without forfeiting the
-    /// other slices' capacity for the long tail.
-    HotSliceAware {
-        /// Target slice for the hot set.
-        slice: usize,
-        /// Number of hot slots (≈ half a slice's lines is a good fit).
-        hot_count: usize,
-    },
     /// Slot `k` maps to `slices[k % slices.len()]`: the multi-queue
     /// server's per-core partition (§8 applied across cores). Core *i*
     /// of *N* serves the key class `k ≡ i (mod N)`, so giving
@@ -40,15 +28,22 @@ pub enum Placement {
         slices: Vec<usize>,
     },
     /// The composition of §8's two refinements: the per-core residue
-    /// partition of [`Placement::Striped`] *and* the hot/cold split of
-    /// [`Placement::HotSliceAware`]. Core *i* of *N* still owns the key
-    /// class `k ≡ i (mod N)` (so concurrent workers' SETs stay
-    /// disjoint), but only the class's *hot area* — its first
-    /// `hot_per_core` slots — is pinned to `slices[i]`, the core's
-    /// closest slice. The cold tail is allocated contiguously and
-    /// spreads over every slice, so a store much larger than one slice
-    /// keeps the whole LLC's capacity for its long tail instead of
-    /// confining each class to one slice's worth of sets.
+    /// partition of [`Placement::Striped`] *and* a hot/cold split.
+    /// Core *i* of *N* still owns the key class `k ≡ i (mod N)` (so
+    /// concurrent workers' SETs stay disjoint), but only the class's
+    /// *hot area* — its first `hot_per_core` slots — is pinned to
+    /// `slices[i]`, the core's closest slice. The cold tail is allocated
+    /// contiguously and spreads over every slice, so a store much larger
+    /// than one slice keeps the whole LLC's capacity for its long tail
+    /// instead of confining each class to one slice's worth of sets.
+    ///
+    /// With one slice this is the single-core §8 refinement for stores
+    /// larger than a slice ("applications which only use slice-aware
+    /// memory management for the 'hot' data"): the hottest
+    /// `hot_per_core` slots (the lowest key ranks) map to `slices[0]`
+    /// and the rest are contiguous, which keeps the latency advantage
+    /// for the popular keys without forfeiting the other slices'
+    /// capacity for the long tail.
     ///
     /// The hot slots are the migration target of
     /// [`crate::migrate::HotMigrator`]: at epoch boundaries the
@@ -68,11 +63,6 @@ impl Placement {
     /// placement has no hot area (or none for that core).
     pub fn hot_slots(&self, core: usize, n: usize) -> Option<Vec<usize>> {
         match self {
-            Placement::HotSliceAware { hot_count, .. } => {
-                // Single-queue placement: one hot area, whichever core
-                // serves the store.
-                Some((0..(*hot_count).min(n)).collect())
-            }
             Placement::StripedHot {
                 slices,
                 hot_per_core,
@@ -94,10 +84,7 @@ impl Placement {
 
     /// True when this placement declares a hot area somewhere.
     pub fn has_hot_area(&self) -> bool {
-        matches!(
-            self,
-            Placement::HotSliceAware { .. } | Placement::StripedHot { .. }
-        )
+        matches!(self, Placement::StripedHot { .. })
     }
 }
 
@@ -131,12 +118,6 @@ impl KvStore {
         let slots = match &placement {
             Placement::Normal => alloc.alloc_contiguous_lines(n)?,
             Placement::SliceAware { slice } => alloc.alloc_lines_exclusive(*slice, n)?,
-            Placement::HotSliceAware { slice, hot_count } => {
-                let hot = (*hot_count).min(n);
-                let mut lines = alloc.alloc_lines(*slice, hot)?.lines().to_vec();
-                lines.extend_from_slice(alloc.alloc_contiguous_lines(n - hot)?.lines());
-                SliceBuffer::from_lines(lines)
-            }
             Placement::Striped { slices } => {
                 assert!(!slices.is_empty(), "striped placement needs a slice list");
                 let s = slices.len();

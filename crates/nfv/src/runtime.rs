@@ -738,11 +738,13 @@ mod tests {
     fn faulty_runs_are_deterministic_and_conserve() {
         let mk = || {
             let mut cfg = small_cfg(ChainSpec::MacSwap, HeadroomMode::Stock, SteeringKind::Rss);
-            cfg.faults = FaultPlan::frame_indexed()
+            // Arrivals every 10 µs (100 kpps) from t = 0: the flap
+            // spans frames 50..80.
+            cfg.faults = FaultPlan::none()
                 .with_seed(11)
                 .with_corrupt_prob(0.1)
                 .with_truncate_prob(0.1)
-                .with_link_flap(rte::fault::Window::new(50, 80));
+                .with_link_flap(rte::fault::Window::new(500_000, 800_000));
             let mut trace = CampusTrace::fixed_size(64, 16, 2);
             let mut sched = ArrivalSchedule::constant_pps(100_000.0);
             run_experiment(cfg, &mut trace, &mut sched, 400).expect("config fits")

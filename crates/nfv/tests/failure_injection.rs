@@ -10,6 +10,14 @@ use rte::fault::{FaultPlan, Window};
 use trafficgen::{ArrivalSchedule, CampusTrace};
 
 const PACKETS: usize = 3000;
+/// Nanoseconds between arrivals at the 2 Mpps every test offers. The
+/// first frame arrives at t = 0, so frame `i` arrives at `i * PERIOD_NS`
+/// and a window `[a * PERIOD_NS, b * PERIOD_NS)` spans frames `a..b`.
+const PERIOD_NS: u64 = 500;
+
+fn frames(a: u64, b: u64) -> Window {
+    Window::new(a * PERIOD_NS, b * PERIOD_NS)
+}
 
 fn cfg(chain: ChainSpec, faults: FaultPlan) -> RunConfig {
     let mut cfg = RunConfig::paper_defaults(
@@ -113,7 +121,7 @@ fn macswap_forwards_parseable_truncations() {
 fn pool_exhaustion_window_starves_descriptors() {
     // A long outage: refills fail, the posted ring drains, and arrivals
     // inside the window die as pool-starved descriptor misses.
-    let plan = FaultPlan::frame_indexed().with_pool_exhaustion(Window::new(500, 1500));
+    let plan = FaultPlan::none().with_pool_exhaustion(frames(500, 1500));
     let res = run(ChainSpec::MacSwap, plan);
     conserve(&res);
     assert!(
@@ -135,7 +143,7 @@ fn pool_exhaustion_window_starves_descriptors() {
 
 #[test]
 fn rx_stall_window_loses_exactly_its_span() {
-    let plan = FaultPlan::frame_indexed().with_rx_stall(Window::new(1000, 1200));
+    let plan = FaultPlan::none().with_rx_stall(frames(1000, 1200));
     let res = run(ChainSpec::MacSwap, plan);
     conserve(&res);
     assert_eq!(
@@ -148,7 +156,7 @@ fn rx_stall_window_loses_exactly_its_span() {
 
 #[test]
 fn link_flap_window_loses_exactly_its_span() {
-    let plan = FaultPlan::frame_indexed().with_link_flap(Window::new(100, 350));
+    let plan = FaultPlan::none().with_link_flap(frames(100, 350));
     let res = run(ChainSpec::MacSwap, plan);
     conserve(&res);
     assert_eq!(res.drops.nic.link_down, 250, "{}", res.drops);
@@ -158,13 +166,13 @@ fn link_flap_window_loses_exactly_its_span() {
 #[test]
 fn combined_faults_conserve_and_are_deterministic() {
     let plan = || {
-        FaultPlan::frame_indexed()
+        FaultPlan::none()
             .with_seed(42)
             .with_corrupt_prob(0.05)
             .with_truncate_prob(0.05)
-            .with_pool_exhaustion(Window::new(400, 700))
-            .with_rx_stall(Window::new(900, 1000))
-            .with_link_flap(Window::new(1500, 1600))
+            .with_pool_exhaustion(frames(400, 700))
+            .with_rx_stall(frames(900, 1000))
+            .with_link_flap(frames(1500, 1600))
     };
     let a = run(
         ChainSpec::RouterNaptLb {

@@ -5,15 +5,12 @@
 //! paper's latency story (and any reproduction of it) is only credible
 //! if the dataplane degrades gracefully under those conditions instead
 //! of panicking or silently losing accounting. This module provides a
-//! [`FaultPlan`] — a declarative, reproducible schedule of faults over
-//! either *simulated time* ([`Axis::TimeNs`], the default) or the
-//! *offered-frame index* ([`Axis::Frame`], via
-//! [`FaultPlan::frame_indexed`]) — and a [`FaultState`] that rolls the
-//! plan forward one frame at a time with a seeded [`trafficgen::Rng64`].
-//! Time-indexed windows compose naturally with bursty
-//! `trafficgen::ArrivalSchedule`s (a 100 µs outage is a 100 µs outage at
-//! any offered rate) and apply uniformly across RX queues; the frame
-//! axis is kept for byte-exact replay of older experiments.
+//! [`FaultPlan`] — a declarative, reproducible schedule of faults whose
+//! outage windows span *simulated nanoseconds* — and a [`FaultState`]
+//! that draws each offered frame's faults at its arrival time with a
+//! seeded [`trafficgen::Rng64`]. A 100 µs outage is a 100 µs outage at
+//! any offered rate, so windows compose with bursty
+//! `trafficgen::ArrivalSchedule`s and multi-queue dispatch.
 //!
 //! Fault kinds:
 //!
@@ -43,8 +40,9 @@
 //!   must recycle their buffers. Queried with [`FaultState::tx_stalled`]
 //!   at transmit time.
 //!
-//! Everything is a pure function of `(seed, frame index, clock)`, so a
-//! failing run replays exactly.
+//! Everything is a pure function of the seed, the number of frames
+//! drawn so far and their arrival times, so a failing run replays
+//! exactly.
 //!
 //! # Examples
 //!
@@ -54,11 +52,12 @@
 //! let plan = FaultPlan::none()
 //!     .with_seed(7)
 //!     .with_corrupt_prob(0.5)
-//!     .with_link_flap(Window::new(2, 4));
+//!     .with_link_flap(Window::new(200, 400));
 //! let mut st = FaultState::new(plan);
 //! let mut corrupted = 0;
+//! // One frame every 100 ns on queue 0: the flap spans frames 2 and 3.
 //! for i in 0..8u64 {
-//!     let f = st.next_frame();
+//!     let f = st.draw(i as f64 * 100.0, 0);
 //!     if f.corrupt {
 //!         corrupted += 1;
 //!     }
@@ -69,14 +68,13 @@
 
 use trafficgen::Rng64;
 
-/// A half-open `[start, end)` interval over the plan's [`Axis`]:
-/// nanoseconds for [`Axis::TimeNs`], offered-frame indices for
-/// [`Axis::Frame`].
+/// A half-open `[start, end)` interval of simulated nanoseconds since
+/// the run started.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Window {
-    /// First index (ns or frame) affected.
+    /// First nanosecond affected.
     pub start: u64,
-    /// First index (ns or frame) no longer affected.
+    /// First nanosecond no longer affected.
     pub end: u64,
 }
 
@@ -91,40 +89,23 @@ impl Window {
         Self { start, end }
     }
 
-    /// Whether `idx` falls inside the window.
-    pub fn contains(&self, idx: u64) -> bool {
-        idx >= self.start && idx < self.end
+    /// Whether nanosecond `ns` falls inside the window.
+    pub fn contains(&self, ns: u64) -> bool {
+        ns >= self.start && ns < self.end
     }
 }
 
-/// What a [`Window`]'s coordinates mean.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Axis {
-    /// Windows span offered-frame indices (frame 0 is the first offer).
-    /// The historical axis; kept for byte-exact replay of older
-    /// experiments via [`FaultPlan::frame_indexed`].
-    Frame,
-    /// Windows span simulated nanoseconds since the run started. The
-    /// default: outages have a duration, not a packet count, so they
-    /// compose with bursty arrival schedules and multi-queue dispatch.
-    #[default]
-    TimeNs,
-}
-
-fn any_contains(windows: &[Window], idx: u64) -> bool {
-    windows.iter().any(|w| w.contains(idx))
+fn any_contains(windows: &[Window], ns: u64) -> bool {
+    windows.iter().any(|w| w.contains(ns))
 }
 
 /// A declarative, reproducible schedule of injected faults.
 ///
 /// The default plan injects nothing; builder methods add fault kinds.
-/// Probabilities are per offered frame; windows are over the plan's
-/// [`Axis`] — simulated nanoseconds by default, offered-frame indices
-/// for plans built with [`FaultPlan::frame_indexed`].
+/// Probabilities are per offered frame; windows span simulated
+/// nanoseconds.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    /// What the window coordinates mean (ns or frame index).
-    pub axis: Axis,
     /// Seed for the per-frame random draws (corruption, truncation).
     pub seed: u64,
     /// Probability that a frame arrives with a bad FCS.
@@ -149,20 +130,9 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The empty plan: no faults, ever. Windows added to it are
-    /// time-indexed (ns).
+    /// The empty plan: no faults, ever.
     pub fn none() -> Self {
         Self::default()
-    }
-
-    /// An empty plan whose windows span offered-frame indices — the
-    /// compatibility constructor for pre-time-axis experiments, which
-    /// counted frames instead of nanoseconds.
-    pub fn frame_indexed() -> Self {
-        Self {
-            axis: Axis::Frame,
-            ..Self::default()
-        }
     }
 
     /// Whether the plan can ever inject anything.
@@ -267,23 +237,18 @@ impl FrameFault {
     }
 }
 
-/// Rolls a [`FaultPlan`] forward one offered frame at a time.
+/// Draws a [`FaultPlan`]'s faults one offered frame at a time.
 #[derive(Debug, Clone)]
 pub struct FaultState {
     plan: FaultPlan,
     rng: Rng64,
-    next_idx: u64,
 }
 
 impl FaultState {
-    /// Starts the plan at frame index 0.
+    /// Starts the plan; no frame has been drawn yet.
     pub fn new(plan: FaultPlan) -> Self {
         let rng = Rng64::seed_from_u64(plan.seed ^ 0x5eed_fa17_0000_0001u64);
-        Self {
-            plan,
-            rng,
-            next_idx: 0,
-        }
+        Self { plan, rng }
     }
 
     /// The plan being executed.
@@ -291,57 +256,15 @@ impl FaultState {
         &self.plan
     }
 
-    /// Index of the next frame to be drawn (equals frames drawn so far).
-    pub fn frame_index(&self) -> u64 {
-        self.next_idx
-    }
-
-    /// Resolves a window coordinate for the plan's axis: the frame
-    /// counter for [`Axis::Frame`], the clock for [`Axis::TimeNs`].
-    fn window_index(&self, t_ns: f64) -> u64 {
-        match self.plan.axis {
-            Axis::Frame => self.next_idx,
-            Axis::TimeNs => t_ns.max(0.0) as u64,
-        }
-    }
-
-    /// Draws the faults for the next offered frame, with windows
-    /// evaluated at the offered-frame index regardless of the plan's
-    /// axis. Prefer [`FaultState::draw`] in clocked code; this entry
-    /// point serves frame-counted harnesses and keeps pre-time-axis
-    /// sequences byte-identical.
+    /// Draws the faults for the next offered frame, which arrives at
+    /// `t_ns` and was steered to RX queue `q`: the windows in force at
+    /// `t_ns` (including stalls scoped to `q`) plus the frame's random
+    /// corruption and truncation.
     ///
     /// Exactly two RNG draws happen per frame regardless of the plan, so
     /// window edits never shift the corruption/truncation sequence.
-    pub fn next_frame(&mut self) -> FrameFault {
-        let idx = self.next_idx;
-        self.eval(idx, None)
-    }
-
-    /// Draws the faults for the next offered frame arriving at `t_ns`,
-    /// evaluating windows on the plan's axis. Per-queue stalls are not
-    /// applied (the queue is unknown); use [`FaultState::draw_for_queue`]
-    /// when steering has already picked one.
-    pub fn draw(&mut self, t_ns: f64) -> FrameFault {
-        let idx = self.window_index(t_ns);
-        self.eval(idx, None)
-    }
-
-    /// Like [`FaultState::draw`], but also applies stall windows scoped
-    /// to RX queue `q`.
-    pub fn draw_for_queue(&mut self, t_ns: f64, q: usize) -> FrameFault {
-        let idx = self.window_index(t_ns);
-        self.eval(idx, Some(q))
-    }
-
-    /// Whether the TX descriptor path is wedged at `t_ns`. Pure (no RNG
-    /// draw), so PMD transmit paths can query it at will.
-    pub fn tx_stalled(&self, t_ns: f64) -> bool {
-        any_contains(&self.plan.tx_stall, self.window_index(t_ns))
-    }
-
-    fn eval(&mut self, idx: u64, queue: Option<usize>) -> FrameFault {
-        self.next_idx += 1;
+    pub fn draw(&mut self, t_ns: f64, q: usize) -> FrameFault {
+        let ns = ns_index(t_ns);
         let corrupt_draw = self.rng.gen_f64();
         let trunc_draw = self.rng.next_u64();
         let corrupt = corrupt_draw < self.plan.corrupt_prob;
@@ -354,21 +277,32 @@ impl FaultState {
         } else {
             None
         };
-        let queue_stalled = queue.is_some_and(|q| {
-            self.plan
-                .queue_rx_stall
-                .iter()
-                .any(|(sq, w)| *sq == q && w.contains(idx))
-        });
+        let queue_stalled = self
+            .plan
+            .queue_rx_stall
+            .iter()
+            .any(|(sq, w)| *sq == q && w.contains(ns));
         FrameFault {
             corrupt,
             truncate_to,
-            link_down: any_contains(&self.plan.link_flap, idx),
-            stall: any_contains(&self.plan.rx_stall, idx) || queue_stalled,
-            pool_blocked: any_contains(&self.plan.pool_exhaust, idx),
-            ready_blocked: any_contains(&self.plan.ready_overrun, idx),
+            link_down: any_contains(&self.plan.link_flap, ns),
+            stall: any_contains(&self.plan.rx_stall, ns) || queue_stalled,
+            pool_blocked: any_contains(&self.plan.pool_exhaust, ns),
+            ready_blocked: any_contains(&self.plan.ready_overrun, ns),
         }
     }
+
+    /// Whether the TX descriptor path is wedged at `t_ns`. Pure (no RNG
+    /// draw), so PMD transmit paths can query it at will.
+    pub fn tx_stalled(&self, t_ns: f64) -> bool {
+        any_contains(&self.plan.tx_stall, ns_index(t_ns))
+    }
+}
+
+/// The whole nanosecond a clock reading falls in (negative readings
+/// count as 0).
+fn ns_index(t_ns: f64) -> u64 {
+    t_ns.max(0.0) as u64
 }
 
 #[cfg(test)]
@@ -396,10 +330,9 @@ mod tests {
     fn none_plan_injects_nothing() {
         let mut st = FaultState::new(FaultPlan::none());
         assert!(st.plan().is_none());
-        for _ in 0..1000 {
-            assert_eq!(st.next_frame(), FrameFault::clean());
+        for i in 0..1000 {
+            assert_eq!(st.draw(i as f64, 0), FrameFault::clean());
         }
-        assert_eq!(st.frame_index(), 1000);
     }
 
     #[test]
@@ -410,8 +343,8 @@ mod tests {
             .with_truncate_prob(0.3);
         let mut a = FaultState::new(plan.clone());
         let mut b = FaultState::new(plan);
-        for _ in 0..500 {
-            assert_eq!(a.next_frame(), b.next_frame());
+        for i in 0..500 {
+            assert_eq!(a.draw(i as f64, 0), b.draw(i as f64, 0));
         }
     }
 
@@ -421,8 +354,8 @@ mod tests {
         let windowed = base.clone().with_link_flap(Window::new(0, 100));
         let mut a = FaultState::new(base);
         let mut b = FaultState::new(windowed);
-        for _ in 0..200 {
-            assert_eq!(a.next_frame().corrupt, b.next_frame().corrupt);
+        for i in 0..200 {
+            assert_eq!(a.draw(i as f64, 0).corrupt, b.draw(i as f64, 0).corrupt);
         }
     }
 
@@ -430,7 +363,7 @@ mod tests {
     fn corruption_rate_tracks_probability() {
         let mut st = FaultState::new(FaultPlan::none().with_seed(1).with_corrupt_prob(0.25));
         let n = 20_000;
-        let hits = (0..n).filter(|_| st.next_frame().corrupt).count();
+        let hits = (0..n).filter(|&i| st.draw(i as f64, 0).corrupt).count();
         let rate = hits as f64 / n as f64;
         assert!((rate - 0.25).abs() < 0.02, "rate {rate}");
     }
@@ -440,8 +373,8 @@ mod tests {
         let mut st = FaultState::new(FaultPlan::none().with_seed(3).with_truncate_prob(1.0));
         let mut saw_runt = false;
         let mut saw_parseable = false;
-        for _ in 0..1000 {
-            let f = st.next_frame();
+        for i in 0..1000 {
+            let f = st.draw(i as f64, 0);
             let len = f.truncate_to.expect("p=1.0 always truncates");
             assert!(len < 61);
             if len < 14 {
@@ -462,67 +395,35 @@ mod tests {
             .with_link_flap(Window::new(9, 10));
         let mut st = FaultState::new(plan);
         for i in 0..12u64 {
-            let f = st.next_frame();
-            assert_eq!(f.pool_blocked, (5..8).contains(&i), "frame {i}");
-            assert_eq!(f.stall, i == 2, "frame {i}");
-            assert_eq!(f.link_down, i == 0 || i == 9, "frame {i}");
+            let f = st.draw(i as f64, 0);
+            assert_eq!(f.pool_blocked, (5..8).contains(&i), "t={i} ns");
+            assert_eq!(f.stall, i == 2, "t={i} ns");
+            assert_eq!(f.link_down, i == 0 || i == 9, "t={i} ns");
         }
     }
 
     #[test]
     fn time_axis_evaluates_windows_by_clock() {
-        // Default axis is ns: a [1000, 2000) window hits by arrival
-        // time, independent of how many frames were drawn before.
+        // A [1000, 2000) window hits by arrival time, independent of
+        // how many frames were drawn before.
         let plan = FaultPlan::none().with_link_flap(Window::new(1000, 2000));
-        assert_eq!(plan.axis, Axis::TimeNs);
         let mut st = FaultState::new(plan);
-        assert!(!st.draw(999.9).link_down);
-        assert!(st.draw(1000.0).link_down);
-        assert!(st.draw(1999.0).link_down);
-        assert!(!st.draw(2000.0).link_down);
-        assert_eq!(st.frame_index(), 4, "every draw advances the counter");
-    }
-
-    #[test]
-    fn frame_axis_ignores_the_clock() {
-        let plan = FaultPlan::frame_indexed().with_rx_stall(Window::new(2, 4));
-        let mut st = FaultState::new(plan);
-        // Arrival times are wild, but the window spans frames 2 and 3.
-        for (i, t) in [1e9, 0.0, 5.0, 7e12, 3.0].into_iter().enumerate() {
-            assert_eq!(st.draw(t).stall, (2..4).contains(&i), "frame {i}");
-        }
-    }
-
-    #[test]
-    fn frame_indexed_draw_matches_next_frame() {
-        // The compatibility constructor replays a pre-time-axis plan
-        // byte-for-byte: draw(t) and next_frame() agree for any t.
-        let mk = || {
-            FaultPlan::frame_indexed()
-                .with_seed(11)
-                .with_corrupt_prob(0.3)
-                .with_truncate_prob(0.2)
-                .with_link_flap(Window::new(10, 30))
-                .with_pool_exhaustion(Window::new(50, 60))
-        };
-        let mut a = FaultState::new(mk());
-        let mut b = FaultState::new(mk());
-        for i in 0..100 {
-            assert_eq!(a.draw(i as f64 * 321.5), b.next_frame());
-        }
+        assert!(!st.draw(999.9, 0).link_down);
+        assert!(st.draw(1000.0, 0).link_down);
+        assert!(st.draw(1999.0, 0).link_down);
+        assert!(!st.draw(2000.0, 0).link_down);
     }
 
     #[test]
     fn per_queue_stall_hits_only_its_queue() {
-        let plan = FaultPlan::frame_indexed().with_queue_rx_stall(2, Window::new(0, 100));
+        let plan = FaultPlan::none().with_queue_rx_stall(2, Window::new(0, 100));
         let mut st = FaultState::new(plan);
-        assert!(!st.draw_for_queue(0.0, 0).stall);
-        assert!(st.draw_for_queue(0.0, 2).stall);
-        assert!(!st.draw(0.0).stall, "queue-agnostic draw skips it");
+        assert!(!st.draw(0.0, 0).stall);
+        assert!(st.draw(0.0, 2).stall);
         // A global stall window still hits every queue.
-        let plan = FaultPlan::frame_indexed().with_rx_stall(Window::new(0, 100));
+        let plan = FaultPlan::none().with_rx_stall(Window::new(0, 100));
         let mut st = FaultState::new(plan);
-        assert!(st.draw_for_queue(0.0, 7).stall);
+        assert!(st.draw(0.0, 7).stall);
     }
 
     #[test]
@@ -533,13 +434,6 @@ mod tests {
         assert!(st.tx_stalled(500.0));
         assert!(st.tx_stalled(699.9));
         assert!(!st.tx_stalled(700.0));
-        // Frame axis: resolved against the frame counter.
-        let plan = FaultPlan::frame_indexed().with_tx_stall(Window::new(2, 3));
-        let mut st = FaultState::new(plan);
-        assert!(!st.tx_stalled(1e9));
-        st.next_frame();
-        st.next_frame();
-        assert!(st.tx_stalled(0.0), "after two frames the counter is 2");
     }
 
     #[test]
@@ -547,8 +441,8 @@ mod tests {
         let plan = FaultPlan::none().with_ready_overrun(Window::new(100, 200));
         assert!(!plan.is_none());
         let mut st = FaultState::new(plan);
-        assert!(!st.draw(50.0).ready_blocked);
-        assert!(st.draw(150.0).ready_blocked);
-        assert!(!st.draw(250.0).ready_blocked);
+        assert!(!st.draw(50.0, 0).ready_blocked);
+        assert!(st.draw(150.0, 0).ready_blocked);
+        assert!(!st.draw(250.0, 0).ready_blocked);
     }
 }

@@ -60,7 +60,7 @@ pub mod nic;
 pub mod ring;
 pub mod steering;
 
-pub use fault::{Axis, FaultPlan, FaultState, FrameFault, Window};
+pub use fault::{FaultPlan, FaultState, FrameFault, Window};
 pub use mbuf::{MbufMeta, MBUF_META_SIZE};
 pub use mempool::MbufPool;
 pub use nic::{tx_wire, FixedHeadroom, HeadroomPolicy, Port, RxCompletion, RxView};

@@ -334,7 +334,9 @@ impl Port {
         flow: &FlowTuple,
         arrival_ns: f64,
     ) -> Result<usize, DropReason> {
-        self.deliver_faulty(m, frame, flow, arrival_ns, FrameFault::clean())
+        let (q, mark) = self.route(flow);
+        self.deliver_routed(m, frame, q, mark, arrival_ns, FrameFault::clean())
+            .map(|()| q)
     }
 
     /// NIC: steers `flow` to `(queue, mark)` without delivering anything.
@@ -347,28 +349,14 @@ impl Port {
         self.steering.steer(flow)
     }
 
-    /// [`Port::deliver`] with an injected [`FrameFault`] applied, in the
+    /// Delivery once steering has already picked queue `q` (see
+    /// [`Port::route`]): consumes a posted descriptor and DMA-writes the
+    /// frame through DDIO. An injected [`FrameFault`] applies in the
     /// order the hardware would: carrier loss first, then the MAC's
     /// packet-rate ceiling, then the (possibly stalled) RX engine, then
     /// the CRC/runt check, then descriptor consumption.
     /// Truncated-but-parseable frames are delivered at their shortened
     /// length; rejecting them is software's job.
-    pub fn deliver_faulty(
-        &mut self,
-        m: &mut Machine,
-        frame: &[u8],
-        flow: &FlowTuple,
-        arrival_ns: f64,
-        fault: FrameFault,
-    ) -> Result<usize, DropReason> {
-        let (q, mark) = self.route(flow);
-        self.deliver_routed(m, frame, q, mark, arrival_ns, fault)
-            .map(|()| q)
-    }
-
-    /// Delivery once steering has already picked queue `q` (see
-    /// [`Port::route`]): consumes a posted descriptor and DMA-writes the
-    /// frame through DDIO.
     pub fn deliver_routed(
         &mut self,
         m: &mut Machine,
@@ -737,6 +725,19 @@ mod fault_tests {
         FlowTuple::tcp(0x0a000001, 1234, 0xc0a80001, 80)
     }
 
+    /// Steers `flow()` and delivers `frame` with `fault` applied.
+    fn deliver_with(
+        port: &mut Port,
+        m: &mut Machine,
+        frame: &[u8],
+        arrival_ns: f64,
+        fault: FrameFault,
+    ) -> Result<usize, DropReason> {
+        let (q, mark) = port.route(&flow());
+        port.deliver_routed(m, frame, q, mark, arrival_ns, fault)
+            .map(|()| q)
+    }
+
     #[test]
     fn corrupt_frame_dies_at_the_mac() {
         let (mut m, mut pool, mut port) = setup();
@@ -746,9 +747,7 @@ mod fault_tests {
             corrupt: true,
             ..FrameFault::clean()
         };
-        let err = port
-            .deliver_faulty(&mut m, &[0u8; 64], &flow(), 0.0, fault)
-            .unwrap_err();
+        let err = deliver_with(&mut port, &mut m, &[0u8; 64], 0.0, fault).unwrap_err();
         assert_eq!(err, DropReason::CrcError);
         assert_eq!(port.stats().rx_crc, 1);
         assert_eq!(port.posted_count(0), 8, "no descriptor consumed");
@@ -763,9 +762,7 @@ mod fault_tests {
             truncate_to: Some(MIN_MAC_FRAME - 1),
             ..FrameFault::clean()
         };
-        let err = port
-            .deliver_faulty(&mut m, &[0u8; 64], &flow(), 0.0, fault)
-            .unwrap_err();
+        let err = deliver_with(&mut port, &mut m, &[0u8; 64], 0.0, fault).unwrap_err();
         assert_eq!(err, DropReason::CrcError);
         assert_eq!(port.stats().rx_crc, 1);
     }
@@ -779,9 +776,7 @@ mod fault_tests {
             truncate_to: Some(40),
             ..FrameFault::clean()
         };
-        let q = port
-            .deliver_faulty(&mut m, &[0xabu8; 100], &flow(), 0.0, fault)
-            .unwrap();
+        let q = deliver_with(&mut port, &mut m, &[0xabu8; 100], 0.0, fault).unwrap();
         let (batch, _) = port.rx_burst(&mut m, &pool, q, 0, 8);
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].len, 40, "delivered at the truncated length");
@@ -802,11 +797,11 @@ mod fault_tests {
             ..FrameFault::clean()
         };
         assert_eq!(
-            port.deliver_faulty(&mut m, &[0u8; 64], &flow(), 0.0, down),
+            deliver_with(&mut port, &mut m, &[0u8; 64], 0.0, down),
             Err(DropReason::LinkDown)
         );
         assert_eq!(
-            port.deliver_faulty(&mut m, &[0u8; 64], &flow(), 1.0, stall),
+            deliver_with(&mut port, &mut m, &[0u8; 64], 1.0, stall),
             Err(DropReason::RxStall)
         );
         let s = port.stats();
@@ -821,9 +816,7 @@ mod fault_tests {
         let (mut m, mut pool, mut port) = setup();
         let mut policy = FixedHeadroom(128);
         port.refill(&mut m, &mut pool, 0, 0, &mut policy, 8);
-        let q = port
-            .deliver_faulty(&mut m, &[0u8; 64], &flow(), 0.0, FrameFault::clean())
-            .unwrap();
+        let q = deliver_with(&mut port, &mut m, &[0u8; 64], 0.0, FrameFault::clean()).unwrap();
         assert_eq!(port.queue_rx_pkts(q), 1);
         assert_eq!(port.stats().rx_dropped(), 0);
     }
@@ -877,9 +870,7 @@ mod fault_tests {
             ready_blocked: true,
             ..FrameFault::clean()
         };
-        let err = port
-            .deliver_faulty(&mut m, &[0u8; 64], &flow(), 0.0, fault)
-            .unwrap_err();
+        let err = deliver_with(&mut port, &mut m, &[0u8; 64], 0.0, fault).unwrap_err();
         assert_eq!(err, DropReason::ReadyOverrun);
         assert_eq!(port.stats().rx_ready_overrun, 1);
         assert_eq!(port.posted_count(0), 8, "no descriptor consumed");

@@ -7,51 +7,40 @@
 //! simple little-endian record stream:
 //!
 //! ```text
-//! v1: magic "SATR" | version=1 u16 | count u64 |
-//!     count x { src_ip u32, dst_ip u32, src_port u16, dst_port u16,
-//!               proto u8, size u16, seq u64 }                   (23 B)
-//! v2: magic "SATR" | version=2 u16 | count u64 |
-//!     count x { v1 record fields | arrival_ns u64 }             (31 B)
+//! magic "SATR" | version=2 u16 | count u64 |
+//! count x { src_ip u32, dst_ip u32, src_port u16, dst_port u16,
+//!           proto u8, size u16, seq u64, arrival_ns u64 }      (31 B)
 //! ```
 //!
-//! Version 2 adds a per-record arrival timestamp in simulated
-//! nanoseconds so recorded or synthesized traces reproduce their
-//! inter-arrival structure on replay (see [`crate::replay::TraceReplay`]).
-//! Both readers accept both versions: a v1 file read through the timed
-//! API defaults every `arrival_ns` to 0 (v1 carries no timing — replay
-//! layers must supply their own pacing), and a v2 file read through the
-//! untimed API simply discards the timestamps.
+//! Each record carries its arrival timestamp in simulated nanoseconds,
+//! so recorded or synthesized traces reproduce their inter-arrival
+//! structure on replay (see [`crate::replay::TraceReplay`]). Version 1,
+//! the untimed 23 B record, is no longer read: it is rejected as an
+//! unsupported version like any other.
 //!
 //! # Corrupt-input hardening
 //!
-//! The header `count` is untrusted. The slice readers
-//! ([`read_trace_bytes`], [`read_trace_timed_bytes`]) know the input
-//! length and fail fast when `count × record_len` exceeds the bytes
-//! actually present — before allocating or looping. The streaming
-//! readers can't know the length ahead of time; they cap their
-//! preallocation and report truncation with the record position.
+//! The header `count` is untrusted. The reader ([`read_trace_timed_bytes`])
+//! knows the input length and fails fast when `count × record_len`
+//! exceeds the bytes actually present — before allocating or looping.
 
 use crate::flow::FlowTuple;
 use crate::trace::PacketSpec;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 /// File magic.
 pub const MAGIC: [u8; 4] = *b"SATR";
-/// Version written by [`write_trace`] (untimed records).
-pub const VERSION: u16 = 1;
-/// Version written by [`write_trace_v2`] (records carry `arrival_ns`).
+/// Version written by [`write_trace_v2`], the only version read.
 pub const VERSION_V2: u16 = 2;
-/// Bytes per v1 packet record.
-pub const RECORD_LEN: usize = 23;
-/// Bytes per v2 packet record (v1 fields + `arrival_ns u64`).
+/// Bytes per packet record.
 pub const RECORD_LEN_V2: usize = 31;
-/// Bytes in the common header (`magic | version | count`).
+/// Bytes in the header (`magic | version | count`).
 pub const HEADER_LEN: usize = 14;
+/// Bytes of a record's [`PacketSpec`]; `arrival_ns` follows.
+const SPEC_LEN: usize = 23;
 
-/// A packet plus the simulated-ns timestamp at which it arrived.
-///
-/// This is the v2 record: the v1 [`PacketSpec`] plus the arrival
-/// structure that open-loop replay needs.
+/// A packet plus the simulated-ns timestamp at which it arrived: one
+/// trace record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimedPacket {
     pub spec: PacketSpec,
@@ -82,28 +71,15 @@ fn decode_spec(rec: &[u8]) -> PacketSpec {
     }
 }
 
-/// Writes a v1 (untimed) trace to `w`.
-pub fn write_trace<W: Write>(mut w: W, packets: &[PacketSpec]) -> io::Result<()> {
-    w.write_all(&MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&(packets.len() as u64).to_le_bytes())?;
-    let mut rec = [0u8; RECORD_LEN];
-    for p in packets {
-        encode_spec(&mut rec, p);
-        w.write_all(&rec)?;
-    }
-    Ok(())
-}
-
-/// Writes a v2 (timed) trace to `w`.
+/// Writes a trace to `w`.
 pub fn write_trace_v2<W: Write>(mut w: W, packets: &[TimedPacket]) -> io::Result<()> {
     w.write_all(&MAGIC)?;
     w.write_all(&VERSION_V2.to_le_bytes())?;
     w.write_all(&(packets.len() as u64).to_le_bytes())?;
     let mut rec = [0u8; RECORD_LEN_V2];
     for p in packets {
-        encode_spec(&mut rec[..RECORD_LEN], &p.spec);
-        rec[23..31].copy_from_slice(&p.arrival_ns.to_le_bytes());
+        encode_spec(&mut rec[..SPEC_LEN], &p.spec);
+        rec[SPEC_LEN..].copy_from_slice(&p.arrival_ns.to_le_bytes());
         w.write_all(&rec)?;
     }
     Ok(())
@@ -113,92 +89,43 @@ fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Shared reader core. `len_hint` is the total input length in bytes
-/// when the caller knows it (slice readers); with a hint, a header
-/// `count` that doesn't fit the remaining bytes fails fast, before any
-/// allocation or record loop.
-fn read_records<R: Read>(mut r: R, len_hint: Option<usize>) -> io::Result<Vec<TimedPacket>> {
-    let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header)
-        .map_err(|_| invalid("truncated header".into()))?;
+/// Reads a trace from the in-memory buffer `buf`. The length is known,
+/// so a header `count` that can't fit in the buffer fails fast —
+/// before any allocation or per-record loop.
+///
+/// # Errors
+///
+/// `InvalidData` on a truncated header, a bad magic, an unsupported
+/// version (v1 included), or a `count` the payload cannot hold.
+pub fn read_trace_timed_bytes(buf: &[u8]) -> io::Result<Vec<TimedPacket>> {
+    let Some((header, body)) = buf.split_first_chunk::<HEADER_LEN>() else {
+        return Err(invalid("truncated header".into()));
+    };
     if header[0..4] != MAGIC {
         return Err(invalid("bad magic".into()));
     }
     let version = u16::from_le_bytes([header[4], header[5]]);
-    let record_len = match version {
-        VERSION => RECORD_LEN,
-        VERSION_V2 => RECORD_LEN_V2,
-        v => return Err(invalid(format!("unsupported version {v}"))),
-    };
-    let count = u64::from_le_bytes(header[6..14].try_into().expect("8 bytes")) as usize;
-    if let Some(len) = len_hint {
-        let body = len.saturating_sub(HEADER_LEN);
-        let need = count.checked_mul(record_len);
-        if need.is_none() || need.unwrap() > body {
-            return Err(invalid(format!(
-                "header claims {count} records ({record_len} B each) but only {body} payload bytes remain"
-            )));
-        }
+    if version != VERSION_V2 {
+        return Err(invalid(format!("unsupported version {version}")));
     }
-    let mut out = Vec::with_capacity(count.min(1 << 24));
-    let mut rec = [0u8; RECORD_LEN_V2];
-    let rec = &mut rec[..record_len];
-    for i in 0..count {
-        r.read_exact(rec)
-            .map_err(|_| invalid(format!("truncated at record {i} of {count}")))?;
-        let arrival_ns = if version == VERSION_V2 {
-            u64::from_le_bytes(rec[23..31].try_into().expect("8 bytes"))
-        } else {
-            0
-        };
-        out.push(TimedPacket {
+    let count = u64::from_le_bytes(header[6..14].try_into().expect("8 bytes"));
+    let fits = count
+        .checked_mul(RECORD_LEN_V2 as u64)
+        .is_some_and(|need| need <= body.len() as u64);
+    if !fits {
+        return Err(invalid(format!(
+            "header claims {count} records ({RECORD_LEN_V2} B each) but only {} payload bytes remain",
+            body.len()
+        )));
+    }
+    Ok(body
+        .chunks_exact(RECORD_LEN_V2)
+        .take(count as usize) // fits: at most body.len() / RECORD_LEN_V2
+        .map(|rec| TimedPacket {
             spec: decode_spec(rec),
-            arrival_ns,
-        });
-    }
-    Ok(out)
-}
-
-/// Reads a trace from `r`, discarding v2 arrival timestamps.
-///
-/// Accepts both format versions.
-///
-/// # Errors
-///
-/// `InvalidData` on a bad magic, unsupported version, or truncation
-/// (reported with the record position).
-pub fn read_trace<R: Read>(r: R) -> io::Result<Vec<PacketSpec>> {
-    Ok(read_records(r, None)?.into_iter().map(|t| t.spec).collect())
-}
-
-/// Reads a trace with arrival timestamps from `r`.
-///
-/// Accepts both format versions; v1 records carry no timing, so their
-/// `arrival_ns` defaults to 0 (replay layers supply their own pacing
-/// for untimed traces).
-///
-/// # Errors
-///
-/// `InvalidData` on a bad magic, unsupported version, or truncation
-/// (reported with the record position).
-pub fn read_trace_timed<R: Read>(r: R) -> io::Result<Vec<TimedPacket>> {
-    read_records(r, None)
-}
-
-/// [`read_trace`] over an in-memory buffer: the length is known, so a
-/// header `count` that can't fit in the buffer fails fast — before any
-/// allocation or per-record loop.
-pub fn read_trace_bytes(buf: &[u8]) -> io::Result<Vec<PacketSpec>> {
-    Ok(read_records(buf, Some(buf.len()))?
-        .into_iter()
-        .map(|t| t.spec)
+            arrival_ns: u64::from_le_bytes(rec[SPEC_LEN..].try_into().expect("8 bytes")),
+        })
         .collect())
-}
-
-/// [`read_trace_timed`] over an in-memory buffer, with the same
-/// fail-fast `count` validation as [`read_trace_bytes`].
-pub fn read_trace_timed_bytes(buf: &[u8]) -> io::Result<Vec<TimedPacket>> {
-    read_records(buf, Some(buf.len()))
 }
 
 #[cfg(test)]
@@ -210,48 +137,50 @@ mod tests {
     #[test]
     fn roundtrip_preserves_every_field() {
         let mut t = CampusTrace::new(SizeMix::campus(), 500, 42);
-        let packets = t.take(2_000);
+        let packets: Vec<TimedPacket> = t
+            .take(2_000)
+            .into_iter()
+            .zip(0u64..)
+            .map(|(spec, i)| TimedPacket {
+                spec,
+                arrival_ns: i * 67,
+            })
+            .collect();
         let mut buf = Vec::new();
-        write_trace(&mut buf, &packets).unwrap();
-        assert_eq!(buf.len(), HEADER_LEN + 2_000 * RECORD_LEN);
-        let back = read_trace(buf.as_slice()).unwrap();
-        assert_eq!(back, packets);
-        // The slice reader agrees with the streaming reader.
-        assert_eq!(read_trace_bytes(&buf).unwrap(), packets);
+        write_trace_v2(&mut buf, &packets).unwrap();
+        assert_eq!(buf.len(), HEADER_LEN + 2_000 * RECORD_LEN_V2);
+        assert_eq!(read_trace_timed_bytes(&buf).unwrap(), packets);
     }
 
     #[test]
     fn empty_trace_roundtrips() {
         let mut buf = Vec::new();
-        write_trace(&mut buf, &[]).unwrap();
-        assert_eq!(read_trace(buf.as_slice()).unwrap(), vec![]);
+        write_trace_v2(&mut buf, &[]).unwrap();
+        assert_eq!(read_trace_timed_bytes(&buf).unwrap(), vec![]);
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let buf = b"NOPE\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00".to_vec();
-        let err = read_trace(buf.as_slice()).unwrap_err();
+        let buf = b"NOPE\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00".to_vec();
+        let err = read_trace_timed_bytes(&buf).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]
     fn wrong_version_rejected() {
         let mut buf = Vec::new();
-        write_trace(&mut buf, &[]).unwrap();
-        buf[4] = 99;
-        let err = read_trace(buf.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("unsupported version"));
-    }
-
-    #[test]
-    fn truncation_reported_with_position() {
-        let mut t = CampusTrace::fixed_size(64, 4, 1);
-        let packets = t.take(10);
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &packets).unwrap();
-        buf.truncate(buf.len() - 5);
-        let err = read_trace(buf.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("truncated at record 9"));
+        write_trace_v2(&mut buf, &[]).unwrap();
+        // 1 is the retired untimed format; 99 was never written.
+        for version in [1u8, 99] {
+            buf[4] = version;
+            let err = read_trace_timed_bytes(&buf).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(
+                err.to_string()
+                    .contains(&format!("unsupported version {version}")),
+                "{err}"
+            );
+        }
     }
 
     fn timed_packets(n: usize) -> Vec<TimedPacket> {
@@ -270,7 +199,7 @@ mod tests {
             .collect()
     }
 
-    /// v2 round-trip preserves every field including `arrival_ns`, and
+    /// Round-trip preserves every field including `arrival_ns`, and
     /// the record length is the documented 31 B.
     #[test]
     fn v2_roundtrip_preserves_arrival_ns() {
@@ -279,54 +208,23 @@ mod tests {
         write_trace_v2(&mut buf, &packets).unwrap();
         assert_eq!(buf.len(), HEADER_LEN + 300 * RECORD_LEN_V2);
         assert_eq!(u16::from_le_bytes([buf[4], buf[5]]), VERSION_V2);
-        assert_eq!(read_trace_timed(buf.as_slice()).unwrap(), packets);
         assert_eq!(read_trace_timed_bytes(&buf).unwrap(), packets);
     }
 
-    /// A v1 file read through the v2 (timed) reader: specs intact,
-    /// arrivals defaulted to 0 — the documented "v1 carries no timing"
-    /// contract.
-    #[test]
-    fn v1_under_timed_reader_defaults_arrivals_to_zero() {
-        let mut t = CampusTrace::fixed_size(128, 8, 3);
-        let packets = t.take(50);
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &packets).unwrap();
-        let timed = read_trace_timed_bytes(&buf).unwrap();
-        assert_eq!(timed.len(), packets.len());
-        for (t, p) in timed.iter().zip(&packets) {
-            assert_eq!(&t.spec, p);
-            assert_eq!(t.arrival_ns, 0, "v1 records default arrival_ns to 0");
-        }
-    }
-
-    /// A v2 file read through the untimed reader discards timestamps
-    /// but keeps the packet stream.
-    #[test]
-    fn v2_under_untimed_reader_discards_arrivals() {
-        let packets = timed_packets(80);
-        let mut buf = Vec::new();
-        write_trace_v2(&mut buf, &packets).unwrap();
-        let specs: Vec<_> = packets.iter().map(|t| t.spec).collect();
-        assert_eq!(read_trace_bytes(&buf).unwrap(), specs);
-    }
-
-    /// v2 truncation is still reported with the record position.
+    /// A truncated body is caught at the header: the known length
+    /// exposes the `count` the payload can no longer hold.
     #[test]
     fn v2_truncation_reported_with_position() {
         let packets = timed_packets(10);
         let mut buf = Vec::new();
         write_trace_v2(&mut buf, &packets).unwrap();
         buf.truncate(buf.len() - 3);
-        let err = read_trace_timed(buf.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("truncated at record 9 of 10"));
         let err = read_trace_timed_bytes(&buf).unwrap_err();
-        // With a known length the lie is caught at the header.
         assert!(err.to_string().contains("but only"), "{err}");
     }
 
-    /// A corrupt huge header `count` must fail fast on the slice
-    /// readers — at the header, before any allocation or record loop.
+    /// A corrupt huge header `count` must fail fast — at the header,
+    /// before any allocation or record loop.
     #[test]
     fn corrupt_count_fails_fast_on_slice_reader() {
         let packets = timed_packets(4);
@@ -336,15 +234,12 @@ mod tests {
         let err = read_trace_timed_bytes(&buf).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("payload bytes remain"), "{err}");
-        // Untimed slice reader takes the same fast path.
-        let err = read_trace_bytes(&buf).unwrap_err();
-        assert!(err.to_string().contains("payload bytes remain"), "{err}");
     }
 
     /// Fuzz-style: random single-byte corruptions of the header (and a
     /// few random tail truncations) must produce a clean `InvalidData`
     /// error or a successful parse — never a panic and never a
-    /// countably-absurd allocation on the slice path.
+    /// countably-absurd allocation.
     #[test]
     fn fuzzed_headers_never_panic() {
         let packets = timed_packets(16);
@@ -365,12 +260,8 @@ mod tests {
             }
             // A surviving parse can never claim more records than the
             // bytes present could encode.
-            let most = buf.len() / RECORD_LEN;
+            let most = buf.len() / RECORD_LEN_V2;
             match read_trace_timed_bytes(&buf) {
-                Ok(t) => assert!(t.len() <= most),
-                Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
-            }
-            match read_trace(buf.as_slice()) {
                 Ok(t) => assert!(t.len() <= most),
                 Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
             }

@@ -57,10 +57,18 @@ fn serve(placement: Placement, requests: usize) -> Result<(f64, f64), Box<dyn st
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let requests: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(60_000);
+    // Bad input is never replaced by the default: an unparseable value
+    // or an extra argument prints the usage line and exits with code 2.
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let requests: usize = match args.as_slice() {
+        [] => Some(60_000),
+        [n] => n.parse().ok(),
+        _ => None,
+    }
+    .unwrap_or_else(|| {
+        eprintln!("error: bad arguments {args:?}\nusage: kvs_server [requests]");
+        std::process::exit(2)
+    });
     println!(
         "emulated KVS: {} x 64 B values, 95% GET, Zipf(0.99) keys, {requests} requests\n",
         N_VALUES
@@ -70,9 +78,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("all values in slice 0", Placement::SliceAware { slice: 0 }),
         (
             "hot set in slice 0",
-            Placement::HotSliceAware {
-                slice: 0,
-                hot_count: 20_000,
+            Placement::StripedHot {
+                slices: vec![0],
+                hot_per_core: 20_000,
             },
         ),
     ] {

@@ -11,10 +11,18 @@ use nfv::runtime::{run_experiment, ChainSpec, HeadroomMode, RunConfig, SteeringK
 use trafficgen::{ArrivalSchedule, CampusTrace, SizeMix};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let packets: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(80_000);
+    // Bad input is never replaced by the default: an unparseable value
+    // or an extra argument prints the usage line and exits with code 2.
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let packets: usize = match args.as_slice() {
+        [] => Some(80_000),
+        [n] => n.parse().ok(),
+        _ => None,
+    }
+    .unwrap_or_else(|| {
+        eprintln!("error: bad arguments {args:?}\nusage: nfv_service_chain [packets]");
+        std::process::exit(2)
+    });
     println!("replaying {packets} campus-mix packets at 100 Gbps through Router->NAPT->LB\n");
     let chain = ChainSpec::RouterNaptLb {
         routes: 3120,

@@ -58,12 +58,15 @@ smoke() {
 
 # Determinism gate: the cache walk's epoch tests (threaded vs inline
 # shards, and LLC effects applied at once vs logged and replayed), the
-# engine's differential suite (serial vs parallel AND event-driven vs
-# the reference tick-stepper it keeps as its oracle), a byte-level
-# double-run diff of an engine-backed figure binary under --parallel,
-# and the pinned epoch ceiling (the empty-epoch tax must stay dead).
-# Serial vs parallel stdout of every figure is diffed against one
-# snapshot by crates/bench/tests/figures_golden.rs.
+# engine's differential and prop suites (serial vs parallel AND
+# event-driven vs the reference tick-stepper it keeps as its oracle,
+# with fault plans whose outage windows are guarded to fire), the real
+# applications' serial-vs-parallel suite (tests/determinism.rs, its
+# faulty NFV case pinned to the frames its RX stall spans), a
+# byte-level double-run diff of an engine-backed figure binary under
+# --parallel, and the pinned epoch ceiling (the empty-epoch tax must
+# stay dead). Serial vs parallel stdout of every figure is diffed
+# against one snapshot by crates/bench/tests/figures_golden.rs.
 det() {
     echo "==> determinism: cache walk (threaded/inline shards + apply-now/replay)"
     cargo test -p llc-sim --lib -q epoch::
@@ -71,6 +74,10 @@ det() {
     cargo test -p engine --test differential -q
     # Same suite single-threaded: harness scheduling must not matter.
     cargo test -p engine --test differential -q -- --test-threads=1
+    echo "==> determinism: prop suite (random configs and fault plans, both modes)"
+    cargo test -p engine --test prop -q
+    echo "==> determinism: NFV, pipeline, KVS and tenancy serial vs parallel"
+    cargo test --test determinism -q
     echo "==> determinism: double-run diff of fig08_kvs --smoke --parallel"
     cargo build --release -q -p bench
     local out_a out_b

@@ -192,13 +192,16 @@ fn every_injected_fault_kind_degrades_gracefully() {
     cfg.cores = 2;
     cfg.queue_depth = 128;
     cfg.mbufs = 512;
-    cfg.faults = FaultPlan::frame_indexed()
+    // Arrivals every 500 ns (2 Mpps) from t = 0: the stall spans 100
+    // frames and the flap 150.
+    let period = 500;
+    cfg.faults = FaultPlan::none()
         .with_seed(7)
         .with_corrupt_prob(0.05)
         .with_truncate_prob(0.10)
-        .with_pool_exhaustion(Window::new(500, 800))
-        .with_rx_stall(Window::new(1200, 1300))
-        .with_link_flap(Window::new(1700, 1850));
+        .with_pool_exhaustion(Window::new(500 * period, 800 * period))
+        .with_rx_stall(Window::new(1200 * period, 1300 * period))
+        .with_link_flap(Window::new(1700 * period, 1850 * period));
     let mut trace = CampusTrace::fixed_size(128, 256, 13);
     let mut sched = ArrivalSchedule::constant_pps(2_000_000.0);
     let res = run_experiment(cfg, &mut trace, &mut sched, 4000).expect("config fits");

@@ -187,9 +187,9 @@ fn cost_aware_controller_reconverges_after_a_hot_set_shift() {
         &mut m,
         &mut alloc,
         4096,
-        Placement::HotSliceAware {
-            slice,
-            hot_count: 256,
+        Placement::StripedHot {
+            slices: vec![slice],
+            hot_per_core: 256,
         },
     )
     .unwrap();
@@ -332,11 +332,11 @@ fn cost_aware_beats_static_and_always_migrate_on_churn_tps() {
 
 #[test]
 fn hot_hit_rate_is_monotone_across_epochs_under_stationary_zipf() {
-    // Standalone migrator loop (no server): one core, HotSliceAware hot
-    // area of 256 slots over 4096 keys, scrambled Zipf(0.99) accesses.
-    // Epochs of 4096 accesses are long enough that the per-epoch hit
-    // rate of a stationary workload is dominated by the resident set,
-    // not sampling noise.
+    // Standalone migrator loop (no server): one core, a one-slice
+    // StripedHot hot area of 256 slots over 4096 keys, scrambled
+    // Zipf(0.99) accesses. Epochs of 4096 accesses are long enough that
+    // the per-epoch hit rate of a stationary workload is dominated by
+    // the resident set, not sampling noise.
     let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(512 << 20));
     let region = m.mem_mut().alloc(32 << 20, 1 << 20).unwrap();
     let mut alloc = SliceAllocator::new(region, m.slice_oracle());
@@ -345,9 +345,9 @@ fn hot_hit_rate_is_monotone_across_epochs_under_stationary_zipf() {
         &mut m,
         &mut alloc,
         4096,
-        Placement::HotSliceAware {
-            slice,
-            hot_count: 256,
+        Placement::StripedHot {
+            slices: vec![slice],
+            hot_per_core: 256,
         },
     )
     .unwrap();
