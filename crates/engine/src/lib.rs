@@ -378,7 +378,8 @@ pub trait QueueApp: Send {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, comp: &RxCompletion) -> Verdict;
 
     /// Non-RX work for this worker (e.g. draining a handoff ring).
-    /// Push transmissions into `tx`; recycle drops with
+    /// Push transmissions onto `tx` (it may already hold this epoch's
+    /// earlier transmissions: append only); recycle drops with
     /// [`Ctx::drop_packet`]. Returns how many packets moved — it MUST
     /// make progress whenever [`QueueApp::has_backlog`] is true, or the
     /// engine's drain loop cannot terminate.
@@ -510,6 +511,7 @@ struct WorkerTask<'a, A: QueueApp> {
     shard: EpochShard<'a>,
     view: Option<RxView<'a>>,
     app: &'a mut A,
+    bufs: &'a mut PollBufs,
     faults: &'a FaultState,
     pool: &'a MbufPool,
     burst: usize,
@@ -520,24 +522,41 @@ struct WorkerTask<'a, A: QueueApp> {
     single_poll: bool,
 }
 
-/// One poll iteration's deferred cross-worker effects.
-struct PollOutcome {
+/// One worker's buffers, owned by the engine and lent to the worker's
+/// task each epoch, so polls reuse their allocations. After a task ran
+/// they hold its epoch's deferred cross-worker effects for the merge.
+#[derive(Default)]
+struct PollBufs {
+    /// The current poll's RX batch.
+    batch: Vec<RxCompletion>,
+    /// Every poll's TX descriptors, poll after poll.
     tx: Vec<TxDesc>,
+    /// Every poll's recycled mbufs, poll after poll.
+    freed: Vec<u32>,
+    /// One entry per poll, in order.
+    polls: Vec<PollEnd>,
+    /// The shard's deferred-LLC log.
+    log: Vec<LlcOp>,
+}
+
+/// Where one poll's effects end in [`PollBufs`].
+struct PollEnd {
+    /// End of the poll's frames in `tx`.
+    tx: usize,
+    /// End of the poll's mbufs in `freed`.
+    freed: usize,
     /// The TX path was stalled at transmit time: frames are shed
     /// (recycled + counted) instead of committed.
     tx_stalled: bool,
     dropped: u64,
-    freed: Vec<u32>,
 }
 
 /// What a worker task hands back to the coordinator.
 struct TaskOutcome {
     worker: usize,
-    polls: Vec<PollOutcome>,
     free_ns: f64,
     ended_idle: bool,
     moved: usize,
-    log: Vec<LlcOp>,
 }
 
 // Compile-time guarantees that everything crossing the thread boundary
@@ -561,7 +580,17 @@ const _: fn() = || {
 /// shard. Identical code in serial and parallel mode — the *only*
 /// difference between the modes is which thread this runs on.
 fn run_task<A: QueueApp>(mut t: WorkerTask<'_, A>) -> TaskOutcome {
-    let mut polls = Vec::new();
+    let PollBufs {
+        batch,
+        tx,
+        freed,
+        polls,
+        log,
+    } = &mut *t.bufs;
+    tx.clear();
+    freed.clear();
+    polls.clear();
+    t.shard.reuse_log(std::mem::take(log));
     let mut moved_total = 0usize;
     let mut free = t.free_ns;
     let mut ended_idle = false;
@@ -581,13 +610,14 @@ fn run_task<A: QueueApp>(mut t: WorkerTask<'_, A>) -> TaskOutcome {
         }
         let start_cycles = t.shard.now(t.core);
         let start_ns = free;
-        let batch = match t.view.as_mut() {
-            Some(v) => v.rx_burst(&mut t.shard, t.pool, t.core, t.burst).0,
-            None => Vec::new(),
-        };
+        match t.view.as_mut() {
+            Some(v) => {
+                v.rx_burst(&mut t.shard, t.pool, t.core, t.burst, batch);
+            }
+            None => batch.clear(),
+        }
         let mut moved = batch.len();
-        let mut tx: Vec<TxDesc> = Vec::with_capacity(batch.len());
-        let mut freed: Vec<u32> = Vec::new();
+        let tx_start = tx.len();
         let dropped;
         {
             let mut ctx = Ctx {
@@ -599,49 +629,48 @@ fn run_task<A: QueueApp>(mut t: WorkerTask<'_, A>) -> TaskOutcome {
                 start_ns,
                 ns_per_cycle: t.ns_per_cycle,
                 dropped: 0,
-                freed: &mut freed,
+                freed,
             };
-            for comp in &batch {
+            for comp in batch.iter() {
                 match t.app.on_packet(&mut ctx, comp) {
                     Verdict::Tx(desc) => tx.push(desc),
                     Verdict::Drop => ctx.drop_packet(comp.mbuf),
                     Verdict::Consumed => {}
                 }
             }
-            moved += t.app.pump(&mut ctx, &mut tx);
+            moved += t.app.pump(&mut ctx, tx);
             dropped = ctx.dropped;
         }
         let mut tx_stalled = false;
-        if !tx.is_empty() {
+        if tx.len() > tx_start {
             let t_tx = start_ns + (t.shard.now(t.core) - start_cycles) as f64 * t.ns_per_cycle;
             if t.faults.tx_stalled(t_tx) {
                 // The TX descriptor path is wedged: fully processed
                 // frames cannot leave the box; the merge recycles them.
                 tx_stalled = true;
             } else {
-                rte::nic::tx_wire(&mut t.shard, t.core, &tx);
+                rte::nic::tx_wire(&mut t.shard, t.core, &tx[tx_start..]);
             }
         }
         let busy = (t.shard.now(t.core) - start_cycles) as f64 * t.ns_per_cycle;
         free = start_ns + busy;
         moved_total += moved;
-        polls.push(PollOutcome {
-            tx,
+        polls.push(PollEnd {
+            tx: tx.len(),
+            freed: freed.len(),
             tx_stalled,
             dropped,
-            freed,
         });
         if t.single_poll {
             break;
         }
     }
+    *log = t.shard.into_log();
     TaskOutcome {
         worker: t.worker,
-        polls,
         free_ns: free,
         ended_idle,
         moved: moved_total,
-        log: t.shard.into_log(),
     }
 }
 
@@ -670,6 +699,8 @@ pub struct Engine<A: QueueApp> {
     /// Persistent threads for [`Execution::Parallel`], spawned lazily
     /// at the first multi-worker epoch (never in serial mode).
     thread_pool: Option<pool::WorkerPool>,
+    /// Per-worker poll buffers, lent to each epoch's tasks.
+    bufs: Vec<PollBufs>,
     /// The virtual-time event queue: at most one pending [`EngineEvent::Merge`]
     /// per worker (deduplicated by `merge_pending`), keyed on the
     /// worker's free-at time via [`events::time_key`]. Unused by
@@ -783,6 +814,7 @@ impl<A: QueueApp> Engine<A> {
             queue_groups: Vec::new(),
             cfg,
             thread_pool: None,
+            bufs: (0..workers).map(|_| PollBufs::default()).collect(),
         };
         for w in 0..eng.cfg.workers.len() {
             if let Some(q) = eng.cfg.workers[w].queue {
@@ -1276,6 +1308,7 @@ impl<A: QueueApp> Engine<A> {
             let mut views: Vec<Option<RxView<'_>>> =
                 hw.port.rx_views().into_iter().map(Some).collect();
             let mut apps: Vec<Option<&mut A>> = self.apps.iter_mut().map(Some).collect();
+            let mut bufs: Vec<Option<&mut PollBufs>> = self.bufs.iter_mut().map(Some).collect();
             let faults = &self.faults;
             let pool: &MbufPool = hw.pool;
             let tasks: Vec<WorkerTask<'_, A>> = active
@@ -1290,6 +1323,7 @@ impl<A: QueueApp> Engine<A> {
                         shard,
                         view: spec.queue.and_then(|q| views[q].take()),
                         app: apps[w].take().expect("worker split"),
+                        bufs: bufs[w].take().expect("worker split"),
                         faults,
                         pool,
                         burst: self.cfg.burst,
@@ -1363,24 +1397,29 @@ impl<A: QueueApp> Engine<A> {
                 oi += 1;
                 let spec = self.cfg.workers[w];
                 let aq = spec.queue.unwrap_or(0);
+                let b = &self.bufs[w];
                 // 1. The worker's deferred LLC effects.
-                hw.m.replay_llc(spec.core, &o.log);
+                hw.m.replay_llc(spec.core, &b.log);
                 // 2. Per poll, in order: app drops, then the TX fate.
-                for p in &o.polls {
-                    for &mb in &p.freed {
+                let (mut tx_at, mut freed_at) = (0, 0);
+                for p in &b.polls {
+                    for &mb in &b.freed[freed_at..p.freed] {
                         hw.pool.put(mb);
                     }
+                    freed_at = p.freed;
                     self.app_drops[aq] += p.dropped;
+                    let tx = &b.tx[tx_at..p.tx];
+                    tx_at = p.tx;
                     if p.tx_stalled {
-                        for d in &p.tx {
+                        for d in tx {
                             hw.pool.put(d.mbuf);
                         }
-                        self.nic[aq].tx_stall += p.tx.len() as u64;
-                    } else if !p.tx.is_empty() {
-                        hw.port.tx_commit(hw.pool, &p.tx);
-                        self.delivered += p.tx.len() as u64;
-                        self.delivered_q[aq] += p.tx.len() as u64;
-                        for d in &p.tx {
+                        self.nic[aq].tx_stall += tx.len() as u64;
+                    } else if !tx.is_empty() {
+                        hw.port.tx_commit(hw.pool, tx);
+                        self.delivered += tx.len() as u64;
+                        self.delivered_q[aq] += tx.len() as u64;
+                        for d in tx {
                             self.tx_wire_bits += trafficgen::arrival::wire_bits(d.len);
                         }
                     }

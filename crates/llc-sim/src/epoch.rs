@@ -39,7 +39,7 @@
 
 use crate::addr::{split_lines, PhysAddr};
 use crate::cache::SetAssocCache;
-use crate::hash::SliceHash;
+use crate::hash::{MachineHash, SliceHash};
 use crate::hierarchy::{AccessKind, CoreState, Cycles, Machine, Walk};
 use crate::machine::MachineConfig;
 use crate::mem::PhysMem;
@@ -65,8 +65,9 @@ pub trait CoreMem {
     fn read_bytes(&mut self, core: usize, pa: PhysAddr, buf: &mut [u8]) -> Cycles;
     /// Timed store of `data` at `pa`.
     fn write_bytes(&mut self, core: usize, pa: PhysAddr, data: &[u8]) -> Cycles;
-    /// Device DMA read (NIC TX): copies `buf.len()` bytes from `pa`.
-    fn dma_read(&mut self, pa: PhysAddr, buf: &mut [u8]);
+    /// Device DMA read (NIC TX) of `len` bytes at `pa`: the LLC side
+    /// only, no data moves.
+    fn dma_read(&mut self, pa: PhysAddr, len: usize);
     /// The slice Complex Addressing maps `pa` to.
     fn slice_of(&self, pa: PhysAddr) -> usize;
     /// The cheapest slice for `core`.
@@ -109,8 +110,8 @@ impl CoreMem for Machine {
     fn write_bytes(&mut self, core: usize, pa: PhysAddr, data: &[u8]) -> Cycles {
         Machine::write_bytes(self, core, pa, data)
     }
-    fn dma_read(&mut self, pa: PhysAddr, buf: &mut [u8]) {
-        Machine::dma_read(self, pa, buf);
+    fn dma_read(&mut self, pa: PhysAddr, len: usize) {
+        Machine::dma_read(self, pa, len);
     }
     fn slice_of(&self, pa: PhysAddr) -> usize {
         Machine::slice_of(self, pa)
@@ -217,7 +218,7 @@ impl SharedMem {
 pub struct EpochShard<'a> {
     core: usize,
     cfg: &'a MachineConfig,
-    hash: &'a dyn SliceHash,
+    hash: &'a MachineHash,
     topo: &'a dyn Interconnect,
     /// Frozen LLC slices: probe-only.
     llc: &'a [SetAssocCache],
@@ -239,7 +240,7 @@ impl<'a> EpochShard<'a> {
     pub(crate) fn new(
         core: usize,
         cfg: &'a MachineConfig,
-        hash: &'a dyn SliceHash,
+        hash: &'a MachineHash,
         topo: &'a dyn Interconnect,
         llc: &'a [SetAssocCache],
         mem: SharedMem,
@@ -260,6 +261,20 @@ impl<'a> EpochShard<'a> {
     /// The core this shard owns.
     pub fn core(&self) -> usize {
         self.core
+    }
+
+    /// Gives the shard `log`, emptied, to record its deferred-LLC events
+    /// in: a caller that runs epoch after epoch hands each shard the
+    /// buffer [`EpochShard::into_log`] returned the last time, so logs
+    /// stop growing from empty every epoch.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the shard has logged an event already.
+    pub fn reuse_log(&mut self, mut log: Vec<LlcOp>) {
+        assert!(self.log.is_empty(), "the shard has logged already");
+        log.clear();
+        self.log = log;
     }
 
     /// Dissolves the shard into its deferred-LLC event log, to be fed to
@@ -339,11 +354,10 @@ impl CoreMem for EpochShard<'_> {
         self.store(core, pa, data)
     }
 
-    fn dma_read(&mut self, pa: PhysAddr, buf: &mut [u8]) {
-        for (base, _, _) in split_lines(pa, buf.len()) {
+    fn dma_read(&mut self, pa: PhysAddr, len: usize) {
+        for (base, _, _) in split_lines(pa, len) {
             self.log.push(LlcOp::DmaProbe { line: base.line() });
         }
-        self.mem.read(pa, buf);
     }
 
     fn slice_of(&self, pa: PhysAddr) -> usize {
@@ -434,8 +448,7 @@ mod tests {
                 0
             }
             Op::DmaRead(off, len) => {
-                let mut buf = vec![0u8; len];
-                m.dma_read(base.add(off), &mut buf);
+                m.dma_read(base.add(off), len);
                 0
             }
         }

@@ -154,6 +154,7 @@ impl FoldedSliceHash {
 }
 
 impl SliceHash for FoldedSliceHash {
+    #[inline]
     fn slice_of(&self, pa: PhysAddr) -> usize {
         let mut x = pa.line();
         // SplitMix64 finaliser: full-avalanche mix of the line number.
@@ -165,6 +166,34 @@ impl SliceHash for FoldedSliceHash {
 
     fn slices(&self) -> usize {
         self.slices
+    }
+}
+
+/// The hash a [`crate::machine::Machine`] runs: one of the two preset
+/// functions, dispatched by a `match` that inlines into every per-line
+/// loop instead of a virtual call.
+#[derive(Debug, Clone)]
+pub(crate) enum MachineHash {
+    /// [`XorSliceHash`] (`2^n` slices).
+    Xor(XorSliceHash),
+    /// [`FoldedSliceHash`] (any slice count).
+    Folded(FoldedSliceHash),
+}
+
+impl SliceHash for MachineHash {
+    #[inline]
+    fn slice_of(&self, pa: PhysAddr) -> usize {
+        match self {
+            MachineHash::Xor(h) => h.slice_of(pa),
+            MachineHash::Folded(h) => h.slice_of(pa),
+        }
+    }
+
+    fn slices(&self) -> usize {
+        match self {
+            MachineHash::Xor(h) => h.slices(),
+            MachineHash::Folded(h) => h.slices(),
+        }
     }
 }
 

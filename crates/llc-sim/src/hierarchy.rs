@@ -34,7 +34,7 @@
 use crate::addr::{split_lines, PhysAddr};
 use crate::cache::{Evicted, Fill, SetAssocCache};
 use crate::epoch::{EpochShard, LlcOp, SharedMem};
-use crate::hash::SliceHash;
+use crate::hash::{MachineHash, SliceHash};
 use crate::machine::{InterconnectConfig, LlcMode, MachineConfig};
 use crate::mem::PhysMem;
 use crate::prefetch::StreamerState;
@@ -58,7 +58,7 @@ pub struct Machine {
     cfg: MachineConfig,
     cores: Vec<CoreState>,
     llc: Vec<SetAssocCache>,
-    hash: Box<dyn SliceHash>,
+    hash: MachineHash,
     topo: Box<dyn Interconnect>,
     uncore: Uncore,
     mem: PhysMem,
@@ -67,14 +67,91 @@ pub struct Machine {
 }
 
 /// One core's private state. An [`EpochShard`] borrows it whole.
+///
+/// L1 and L2 residency changes only through the methods below, which
+/// keep the core's snoop filter: `held[b]` counts the core's L1 lines
+/// plus L2 lines whose line number is `b` modulo `held.len()`. The
+/// length is 64 × the larger set count, a power of two and a multiple
+/// of both set counts, so a bucket holds lines of one L1 set and one L2
+/// set only and never counts more than `l1.ways + l2.ways`. A line
+/// whose bucket is 0 is in neither cache.
 pub(crate) struct CoreState {
     pub(crate) l1: SetAssocCache,
     pub(crate) l2: SetAssocCache,
+    held: Vec<u8>,
     /// The core's cycle clock.
     pub(crate) clock: u64,
     /// Write-back backlog (see the module docs).
     pub(crate) wb_debt: u64,
     pub(crate) streamer: StreamerState,
+}
+
+impl CoreState {
+    fn new(l1: SetAssocCache, l2: SetAssocCache) -> Self {
+        let buckets = 64 * l1.set_count().max(l2.set_count());
+        Self {
+            l1,
+            l2,
+            held: vec![0; buckets],
+            clock: 0,
+            wb_debt: 0,
+            streamer: StreamerState::default(),
+        }
+    }
+
+    /// The snoop-filter bucket of `line`.
+    #[inline]
+    fn bucket(&self, line: u64) -> usize {
+        line as usize & (self.held.len() - 1)
+    }
+
+    /// Counts a fill's new line in and its victim out.
+    #[inline]
+    fn count(&mut self, line: u64, fill: Fill) -> Option<Evicted> {
+        match fill {
+            Fill::Hit => None,
+            Fill::Free => {
+                let b = self.bucket(line);
+                self.held[b] += 1;
+                None
+            }
+            Fill::Evicted(ev) => {
+                let b = self.bucket(line);
+                self.held[b] += 1;
+                let b = self.bucket(ev.line);
+                self.held[b] -= 1;
+                Some(ev)
+            }
+        }
+    }
+
+    /// Inserts `line` into L1, returning the victim.
+    #[inline]
+    fn fill_l1(&mut self, line: u64, dirty: bool) -> Option<Evicted> {
+        let fill = self.l1.fill_masked(line, dirty, u64::MAX);
+        self.count(line, fill)
+    }
+
+    /// Inserts `line` into L2, returning the victim.
+    #[inline]
+    fn fill_l2(&mut self, line: u64, dirty: bool) -> Option<Evicted> {
+        let fill = self.l2.fill_masked(line, dirty, u64::MAX);
+        self.count(line, fill)
+    }
+
+    /// Drops `line` from L1 and L2. A cache that does not hold the line
+    /// changes nothing on an invalidation (no stats, no recency, no
+    /// random draw), so skipping both when the bucket is empty is exact.
+    #[inline]
+    fn invalidate(&mut self, line: u64) {
+        let b = self.bucket(line);
+        if self.held[b] == 0 {
+            return;
+        }
+        let hits = u8::from(self.l1.invalidate(line).is_some())
+            + u8::from(self.l2.invalidate(line).is_some());
+        self.held[b] -= hits;
+    }
 }
 
 impl std::fmt::Debug for Machine {
@@ -92,8 +169,10 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics when the hash slice count disagrees with `cfg.slices` or the
-    /// interconnect dimensions disagree with the core/slice counts.
+    /// Panics when the hash slice count disagrees with `cfg.slices`, the
+    /// interconnect dimensions disagree with the core/slice counts, or
+    /// L1 and L2 together have more than 255 ways (a snoop-filter bucket
+    /// counts them in a `u8`).
     pub fn new(cfg: MachineConfig) -> Self {
         let hash = cfg.hash.build();
         assert_eq!(hash.slices(), cfg.slices, "hash/slice count mismatch");
@@ -105,16 +184,19 @@ impl Machine {
         };
         assert!(topo.cores() >= cfg.cores, "interconnect too small (cores)");
         assert_eq!(topo.slices(), cfg.slices, "interconnect/slice mismatch");
+        assert!(
+            cfg.l1.ways + cfg.l2.ways <= usize::from(u8::MAX),
+            "L1 + L2 ways must fit a u8 snoop-filter count"
+        );
         let mk = |g: crate::machine::CacheGeometry, seed: u64| {
             SetAssocCache::new(g.sets, g.ways, cfg.replacement, seed)
         };
         let cores = (0..cfg.cores as u64)
-            .map(|i| CoreState {
-                l1: mk(cfg.l1, cfg.seed ^ (0x1000 + i)),
-                l2: mk(cfg.l2, cfg.seed ^ (0x2000 + i)),
-                clock: 0,
-                wb_debt: 0,
-                streamer: StreamerState::default(),
+            .map(|i| {
+                CoreState::new(
+                    mk(cfg.l1, cfg.seed ^ (0x1000 + i)),
+                    mk(cfg.l2, cfg.seed ^ (0x2000 + i)),
+                )
             })
             .collect();
         let llc = (0..cfg.slices)
@@ -357,8 +439,7 @@ impl Machine {
     pub fn clflush(&mut self, core: usize, pa: PhysAddr) -> Cycles {
         let line = pa.line();
         for c in &mut self.cores {
-            c.l1.invalidate(line);
-            c.l2.invalidate(line);
+            c.invalidate(line);
         }
         let s = self.hash.slice_of(pa);
         self.llc[s].invalidate(line);
@@ -388,8 +469,7 @@ impl Machine {
         for (base, _, _) in split_lines(pa, len) {
             let line = base.line();
             for c in &mut self.cores {
-                c.l1.invalidate(line);
-                c.l2.invalidate(line);
+                c.invalidate(line);
             }
             let s = self.hash.slice_of(base);
             self.uncore.on_lookup(s);
@@ -409,15 +489,16 @@ impl Machine {
         }
     }
 
-    /// Device DMA read (NIC TX): copies `buf.len()` bytes from `pa`.
+    /// Device DMA read (NIC TX) of `len` bytes at `pa`: one uncore
+    /// lookup per line touched.
     ///
     /// Reads served from the LLC when resident (DDIO), otherwise from
-    /// DRAM; either way no cache state changes and no core cycles.
-    pub fn dma_read(&mut self, pa: PhysAddr, buf: &mut [u8]) {
-        for (base, _, _) in split_lines(pa, buf.len()) {
+    /// DRAM; either way no cache state changes and no core cycles. No
+    /// bytes move: the model's device never looks at them.
+    pub fn dma_read(&mut self, pa: PhysAddr, len: usize) {
+        for (base, _, _) in split_lines(pa, len) {
             self.llc_dma_probe(base.line());
         }
-        self.mem.read(pa, buf);
     }
 
     // ------------------------------------------------------------------
@@ -441,8 +522,7 @@ impl Machine {
             if self.cfg.llc_mode == LlcMode::Inclusive {
                 // Inclusive LLC: a victim must leave the private caches too.
                 for c in &mut self.cores {
-                    c.l1.invalidate(ev.line);
-                    c.l2.invalidate(ev.line);
+                    c.invalidate(ev.line);
                 }
             }
             // Dirty victims drain to DRAM through deep buffers; no core
@@ -462,7 +542,8 @@ impl Machine {
     /// and streamer, shares the LLC read-only and physical memory through
     /// a raw view. After running the shards, feed each shard's
     /// [`EpochShard::into_log`] to [`Machine::replay_llc`] in canonical
-    /// worker order to merge the deferred LLC effects.
+    /// worker order to merge the deferred LLC effects; hand the log back
+    /// to the next epoch's shard with [`EpochShard::reuse_log`].
     ///
     /// Callers must keep concurrent shards' memory *writes* disjoint (see
     /// the safety contract in [`crate::epoch`]).
@@ -480,7 +561,7 @@ impl Machine {
         }
         let mem = SharedMem::new(&mut self.mem);
         let cfg = &self.cfg;
-        let hash: &dyn SliceHash = &*self.hash;
+        let hash = &self.hash;
         let topo: &dyn Interconnect = &*self.topo;
         let llc: &[SetAssocCache] = &self.llc;
         // Borrow the requested cores in index order, then restore the
@@ -666,7 +747,7 @@ pub(crate) trait Walk {
     /// into both walks: the L2-hit path runs it on every L1 miss.
     #[inline]
     fn fill_l1(&mut self, core: usize, line: u64, dirty: bool) {
-        if let Some(ev) = self.state(core).l1.insert(line, dirty) {
+        if let Some(ev) = self.state(core).fill_l1(line, dirty) {
             if ev.dirty && !self.state(core).l2.mark_dirty(ev.line) {
                 // Not in L2 (victim-mode L2 may have dropped it):
                 // re-insert dirty.
@@ -677,7 +758,7 @@ pub(crate) trait Walk {
 
     /// Fills a line into `core`'s L2, spilling the victim toward the LLC.
     fn fill_l2(&mut self, core: usize, line: u64, dirty: bool) {
-        if let Some(ev) = self.state(core).l2.insert(line, dirty) {
+        if let Some(ev) = self.state(core).fill_l2(line, dirty) {
             self.spill_l2(core, ev);
         }
     }
@@ -818,6 +899,111 @@ mod tests {
                 assert_eq!(oracle(pa), hash.slice_of(pa));
             }
         }
+    }
+
+    /// Fails unless every core's snoop filter equals a recount of what
+    /// its L1 and L2 hold.
+    fn assert_filters_exact(m: &Machine, step: usize) {
+        for (c, st) in m.cores.iter().enumerate() {
+            let mut held = vec![0u8; st.held.len()];
+            for (line, _) in st.l1.resident_lines().chain(st.l2.resident_lines()) {
+                held[st.bucket(line)] += 1;
+            }
+            assert!(
+                held == st.held,
+                "core {c}: filter != residency at step {step}"
+            );
+        }
+    }
+
+    /// The snoop filter is exact. Random traces mix core reads and
+    /// writes, DMA writes and reads, `clflush` and CAT masks over lines
+    /// crowded into four sets of every private cache, so L1, L2 and LLC
+    /// victims all occur; each core's counts must match a recount of
+    /// its L1 and L2 throughout — on the inclusive Haswell LLC (its
+    /// victims back-invalidated) and Skylake's victim LLC, with and
+    /// without prefetch, through direct accesses and through epoch
+    /// shards whose logs are replayed.
+    #[test]
+    fn snoop_filter_counts_match_residency() {
+        for preset in [
+            MachineConfig::haswell_e5_2667_v3,
+            MachineConfig::skylake_gold_6134,
+        ] {
+            for prefetch in [false, true] {
+                for sharded in [false, true] {
+                    let mut cfg = preset().with_dram_capacity(32 << 20);
+                    if prefetch {
+                        cfg = cfg.with_prefetch(PrefetchConfig::bios_default());
+                    }
+                    snoop_filter_trace(Machine::new(cfg), sharded);
+                }
+            }
+        }
+    }
+
+    fn snoop_filter_trace(mut m: Machine, sharded: bool) {
+        use crate::epoch::CoreMem;
+        let r = m.mem_mut().alloc(8 << 20, 1 << 20).unwrap();
+        let ways = m.config().llc_slice.ways;
+        let mut rng = trafficgen::Rng64::seed_from_u64(0x5900_f117 ^ u64::from(sharded));
+        // Bits 8..16 of most offsets cleared: 512 lines in four sets of
+        // each private cache and eight sets of each slice.
+        let pick = |rng: &mut trafficgen::Rng64| {
+            let off = rng.gen_range(0..8usize << 20);
+            let crowded = rng.gen_range(0..4u32) != 0;
+            r.pa(if crowded { off & !(0xff << 8) } else { off })
+        };
+        for step in 0..3000 {
+            let core = rng.gen_range(0..4usize);
+            let pa = pick(&mut rng);
+            let len = rng.gen_range(1..=256usize);
+            match rng.gen_range(0..16u32) {
+                0..=8 if sharded => {
+                    // One epoch of two cores, replayed in order.
+                    let cores = [core, (core + 1) % 4];
+                    let mut shards = m.epoch_shards(&cores);
+                    for i in 0..8 {
+                        let (c, shard) = (cores[i % 2], &mut shards[i % 2]);
+                        let pa = pick(&mut rng);
+                        match rng.gen_range(0..3u32) {
+                            0 => {
+                                shard.touch_read(c, pa);
+                            }
+                            1 => {
+                                shard.touch_write(c, pa);
+                            }
+                            _ => shard.dma_read(pa, 64),
+                        }
+                    }
+                    let logs: Vec<Vec<LlcOp>> = shards.into_iter().map(|s| s.into_log()).collect();
+                    for (&c, log) in cores.iter().zip(&logs) {
+                        m.replay_llc(c, log);
+                    }
+                }
+                0..=4 => {
+                    m.touch_read(core, pa);
+                }
+                5..=8 => {
+                    m.touch_write(core, pa);
+                }
+                9..=11 => m.dma_place(pa, len),
+                12 => m.dma_read(pa, len),
+                13 => {
+                    m.clflush(core, pa);
+                }
+                14 => m.set_cat_mask(core, 1 << rng.gen_range(0..ways)),
+                _ => m.clear_cat_mask(core),
+            }
+            if step % 50 == 0 {
+                assert_filters_exact(&m, step);
+            }
+        }
+        assert_filters_exact(&m, 3000);
+        let evicted = |c: &SetAssocCache| c.stats().evictions > 0;
+        let traced = &m.cores[..4];
+        assert!(traced.iter().all(|c| evicted(&c.l1) && evicted(&c.l2)));
+        assert!(m.llc.iter().any(evicted), "the trace must evict LLC lines");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Machine configuration and the two CPU presets the paper evaluates.
 
-use crate::hash::{FoldedSliceHash, SliceHash, XorSliceHash};
+use crate::hash::{FoldedSliceHash, MachineHash, XorSliceHash};
 use crate::prefetch::PrefetchConfig;
 use crate::replacement::ReplacementKind;
 
@@ -54,10 +54,10 @@ pub enum HashConfig {
 
 impl HashConfig {
     /// The slice hash this configuration names.
-    pub(crate) fn build(self) -> Box<dyn SliceHash> {
+    pub(crate) fn build(self) -> MachineHash {
         match self {
-            HashConfig::XorPow2 { bits } => Box::new(XorSliceHash::for_slices_pow2(bits)),
-            HashConfig::Folded { slices } => Box::new(FoldedSliceHash::new(slices)),
+            HashConfig::XorPow2 { bits } => MachineHash::Xor(XorSliceHash::for_slices_pow2(bits)),
+            HashConfig::Folded { slices } => MachineHash::Folded(FoldedSliceHash::new(slices)),
         }
     }
 }

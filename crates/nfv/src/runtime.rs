@@ -33,7 +33,6 @@ use rte::fault::FaultPlan;
 use rte::mempool::MbufPool;
 use rte::nic::{FixedHeadroom, HeadroomPolicy, Port, RxCompletion, TxDesc};
 use rte::steering::{FdirAction, FlowDirector, Rss, Steering};
-use std::collections::HashSet;
 use std::sync::Arc;
 use trafficgen::{ArrivalSchedule, CampusTrace, FlowTuple};
 
@@ -330,7 +329,6 @@ pub struct Testbed {
     policy: Box<dyn HeadroomPolicy>,
     engine: Engine<ChainApp>,
     lpm: Option<Arc<Lpm>>,
-    installed_flows: HashSet<FlowTuple>,
     fdir_rr: usize,
     seq: u64,
     scratch: Vec<u8>,
@@ -450,7 +448,6 @@ impl Testbed {
         Ok(Self {
             seq: 0,
             scratch: vec![0u8; 2048],
-            installed_flows: HashSet::new(),
             fdir_rr: 0,
             cfg,
             pool,
@@ -471,17 +468,16 @@ impl Testbed {
     pub fn offer(&mut self, flow: &FlowTuple, size: u16, t_ns: f64) {
         // Metron's controller: install the FlowDirector rule with the
         // routing decision as mark (control plane, untimed). This runs
-        // before the engine routes the frame so the rule applies to it.
+        // before the engine routes the frame, so the rule applies to it
+        // and a flow without a rule has never been routed.
         if let ChainSpec::RouterNaptLb { offload: true, .. } = self.cfg.chain {
-            if matches!(self.cfg.steering, SteeringKind::FlowDirector)
-                && !self.installed_flows.contains(flow)
-            {
-                let mark = self
-                    .lpm
-                    .as_ref()
-                    .and_then(|l| l.lookup_untimed(&self.m, flow.dst_ip))
-                    .map(u32::from);
-                if let Steering::FlowDirector(fd) = self.port.steering_mut() {
+            if let Steering::FlowDirector(fd) = self.port.steering_mut() {
+                if !fd.has_rule(flow) {
+                    let mark = self
+                        .lpm
+                        .as_ref()
+                        .and_then(|l| l.lookup_untimed(&self.m, flow.dst_ip))
+                        .map(u32::from);
                     fd.set_rule(
                         *flow,
                         FdirAction {
@@ -489,9 +485,8 @@ impl Testbed {
                             mark,
                         },
                     );
+                    self.fdir_rr = (self.fdir_rr + 1) % self.cfg.cores;
                 }
-                self.fdir_rr = (self.fdir_rr + 1) % self.cfg.cores;
-                self.installed_flows.insert(*flow);
             }
         }
         let len = encode_frame(&mut self.scratch, flow, size as usize, t_ns, self.seq);

@@ -135,18 +135,6 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// Whether the plan can ever inject anything.
-    pub fn is_none(&self) -> bool {
-        self.corrupt_prob <= 0.0
-            && self.truncate_prob <= 0.0
-            && self.pool_exhaust.is_empty()
-            && self.rx_stall.is_empty()
-            && self.link_flap.is_empty()
-            && self.queue_rx_stall.is_empty()
-            && self.ready_overrun.is_empty()
-            && self.tx_stall.is_empty()
-    }
-
     /// Sets the RNG seed for probabilistic faults.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -251,11 +239,6 @@ impl FaultState {
         Self { plan, rng }
     }
 
-    /// The plan being executed.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Draws the faults for the next offered frame, which arrives at
     /// `t_ns` and was steered to RX queue `q`: the windows in force at
     /// `t_ns` (including stalls scoped to `q`) plus the frame's random
@@ -329,7 +312,6 @@ mod tests {
     #[test]
     fn none_plan_injects_nothing() {
         let mut st = FaultState::new(FaultPlan::none());
-        assert!(st.plan().is_none());
         for i in 0..1000 {
             assert_eq!(st.draw(i as f64, 0), FrameFault::clean());
         }
@@ -439,7 +421,6 @@ mod tests {
     #[test]
     fn ready_overrun_window_sets_ready_blocked() {
         let plan = FaultPlan::none().with_ready_overrun(Window::new(100, 200));
-        assert!(!plan.is_none());
         let mut st = FaultState::new(plan);
         assert!(!st.draw(50.0, 0).ready_blocked);
         assert!(st.draw(150.0, 0).ready_blocked);

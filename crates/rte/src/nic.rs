@@ -501,11 +501,10 @@ impl Port {
 /// [`Port::tx_commit`] at the merge.
 pub fn tx_wire<M: CoreMem + ?Sized>(m: &mut M, core: usize, frames: &[TxDesc]) -> Cycles {
     let mut cycles = 0;
-    let mut scratch = vec![0u8; 2048];
     for d in frames {
         // Doorbell/descriptor write: one store.
         cycles += m.touch_write(core, d.data_pa);
-        m.dma_read(d.data_pa, &mut scratch[..d.len as usize]);
+        m.dma_read(d.data_pa, usize::from(d.len));
     }
     cycles
 }
@@ -555,18 +554,21 @@ impl RxView<'_> {
         self.ready.len()
     }
 
-    /// PMD: harvests up to `max` completions and fills the mbuf metadata
-    /// (timed on `core`) — [`Port::rx_burst`] against the split view.
+    /// PMD: harvests up to `max` completions into `batch` (cleared
+    /// first; the caller reuses it across polls) and fills the mbuf
+    /// metadata (timed on `core`) — [`Port::rx_burst`] against the split
+    /// view.
     pub fn rx_burst<M: CoreMem + ?Sized>(
         &mut self,
         m: &mut M,
         pool: &MbufPool,
         core: usize,
         max: usize,
-    ) -> (Vec<RxCompletion>, Cycles) {
-        let batch = self.ready.dequeue_burst(max);
-        let cycles = fill_rx_meta(m, pool, self.port_id, self.queue, core, &batch);
-        (batch, cycles)
+        batch: &mut Vec<RxCompletion>,
+    ) -> Cycles {
+        batch.clear();
+        self.ready.dequeue_burst_into(max, batch);
+        fill_rx_meta(m, pool, self.port_id, self.queue, core, batch)
     }
 }
 

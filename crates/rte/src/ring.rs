@@ -74,8 +74,16 @@ impl<T> Ring<T> {
 
     /// Dequeues up to `n` elements.
     pub fn dequeue_burst(&mut self, n: usize) -> Vec<T> {
+        let mut out = Vec::new();
+        self.dequeue_burst_into(n, &mut out);
+        out
+    }
+
+    /// Dequeues up to `n` elements onto the end of `out`, a buffer the
+    /// caller reuses across bursts.
+    pub fn dequeue_burst_into(&mut self, n: usize, out: &mut Vec<T>) {
         let take = n.min(self.buf.len());
-        self.buf.drain(..take).collect()
+        out.extend(self.buf.drain(..take));
     }
 
     /// Enqueues a burst, stopping at the first failure; returns how many
@@ -123,6 +131,18 @@ mod tests {
         assert_eq!(accepted, 3);
         assert_eq!(r.dequeue_burst(2), vec![1, 2]);
         assert_eq!(r.dequeue_burst(10), vec![3]);
+        assert!(r.is_empty());
+    }
+
+    #[test]
+    fn dequeue_burst_into_appends_in_fifo_order() {
+        let mut r = Ring::new(3);
+        r.enqueue_burst([4, 5, 6]);
+        let mut out = vec![9];
+        r.dequeue_burst_into(2, &mut out);
+        assert_eq!(out, vec![9, 4, 5]);
+        r.dequeue_burst_into(5, &mut out);
+        assert_eq!(out, vec![9, 4, 5, 6]);
         assert!(r.is_empty());
     }
 

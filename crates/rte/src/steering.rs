@@ -9,12 +9,16 @@
 //!
 //! * [`Rss`]: the standard Toeplitz hash over the IPv4 5-tuple with the
 //!   Microsoft verification key, low bits indexing the queue — real RSS,
-//!   including its skew on non-uniform flow populations.
+//!   including its skew on non-uniform flow populations. The hash is
+//!   computed from per-byte lookup tables built with [`toeplitz_hash`],
+//!   which stays the bit-serial reference.
 //! * [`FlowDirector`]: an exact-match flow table whose miss path assigns
 //!   new flows round-robin (the balanced dispatching Metron programs),
 //!   plus a 32-bit `mark` action used for hardware classification
 //!   offload (the router's table lookup in §5.2).
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use trafficgen::FlowTuple;
 
 /// The Microsoft-standard 40-byte Toeplitz key used by most NICs/drivers.
@@ -63,7 +67,10 @@ pub fn rss_input(flow: &FlowTuple) -> [u8; 12] {
 #[derive(Debug, Clone)]
 pub struct Rss {
     queues: usize,
-    key: [u8; 40],
+    /// `table[i][b]` is the Toeplitz hash of the input whose byte `i` is
+    /// `b` and whose other bytes are 0. The hash is linear in the input
+    /// bits (XOR), so an input hashes to the XOR of its bytes' entries.
+    table: Box<[[u32; 256]; 12]>,
 }
 
 impl Rss {
@@ -74,10 +81,19 @@ impl Rss {
     /// Panics when `queues == 0`.
     pub fn new(queues: usize) -> Self {
         assert!(queues > 0, "need at least one queue");
-        Self {
-            queues,
-            key: TOEPLITZ_KEY,
+        let mut table = Box::new([[0u32; 256]; 12]);
+        for (i, row) in table.iter_mut().enumerate() {
+            for bit in 0..8 {
+                let mut unit = [0u8; 12];
+                unit[i] = 1 << bit;
+                let h = toeplitz_hash(&TOEPLITZ_KEY, &unit);
+                // Bytes whose top set bit is `bit` extend a smaller one.
+                for b in 1 << bit..2 << bit {
+                    row[b] = row[b - (1 << bit)] ^ h;
+                }
+            }
         }
+        Self { queues, table }
     }
 
     /// Number of queues.
@@ -85,11 +101,18 @@ impl Rss {
         self.queues
     }
 
+    /// The Toeplitz hash of an RSS input, from the tables.
+    fn hash(&self, input: &[u8; 12]) -> u32 {
+        input
+            .iter()
+            .zip(self.table.iter())
+            .fold(0, |h, (&b, row)| h ^ row[usize::from(b)])
+    }
+
     /// The queue for `flow` (hash low bits modulo the queue count, like a
     /// fully populated RETA).
     pub fn queue_for(&self, flow: &FlowTuple) -> usize {
-        let h = toeplitz_hash(&self.key, &rss_input(flow));
-        (h as usize) % self.queues
+        (self.hash(&rss_input(flow)) as usize) % self.queues
     }
 }
 
@@ -104,11 +127,55 @@ pub struct FdirAction {
     pub mark: Option<u32>,
 }
 
+/// The FlowDirector rule table's hasher: a fixed multiply-rotate mix
+/// per field of a [`FlowTuple`], deterministic and a few instructions
+/// long, where std's default is a randomly keyed SipHash. Nothing
+/// iterates the table, so its order is never observed.
+#[derive(Debug, Clone, Copy, Default)]
+struct FlowHasher(u64);
+
+impl FlowHasher {
+    #[inline]
+    fn mix(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FlowHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The multiply mixes upward; bring the well-mixed high bits down
+        // to where the table takes its bucket index.
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, x: u8) {
+        self.mix(u64::from(x));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, x: u16) {
+        self.mix(u64::from(x));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.mix(u64::from(x));
+    }
+}
+
 /// Exact-match flow steering with round-robin placement of new flows.
 #[derive(Debug, Clone)]
 pub struct FlowDirector {
     queues: usize,
-    table: std::collections::HashMap<FlowTuple, FdirAction>,
+    table: HashMap<FlowTuple, FdirAction, BuildHasherDefault<FlowHasher>>,
     next_rr: usize,
     auto_insert: bool,
 }
@@ -124,7 +191,7 @@ impl FlowDirector {
         assert!(queues > 0, "need at least one queue");
         Self {
             queues,
-            table: std::collections::HashMap::new(),
+            table: HashMap::default(),
             next_rr: 0,
             auto_insert: true,
         }
@@ -152,6 +219,12 @@ impl FlowDirector {
     /// Number of installed rules.
     pub fn rules(&self) -> usize {
         self.table.len()
+    }
+
+    /// Whether a rule for `flow` is installed, by [`FlowDirector::set_rule`]
+    /// or by auto-insertion.
+    pub fn has_rule(&self, flow: &FlowTuple) -> bool {
+        self.table.contains_key(flow)
     }
 
     /// The action for `flow`; auto-inserting mode assigns new flows to
@@ -228,6 +301,33 @@ mod tests {
         assert_eq!(h, 0xc626_b0ea);
     }
 
+    /// Property: the table hash equals the bit-serial Toeplitz hash on
+    /// random inputs, and `queue_for` equals the reference's low bits
+    /// modulo the queue count.
+    #[test]
+    fn rss_tables_match_toeplitz_on_random_inputs() {
+        let mut rng = trafficgen::Rng64::seed_from_u64(0x7e0b_11f2);
+        let rss: Vec<Rss> = [1, 2, 3, 5, 8].into_iter().map(Rss::new).collect();
+        for _ in 0..4096 {
+            let mut input = [0u8; 12];
+            for b in &mut input {
+                *b = rng.next_u64() as u8;
+            }
+            let want = toeplitz_hash(&TOEPLITZ_KEY, &input);
+            assert_eq!(rss[0].hash(&input), want, "input {input:02x?}");
+            let flow = FlowTuple::tcp(
+                rng.next_u64() as u32,
+                rng.next_u64() as u16,
+                rng.next_u64() as u32,
+                rng.next_u64() as u16,
+            );
+            let want = toeplitz_hash(&TOEPLITZ_KEY, &rss_input(&flow)) as usize;
+            for r in &rss {
+                assert_eq!(r.queue_for(&flow), want % r.queues(), "{flow:?}");
+            }
+        }
+    }
+
     #[test]
     fn rss_is_deterministic_and_in_range() {
         let rss = Rss::new(8);
@@ -287,6 +387,23 @@ mod tests {
         let a = fd.action_for(&f);
         assert_eq!(a.queue, 3);
         assert_eq!(a.mark, Some(0x42));
+    }
+
+    #[test]
+    fn fdir_has_rule_sees_set_and_auto_inserted_rules() {
+        let mut fd = FlowDirector::new(4);
+        let (f, g) = (FlowTuple::tcp(1, 1, 1, 1), FlowTuple::tcp(2, 2, 2, 2));
+        fd.set_rule(
+            f,
+            FdirAction {
+                queue: 3,
+                mark: None,
+            },
+        );
+        assert!(fd.has_rule(&f));
+        assert!(!fd.has_rule(&g));
+        fd.action_for(&g);
+        assert!(fd.has_rule(&g), "auto-insertion installs a rule");
     }
 
     #[test]

@@ -57,7 +57,9 @@ smoke() {
 }
 
 # Determinism gate: the cache walk's epoch tests (threaded vs inline
-# shards, and LLC effects applied at once vs logged and replayed), the
+# shards, and LLC effects applied at once vs logged and replayed) and
+# its snoop-filter test (every core's filter counts equal a recount of
+# its L1 and L2, through direct accesses and replayed shards), the
 # engine's differential and prop suites (serial vs parallel AND
 # event-driven vs the reference tick-stepper it keeps as its oracle,
 # with fault plans whose outage windows are guarded to fire), the real
@@ -70,6 +72,8 @@ smoke() {
 det() {
     echo "==> determinism: cache walk (threaded/inline shards + apply-now/replay)"
     cargo test -p llc-sim --lib -q epoch::
+    echo "==> determinism: snoop filter matches private-cache residency"
+    cargo test -p llc-sim --lib -q hierarchy::tests::snoop_filter
     echo "==> determinism: differential suite (serial/parallel + reference/event-driven)"
     cargo test -p engine --test differential -q
     # Same suite single-threaded: harness scheduling must not matter.
