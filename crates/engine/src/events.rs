@@ -1,4 +1,10 @@
-//! The delayed event queue behind the engine's virtual-time scheduler.
+//! The delayed event queue for virtual-time client loops.
+//!
+//! The engine itself holds no queue: `Engine::run_until` decides from
+//! the workers' own state whether an epoch is due. This queue serves the
+//! loops that drive the engine — `kvs::openloop`'s client (arrivals,
+//! retry timers, deadlines) and `tenancy::run`'s harness (per-tenant
+//! arrivals).
 //!
 //! Simulated time in this workspace flows through `f64` nanoseconds
 //! (`Ctx::wall_ns`, `Engine::now_ns`), but ordering events by comparing
@@ -8,10 +14,7 @@
 //! non-negative floats the bit order equals the numeric order, so
 //! [`time_key`] is an order-preserving, lossless bijection — two times
 //! compare under integer `<` exactly as the original `f64`s would, with
-//! no rounding anywhere. `kvs::openloop`'s retry-timer heap used this
-//! trick locally; this module centralizes it, and both the engine's
-//! merge events and the client's arrival/retry/deadline events now ride
-//! the same queue type.
+//! no rounding anywhere.
 //!
 //! # Ordering contract
 //!
@@ -67,17 +70,6 @@ pub fn time_of_key(key: u64) -> f64 {
     f64::from_bits(key)
 }
 
-/// Asserts (in debug builds) that an integer nanosecond count converts
-/// to `f64` without precision loss. Call sites that fold `u64` ns into
-/// the f64 clock (fault-window edges, wire deadlines) guard with this.
-#[inline]
-pub fn debug_assert_exact_ns(ns: u64) {
-    debug_assert!(
-        (ns as f64) < MAX_EXACT_NS,
-        "{ns} ns exceeds 2^53; u64→f64 conversion would lose ns precision"
-    );
-}
-
 struct Entry<T> {
     key: u64,
     sub: u64,
@@ -126,16 +118,6 @@ impl<T> DelayedQueue<T> {
         }
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Schedules `payload` at `key` (sub-priority 0).
     pub fn push(&mut self, key: u64, payload: T) {
         self.push_sub(key, 0, payload);
@@ -154,27 +136,9 @@ impl<T> DelayedQueue<T> {
         }));
     }
 
-    /// The earliest pending key, if any.
-    pub fn peek_key(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse(e)| e.key)
-    }
-
     /// Pops the earliest event.
     pub fn pop(&mut self) -> Option<(u64, T)> {
         self.heap.pop().map(|Reverse(e)| (e.key, e.payload))
-    }
-
-    /// Pops the earliest event only if its key is *strictly* below
-    /// `limit`. The strictness matters to the engine: a worker free
-    /// exactly *at* a horizon does not participate in that horizon's
-    /// epoch (`free_ns < horizon`), so its merge event must not fire
-    /// there either.
-    pub fn pop_before(&mut self, limit: u64) -> Option<(u64, T)> {
-        if self.peek_key()? < limit {
-            self.pop()
-        } else {
-            None
-        }
     }
 }
 
@@ -221,18 +185,6 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "arrival");
         assert_eq!(q.pop().unwrap().1, "timer-3");
         assert_eq!(q.pop().unwrap().1, "timer-5");
-    }
-
-    #[test]
-    fn pop_before_is_strict() {
-        let mut q = DelayedQueue::new();
-        q.push(time_key(50.0), ());
-        assert_eq!(q.pop_before(time_key(50.0)), None, "key == limit stays");
-        assert_eq!(
-            q.pop_before(time_key(50.0000001)),
-            Some((time_key(50.0), ()))
-        );
-        assert!(q.is_empty());
     }
 
     /// The integer key preserves f64 order exactly, including

@@ -21,13 +21,14 @@
 //!   testbed, the pipelined chain, and the multi-queue KVS are all thin
 //!   [`QueueApp`]s over it.
 //! * **Virtual-time scheduling.** [`Engine::run_until`] does not tick
-//!   once per offered frame: a delayed event queue ([`events`]) keyed
-//!   on integer virtual time holds each busy worker's next epoch-merge
-//!   event, so catch-up calls where no event is due forward the idle
-//!   clocks in O(1) instead of dispatching an empty epoch (the
-//!   "empty-epoch tax" — see `EngineReport::sched`). The tick-stepper
-//!   this replaced is retained as [`Scheduler::ReferenceTick`] and the
-//!   differential suites assert both produce bit-identical reports.
+//!   once per offered frame: it dispatches an epoch only when some
+//!   worker with work waiting is free strictly before the horizon, the
+//!   epoch partition's own test, answered by a scan of the workers.
+//!   Otherwise it only forwards the idle clocks (re-arming under-posted
+//!   rings) instead of dispatching an empty epoch (the "empty-epoch
+//!   tax" — see `EngineReport::sched`). The tick-stepper this replaced
+//!   is retained as [`Scheduler::ReferenceTick`] and the differential
+//!   suites assert both produce bit-identical reports.
 //! * **Epoch execution, serial or parallel.** Workers advance in
 //!   *epochs*: each active worker runs its polling loop against a
 //!   disjoint machine shard ([`llc_sim::epoch`]) and its own RX-queue
@@ -148,10 +149,12 @@ pub enum Execution {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
     /// The virtual-time event scheduler (default): `run_until`
-    /// dispatches an epoch only when a busy worker's merge event is due
-    /// before the horizon, forwards idle clocks lazily in O(1)
-    /// otherwise, and replays the tick-stepper's idle re-arm only when
-    /// a starved ring could actually re-post (pool live, outage over).
+    /// dispatches an epoch only when some busy worker (a ready
+    /// completion on its queue, or app backlog) is free strictly
+    /// before the horizon. Otherwise it runs only the tick-stepper's
+    /// idle branch — each worker behind the horizon re-arms an
+    /// under-posted RX ring and forwards its clock — and counts no
+    /// epoch and calls no epoch hook.
     #[default]
     EventDriven,
     /// The tick-stepper this engine shipped with: every `run_until`
@@ -176,9 +179,10 @@ pub struct SchedStats {
     /// ready completion or backlog behind the horizon). The gap to
     /// `epochs_dispatched` is the empty-epoch tax.
     pub epochs_with_work: u64,
-    /// Virtual-time events the scheduler consumed: one per offered
-    /// frame (the arrival event, delivered synchronously by `offer`)
-    /// plus every epoch-merge event popped from the delayed queue.
+    /// Virtual-time events the engine processed: one per offered frame
+    /// (the arrival, delivered synchronously by `offer`) plus one per
+    /// worker that a dispatched epoch ran (a `run_until` or `step`
+    /// epoch's active workers).
     pub events_processed: u64,
 }
 
@@ -674,13 +678,6 @@ fn run_task<A: QueueApp>(mut t: WorkerTask<'_, A>) -> TaskOutcome {
     }
 }
 
-/// An engine-internal delayed event (see [`events`]).
-enum EngineEvent {
-    /// The carried worker index has pending work; an epoch merge is
-    /// owed once a catch-up horizon passes its free-at time.
-    Merge(usize),
-}
-
 /// The engine: clocks, fault state, and drop ledgers around one
 /// [`QueueApp`] instance per worker.
 pub struct Engine<A: QueueApp> {
@@ -701,20 +698,6 @@ pub struct Engine<A: QueueApp> {
     thread_pool: Option<pool::WorkerPool>,
     /// Per-worker poll buffers, lent to each epoch's tasks.
     bufs: Vec<PollBufs>,
-    /// The virtual-time event queue: at most one pending [`EngineEvent::Merge`]
-    /// per worker (deduplicated by `merge_pending`), keyed on the
-    /// worker's free-at time via [`events::time_key`]. Unused by
-    /// [`Scheduler::ReferenceTick`].
-    events: DelayedQueue<EngineEvent>,
-    /// Whether worker `w` has a merge event in `events`.
-    merge_pending: Vec<bool>,
-    /// Queue → polling-worker map (every port queue has exactly one).
-    queue_worker: Vec<usize>,
-    /// Lazily applied idle-clock forward: every worker's effective
-    /// free-at time is `free_ns[w].max(idle_floor)`. Raised in O(1) by
-    /// catch-up calls where nothing behind the horizon can change
-    /// state; materialized into `free_ns` before any epoch runs.
-    idle_floor: f64,
     sched: SchedStats,
     free_ns: Vec<f64>,
     ns_per_cycle: f64,
@@ -778,18 +761,8 @@ impl<A: QueueApp> Engine<A> {
         let carried: Vec<u64> = (0..queues).map(|q| hw.port.ready_count(q) as u64).collect();
         let ns_per_cycle = 1.0 / hw.m.config().freq_ghz;
         let base_stats = hw.port.stats();
-        let mut queue_worker = vec![0usize; queues];
-        for (w, spec) in cfg.workers.iter().enumerate() {
-            if let Some(q) = spec.queue {
-                queue_worker[q] = w;
-            }
-        }
         let workers = cfg.workers.len();
-        let mut eng = Self {
-            events: DelayedQueue::new(),
-            merge_pending: vec![false; workers],
-            queue_worker,
-            idle_floor: 0.0,
+        let eng = Self {
             sched: SchedStats::default(),
             free_ns: vec![0.0; cfg.workers.len()],
             ns_per_cycle,
@@ -821,13 +794,6 @@ impl<A: QueueApp> Engine<A> {
                 let core = eng.cfg.workers[w].core;
                 let target = eng.cfg.queue_depth - hw.port.ready_count(q);
                 hw.port.refill(hw.m, hw.pool, q, core, hw.policy, target);
-            }
-        }
-        // Completions carried in from a previous run make their workers
-        // busy from time zero — they owe a merge before any horizon.
-        for w in 0..eng.cfg.workers.len() {
-            if eng.worker_busy(hw, w) {
-                eng.note_merge_due(w);
             }
         }
         eng
@@ -897,15 +863,9 @@ impl<A: QueueApp> Engine<A> {
         &mut self.apps[w]
     }
 
-    /// The global simulated clock: the latest worker free-at time
-    /// (including any lazily forwarded idle time).
+    /// The global simulated clock: the latest worker free-at time.
     pub fn now_ns(&self) -> f64 {
-        self.free_ns.iter().copied().fold(self.idle_floor, f64::max)
-    }
-
-    /// Worker `w`'s effective free-at time (lazy idle forward applied).
-    fn eff_free(&self, w: usize) -> f64 {
-        self.free_ns[w].max(self.idle_floor)
+        self.free_ns.iter().copied().fold(0.0, f64::max)
     }
 
     /// Whether worker `w` has pending work: a completion waiting in its
@@ -918,63 +878,21 @@ impl<A: QueueApp> Engine<A> {
             || self.apps[w].has_backlog()
     }
 
-    /// Records that worker `w` owes an epoch merge: schedules its merge
-    /// event at its effective free-at time (at most one pending event
-    /// per worker).
-    fn note_merge_due(&mut self, w: usize) {
-        if self.cfg.scheduler == Scheduler::ReferenceTick || self.merge_pending[w] {
-            return;
-        }
-        self.merge_pending[w] = true;
-        self.events
-            .push(events::time_key(self.eff_free(w)), EngineEvent::Merge(w));
-    }
-
-    /// Re-schedules merge events for every still-busy worker. Runs
-    /// after each dispatched epoch (and after `step`'s clock sync, so
-    /// keys reflect the synced clocks).
-    fn resched_merges(&mut self, hw: &Hw<'_>) {
-        if self.cfg.scheduler == Scheduler::ReferenceTick {
-            return;
-        }
-        for w in 0..self.cfg.workers.len() {
-            if !self.merge_pending[w] && self.worker_busy(hw, w) {
-                self.note_merge_due(w);
+    /// The idle branch for worker `w`, behind horizon `h` with nothing
+    /// to do: an idle PMD still re-arms its RX ring, then its clock
+    /// moves to `h`. Without the re-arm, a transient pool outage that
+    /// drains the posted ring would leave the queue dry forever once
+    /// the pool recovers; during the outage the refill is a no-op
+    /// (`MbufPool::get` fails and changes nothing).
+    fn idle_to(&mut self, hw: &mut Hw<'_>, w: usize, h: f64) {
+        let spec = self.cfg.workers[w];
+        if let Some(q) = spec.queue {
+            if hw.port.posted_count(q) < self.cfg.queue_depth {
+                hw.port
+                    .refill(hw.m, hw.pool, q, spec.core, hw.policy, self.cfg.queue_depth);
             }
         }
-    }
-
-    /// Applies the lazy idle forward to the per-worker clocks (before
-    /// any code that reads `free_ns` directly: epoch partitions, poll
-    /// start times).
-    fn materialize_floor(&mut self) {
-        if self.idle_floor > 0.0 {
-            for f in &mut self.free_ns {
-                if *f < self.idle_floor {
-                    *f = self.idle_floor;
-                }
-            }
-        }
-    }
-
-    /// Whether advancing idle workers to `h` would do more than forward
-    /// their clocks: true when some worker behind the horizon polls an
-    /// under-posted ring *and* the pool could actually supply a refill
-    /// (a starved refill during a pool outage is a pure no-op —
-    /// `MbufPool::get` under outage has no side effects). When false,
-    /// the tick-stepper's whole idle branch reduces to "set every
-    /// behind clock to `h`", which [`Engine::idle_advance`] defers in
-    /// O(1) via `idle_floor`.
-    fn idle_rearm_needed(&self, hw: &Hw<'_>, h: f64) -> bool {
-        if hw.pool.in_outage() || hw.pool.available() == 0 {
-            return false;
-        }
-        self.cfg.workers.iter().enumerate().any(|(w, spec)| {
-            self.eff_free(w) < h
-                && spec
-                    .queue
-                    .is_some_and(|q| hw.port.posted_count(q) < self.cfg.queue_depth)
-        })
+        self.free_ns[w] = h;
     }
 
     /// Frames offered so far.
@@ -1027,7 +945,7 @@ impl<A: QueueApp> Engine<A> {
         hw.pool.set_outage(fault.pool_blocked);
         self.run_until(hw, t_ns);
         // An arrival is processed synchronously at its own virtual time
-        // — it counts as an event without ever sitting in the queue.
+        // and counts as one event.
         self.sched.events_processed += 1;
         self.offered += 1;
         self.offered_q[q] += 1;
@@ -1050,12 +968,7 @@ impl<A: QueueApp> Engine<A> {
             }
         }
         match hw.port.deliver_routed(hw.m, frame, q, mark, t_ns, fault) {
-            Ok(()) => {
-                // The completion just made `q`'s polling worker busy; it
-                // owes a merge once a horizon passes its free-at time.
-                self.note_merge_due(self.queue_worker[q]);
-                Ok(q)
-            }
+            Ok(()) => Ok(q),
             Err(reason) => {
                 let n = &mut self.nic[q];
                 match reason {
@@ -1103,11 +1016,13 @@ impl<A: QueueApp> Engine<A> {
     /// stages see each other's output with epoch granularity.
     ///
     /// Under [`Scheduler::EventDriven`] (the default) the epoch is
-    /// dispatched only when the event queue says a worker actually owes
-    /// work before the horizon; otherwise simulated time jumps to
-    /// `until_ns` without one. The resulting [`EngineReport`] is
-    /// bit-identical either way (only [`EngineReport::sched`] differs)
-    /// — `crates/engine/tests/differential.rs` and `prop.rs` pin this.
+    /// dispatched only when some worker with work waiting is free
+    /// strictly before `until_ns`, the epoch partition's own test;
+    /// otherwise each worker behind `until_ns` only re-arms an
+    /// under-posted RX ring and moves its clock there. The resulting
+    /// [`EngineReport`] is bit-identical either way (only
+    /// [`EngineReport::sched`] differs) —
+    /// `crates/engine/tests/differential.rs` and `prop.rs` pin this.
     /// With a control hook installed ([`Engine::set_control_hook`]) the
     /// horizon is segmented at control boundaries: catch up to each
     /// crossed multiple of the period, fire the hook there, and only
@@ -1125,126 +1040,60 @@ impl<A: QueueApp> Engine<A> {
         self.catch_up(hw, until_ns);
     }
 
-    /// Scheduler-dispatched catch-up to one horizon (the whole of
-    /// `run_until` when no control hook is installed).
-    fn catch_up(&mut self, hw: &mut Hw<'_>, until_ns: f64) {
-        match self.cfg.scheduler {
-            Scheduler::ReferenceTick => {
-                self.run_epoch(hw, until_ns, false);
+    /// Scheduler-dispatched catch-up to horizon `h` (the whole of
+    /// `run_until` when no control hook is installed). Without a busy
+    /// worker behind `h`, the tick-stepper's epoch is its idle branch
+    /// plus an epoch count and an epoch-hook call, and the hook
+    /// contract (DESIGN.md §3f) makes a hook at a workless epoch a
+    /// no-op: the event-driven scheduler runs the idle branch alone.
+    fn catch_up(&mut self, hw: &mut Hw<'_>, h: f64) {
+        let workers = self.cfg.workers.len();
+        let due = self.cfg.scheduler == Scheduler::ReferenceTick
+            || (0..workers).any(|w| self.free_ns[w] < h && self.worker_busy(hw, w));
+        if due {
+            self.run_epoch(hw, h, false);
+        } else {
+            for w in 0..workers {
+                if self.free_ns[w] < h {
+                    self.idle_to(hw, w, h);
+                }
             }
-            Scheduler::EventDriven => self.advance_to(hw, until_ns),
         }
     }
 
-    /// Fires the control hook at boundary time `t`, folding any timed
-    /// work it ran into the owning workers' free-at times (the same
-    /// accounting as epoch-hook time, see `run_epoch`).
+    /// Fires the control hook at boundary time `t`.
     fn fire_control(&mut self, hw: &mut Hw<'_>, t: f64) {
         let Some(mut hook) = self.control_hook.take() else {
             return;
         };
-        self.materialize_floor();
-        let before: Vec<u64> = (0..self.cfg.workers.len())
-            .map(|w| hw.m.now(self.cfg.workers[w].core))
-            .collect();
+        self.run_hook(hw, |apps, mc| hook(apps, mc, t));
+        self.control_hook = Some(hook);
+    }
+
+    /// Runs a coordinator hook (epoch or control) on the merged
+    /// machine. Timed work the hook performs on a worker's core (e.g. a
+    /// batched migration) occupies that core: the hook's clock delta on
+    /// each core lands on the owning worker's free-at time, so its next
+    /// poll starts after the batch.
+    fn run_hook<R>(
+        &mut self,
+        hw: &mut Hw<'_>,
+        hook: impl FnOnce(&mut [A], &mut MergeCtx<'_>) -> R,
+    ) -> R {
+        let before: Vec<u64> = self.cfg.workers.iter().map(|s| hw.m.now(s.core)).collect();
         let mut mc = MergeCtx {
             pool: hw.pool,
             m: hw.m,
             app_drops: &mut self.app_drops,
         };
-        hook(&mut self.apps, &mut mc, t);
+        let out = hook(&mut self.apps, &mut mc);
         for (w, &start) in before.iter().enumerate() {
             let delta = hw.m.now(self.cfg.workers[w].core) - start;
             if delta > 0 {
                 self.free_ns[w] += delta as f64 * self.ns_per_cycle;
             }
         }
-        self.control_hook = Some(hook);
-        // The hook may have created backlog (or consumed it); re-key
-        // merge events against the workers' current state.
-        self.resched_merges(hw);
-    }
-
-    /// Event-driven catch-up to horizon `h`, equivalent to
-    /// `run_epoch(h, false)` in everything but wall-clock:
-    ///
-    /// 1. **Fast path** — every worker already free at (or past) `h`:
-    ///    the tick-stepper's partition would be empty on both sides
-    ///    (`free_ns < horizon` is strict), so the whole epoch was the
-    ///    post-merge hook — and the epoch-hook contract (DESIGN.md §3f)
-    ///    makes hooks at workless epochs no-ops. O(1) return.
-    /// 2. **Merge due** — a pending merge event fires strictly before
-    ///    `h`: some worker is busy behind the horizon, so dispatch a
-    ///    real epoch. Event keys can be stale (a worker's clock moves
-    ///    after its event is pushed, e.g. by `step`'s sync); popped
-    ///    events are therefore validated against the worker's *current*
-    ///    state — dropped if it is no longer busy, re-keyed if its
-    ///    free-at time moved past `h`. Staleness only ever delays a
-    ///    key, never advances it past the work (clocks are monotone and
-    ///    keys are pushed when the work appears), so a busy worker
-    ///    behind `h` always has an event before `h`: the dispatch
-    ///    decision exactly matches the tick-stepper's partition.
-    /// 3. **Idle advance** — nobody owes work before `h`: the
-    ///    tick-stepper would only forward clocks and re-arm under-posted
-    ///    rings of idle workers. Run that re-arm pass for real when it
-    ///    would do something ([`Engine::idle_rearm_needed`]), else
-    ///    defer the clock forward in O(1) via `idle_floor`.
-    fn advance_to(&mut self, hw: &mut Hw<'_>, h: f64) {
-        let raw_min = self.free_ns.iter().copied().fold(f64::INFINITY, f64::min);
-        if h <= raw_min.max(self.idle_floor) {
-            return;
-        }
-        let limit = events::time_key(h);
-        let mut due = false;
-        while let Some((_, EngineEvent::Merge(w))) = self.events.pop_before(limit) {
-            self.sched.events_processed += 1;
-            self.merge_pending[w] = false;
-            if !self.worker_busy(hw, w) {
-                // Stale: the pending work this event announced was
-                // already consumed by an earlier epoch or `step`.
-                continue;
-            }
-            if self.eff_free(w) < h {
-                due = true;
-            } else {
-                // Still busy, but its clock was synced past the horizon
-                // (`step`); re-key at the current free-at time.
-                self.note_merge_due(w);
-            }
-        }
-        if due {
-            self.materialize_floor();
-            self.run_epoch(hw, h, false);
-            self.resched_merges(hw);
-        } else {
-            self.idle_advance(hw, h);
-        }
-    }
-
-    /// Advances simulated time to `h` with no worker busy behind it.
-    /// When an idle re-arm could take effect, replicates the
-    /// tick-stepper's idle branch verbatim (forward every behind clock
-    /// to `h`, topping up each such worker's under-posted ring first);
-    /// otherwise just raises `idle_floor`.
-    fn idle_advance(&mut self, hw: &mut Hw<'_>, h: f64) {
-        if !self.idle_rearm_needed(hw, h) {
-            self.idle_floor = h;
-            return;
-        }
-        self.materialize_floor();
-        for w in 0..self.cfg.workers.len() {
-            if self.free_ns[w] >= h {
-                continue;
-            }
-            let spec = self.cfg.workers[w];
-            if let Some(q) = spec.queue {
-                if hw.port.posted_count(q) < self.cfg.queue_depth {
-                    hw.port
-                        .refill(hw.m, hw.pool, q, spec.core, hw.policy, self.cfg.queue_depth);
-                }
-            }
-            self.free_ns[w] = h;
-        }
+        out
     }
 
     /// One poll round over every worker with pending work, then a clock
@@ -1260,9 +1109,6 @@ impl<A: QueueApp> Engine<A> {
         for f in &mut self.free_ns {
             *f = now;
         }
-        // The sync moved every clock; any worker still holding work owes
-        // a merge keyed at the synced time.
-        self.resched_merges(hw);
         moved
     }
 
@@ -1278,9 +1124,6 @@ impl<A: QueueApp> Engine<A> {
     /// the horizon. In single-poll mode (`step`) every worker with
     /// pending work polls exactly once. Returns packets moved.
     fn run_epoch(&mut self, hw: &mut Hw<'_>, horizon_ns: f64, single_poll: bool) -> usize {
-        // The partition (and the poll start times handed to tasks) read
-        // the raw clocks; fold any deferred idle forward in first.
-        self.materialize_floor();
         self.sched.epochs_dispatched += 1;
         // Partition the workers: `active` get shards and run the loop;
         // `idle` (behind the horizon with nothing to do) only get the
@@ -1288,10 +1131,7 @@ impl<A: QueueApp> Engine<A> {
         let mut active: Vec<usize> = Vec::new();
         let mut idle: Vec<usize> = Vec::new();
         for w in 0..self.cfg.workers.len() {
-            let spec = self.cfg.workers[w];
-            let busy = spec.queue.is_some_and(|q| hw.port.ready_count(q) > 0)
-                || self.apps[w].has_backlog();
-            if busy && (single_poll || self.free_ns[w] < horizon_ns) {
+            if self.worker_busy(hw, w) && (single_poll || self.free_ns[w] < horizon_ns) {
                 active.push(w);
             } else if !single_poll && self.free_ns[w] < horizon_ns {
                 idle.push(w);
@@ -1300,6 +1140,7 @@ impl<A: QueueApp> Engine<A> {
         if !active.is_empty() {
             self.sched.epochs_with_work += 1;
         }
+        self.sched.events_processed += active.len() as u64;
         let outcomes: Vec<TaskOutcome> = if active.is_empty() {
             Vec::new()
         } else {
@@ -1444,50 +1285,16 @@ impl<A: QueueApp> Engine<A> {
                 }
             } else if ii < idle.len() && idle[ii] == w {
                 ii += 1;
-                let spec = self.cfg.workers[w];
-                // An idle PMD still re-arms its RX ring. Without this, a
-                // transient pool outage that drains the posted ring would
-                // leave the queue dry forever once the pool recovers.
-                if let Some(q) = spec.queue {
-                    if hw.port.posted_count(q) < self.cfg.queue_depth {
-                        hw.port.refill(
-                            hw.m,
-                            hw.pool,
-                            q,
-                            spec.core,
-                            hw.policy,
-                            self.cfg.queue_depth,
-                        );
-                    }
-                }
-                self.free_ns[w] = horizon_ns;
+                self.idle_to(hw, w, horizon_ns);
             }
         }
-        // 4. Cross-worker handoff, with the machine fully merged.
-        if let Some(hook) = self.epoch_hook.as_mut() {
-            // Timed machine work a hook performs on a worker's core
-            // (e.g. a batched migration at the merge) occupies that
-            // core: fold the hook's clock delta into the worker's
-            // availability so its next poll starts after the batch.
-            // Hooks at workless epochs are no-ops (DESIGN §3f), so this
-            // fold never moves a clock when nothing happened — the
-            // schedulers' epochs-with-work coincide and stay
-            // bit-identical.
-            let before: Vec<u64> = (0..self.cfg.workers.len())
-                .map(|w| hw.m.now(self.cfg.workers[w].core))
-                .collect();
-            let mut mc = MergeCtx {
-                pool: hw.pool,
-                m: hw.m,
-                app_drops: &mut self.app_drops,
-            };
-            moved += hook(&mut self.apps, &mut mc);
-            for (w, &start) in before.iter().enumerate() {
-                let delta = hw.m.now(self.cfg.workers[w].core) - start;
-                if delta > 0 {
-                    self.free_ns[w] += delta as f64 * self.ns_per_cycle;
-                }
-            }
+        // 4. Cross-worker handoff, with the machine fully merged. Hooks
+        // at workless epochs are no-ops (DESIGN §3f), so the hook's
+        // clock fold never moves a clock when nothing happened — the
+        // schedulers' epochs-with-work coincide and stay bit-identical.
+        if let Some(mut hook) = self.epoch_hook.take() {
+            moved += self.run_hook(hw, &mut hook);
+            self.epoch_hook = Some(hook);
         }
         moved
     }
@@ -1846,6 +1653,76 @@ mod tests {
             busy_hook > idle_hook,
             "hook cycles must extend busy time: {busy_hook} vs {idle_hook}"
         );
+    }
+
+    /// The event-driven dispatch rule: a catch-up runs an epoch only
+    /// when a busy worker is free *strictly* before the horizon.
+    /// Otherwise it runs the idle branch alone — no epoch, no hook
+    /// call — and that branch still re-arms a ring an outage left
+    /// under-posted.
+    #[test]
+    fn catch_up_dispatches_only_for_a_busy_worker_strictly_behind_the_horizon() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+        let (mut m, mut pool, mut port) = setup(1, 64);
+        let mut policy = rte::nic::FixedHeadroom(128);
+        let mut hw = Hw {
+            m: &mut m,
+            port: &mut port,
+            pool: &mut pool,
+            policy: &mut policy,
+        };
+        let mut eng = Engine::new(
+            echo_apps(300, 1),
+            EngineConfig {
+                workers: WorkerSpec::run_to_completion(1),
+                queue_depth: 64,
+                burst: 8,
+                faults: FaultPlan::none(),
+                execution: Execution::Serial,
+                admission: AdmissionPolicy::AcceptAll,
+                scheduler: Scheduler::default(),
+            },
+            &mut hw,
+        );
+        let calls = Rc::new(Cell::new(0u64));
+        let count = Rc::clone(&calls);
+        eng.set_epoch_hook(Box::new(move |_apps, _mc| {
+            count.set(count.get() + 1);
+            0
+        }));
+        for i in 0..20u32 {
+            eng.offer(&mut hw, &flow(i), &[0u8; 64], 0.0).unwrap();
+        }
+        eng.step(&mut hw);
+        assert_eq!(hw.port.ready_count(0), 12, "one burst of 8 served");
+        let h = eng.now_ns();
+        let dispatched = |eng: &Engine<Echo>| (eng.sched.epochs_dispatched, calls.get());
+        let before = dispatched(&eng);
+        // Busy, but free exactly at the horizon: not behind it.
+        eng.run_until(&mut hw, h);
+        assert_eq!(
+            dispatched(&eng),
+            before,
+            "free == horizon dispatches nothing"
+        );
+        eng.run_until(&mut hw, h + 1.0);
+        assert_eq!(
+            dispatched(&eng),
+            (before.0 + 1, before.1 + 1),
+            "1 ns behind: one epoch, one hook call"
+        );
+        // Serve the rest while the pool is out: the refills fail.
+        hw.pool.set_outage(true);
+        eng.run_until(&mut hw, 1e6);
+        assert_eq!(hw.port.ready_count(0), 0);
+        assert!(hw.port.posted_count(0) < 64, "the outage starves the ring");
+        hw.pool.set_outage(false);
+        let before = dispatched(&eng);
+        eng.run_until(&mut hw, 2e6);
+        assert_eq!(hw.port.posted_count(0), 64, "the idle branch re-arms");
+        assert_eq!(dispatched(&eng), before, "idle catch-up dispatches nothing");
+        assert_eq!(eng.now_ns(), 2e6);
     }
 
     #[test]

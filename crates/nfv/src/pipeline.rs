@@ -126,6 +126,8 @@ enum StageApp {
     Stage2 {
         chain: ServiceChain,
         inbox: Ring<Handoff>,
+        /// The current pump's burst, reused across pumps.
+        batch: Vec<Handoff>,
     },
 }
 
@@ -153,12 +155,18 @@ impl QueueApp for StageApp {
     }
 
     fn pump(&mut self, ctx: &mut PollCtx<'_>, tx: &mut Vec<TxDesc>) -> usize {
-        let Self::Stage2 { chain, inbox } = self else {
+        let Self::Stage2 {
+            chain,
+            inbox,
+            batch,
+        } = self
+        else {
             // The stage-1 worker has nothing to pump.
             return 0;
         };
-        let batch = inbox.dequeue_burst(BURST);
-        for h in &batch {
+        batch.clear();
+        inbox.dequeue_burst_into(BURST, batch);
+        for h in batch.iter() {
             let mut pkt = Pkt::from_completion(&h.comp);
             let action = {
                 let mut ec = Ctx {
@@ -245,6 +253,7 @@ pub fn run_pipeline(
         StageApp::Stage2 {
             chain: stage2,
             inbox: Ring::new(cfg.queue_depth),
+            batch: Vec::with_capacity(BURST),
         },
     ];
     let ecfg = EngineConfig {
