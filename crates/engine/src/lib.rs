@@ -34,8 +34,10 @@
 //!   disjoint machine shard ([`llc_sim::epoch`]) and its own RX-queue
 //!   view, then the coordinator merges cross-worker effects (LLC event
 //!   logs, TX completions, buffer recycling, refills) in canonical
-//!   worker order. [`Execution::Serial`] runs the workers inline;
-//!   [`Execution::Parallel`] runs the *same* epoch algorithm on a
+//!   worker order. [`Execution::Serial`] runs the workers inline, one
+//!   task built, run and dropped at a time, which allocates nothing
+//!   once the engine's buffers have grown; [`Execution::Parallel`] runs
+//!   the *same* epoch algorithm on a
 //!   persistent pool of OS threads (spawned once, dispatched per
 //!   epoch — see `pool.rs`) — results are bit-identical by
 //!   construction because every cross-worker decision is made at the
@@ -510,17 +512,21 @@ pub struct EngineReport {
 /// boundary in parallel mode, hence the `Send` assertion below.
 struct WorkerTask<'a, A: QueueApp> {
     worker: usize,
-    core: usize,
-    queue: Option<usize>,
+    spec: WorkerSpec,
+    free_ns: f64,
     shard: EpochShard<'a>,
     view: Option<RxView<'a>>,
     app: &'a mut A,
     bufs: &'a mut PollBufs,
+    epoch: &'a EpochParams<'a>,
+}
+
+/// What every task of one epoch shares, read-only.
+struct EpochParams<'a> {
     faults: &'a FaultState,
     pool: &'a MbufPool,
     burst: usize,
     ns_per_cycle: f64,
-    free_ns: f64,
     /// Poll horizon; `f64::INFINITY` in single-poll (`step`) mode.
     horizon: f64,
     single_poll: bool,
@@ -591,6 +597,8 @@ fn run_task<A: QueueApp>(mut t: WorkerTask<'_, A>) -> TaskOutcome {
         polls,
         log,
     } = &mut *t.bufs;
+    let ep = t.epoch;
+    let core = t.spec.core;
     tx.clear();
     freed.clear();
     polls.clear();
@@ -599,24 +607,24 @@ fn run_task<A: QueueApp>(mut t: WorkerTask<'_, A>) -> TaskOutcome {
     let mut free = t.free_ns;
     let mut ended_idle = false;
     loop {
-        if !t.single_poll && free >= t.horizon {
+        if !ep.single_poll && free >= ep.horizon {
             break;
         }
         let has_rx = t.view.as_ref().is_some_and(|v| v.ready_len() > 0);
         if !has_rx && !t.app.has_backlog() {
             ended_idle = true;
-            if !t.single_poll {
+            if !ep.single_poll {
                 // Idle-poll forward to the horizon; the idle re-arm
                 // refill happens at the merge.
-                free = t.horizon;
+                free = ep.horizon;
             }
             break;
         }
-        let start_cycles = t.shard.now(t.core);
+        let start_cycles = t.shard.now(core);
         let start_ns = free;
         match t.view.as_mut() {
             Some(v) => {
-                v.rx_burst(&mut t.shard, t.pool, t.core, t.burst, batch);
+                v.rx_burst(&mut t.shard, ep.pool, core, ep.burst, batch);
             }
             None => batch.clear(),
         }
@@ -626,12 +634,12 @@ fn run_task<A: QueueApp>(mut t: WorkerTask<'_, A>) -> TaskOutcome {
         {
             let mut ctx = Ctx {
                 m: &mut t.shard,
-                core: t.core,
+                core,
                 worker: t.worker,
-                queue: t.queue,
+                queue: t.spec.queue,
                 start_cycles,
                 start_ns,
-                ns_per_cycle: t.ns_per_cycle,
+                ns_per_cycle: ep.ns_per_cycle,
                 dropped: 0,
                 freed,
             };
@@ -647,16 +655,16 @@ fn run_task<A: QueueApp>(mut t: WorkerTask<'_, A>) -> TaskOutcome {
         }
         let mut tx_stalled = false;
         if tx.len() > tx_start {
-            let t_tx = start_ns + (t.shard.now(t.core) - start_cycles) as f64 * t.ns_per_cycle;
-            if t.faults.tx_stalled(t_tx) {
+            let t_tx = start_ns + (t.shard.now(core) - start_cycles) as f64 * ep.ns_per_cycle;
+            if ep.faults.tx_stalled(t_tx) {
                 // The TX descriptor path is wedged: fully processed
                 // frames cannot leave the box; the merge recycles them.
                 tx_stalled = true;
             } else {
-                rte::nic::tx_wire(&mut t.shard, t.core, &tx[tx_start..]);
+                rte::nic::tx_wire(&mut t.shard, core, &tx[tx_start..]);
             }
         }
-        let busy = (t.shard.now(t.core) - start_cycles) as f64 * t.ns_per_cycle;
+        let busy = (t.shard.now(core) - start_cycles) as f64 * ep.ns_per_cycle;
         free = start_ns + busy;
         moved_total += moved;
         polls.push(PollEnd {
@@ -665,7 +673,7 @@ fn run_task<A: QueueApp>(mut t: WorkerTask<'_, A>) -> TaskOutcome {
             tx_stalled,
             dropped,
         });
-        if t.single_poll {
+        if ep.single_poll {
             break;
         }
     }
@@ -698,6 +706,12 @@ pub struct Engine<A: QueueApp> {
     thread_pool: Option<pool::WorkerPool>,
     /// Per-worker poll buffers, lent to each epoch's tasks.
     bufs: Vec<PollBufs>,
+    /// The current epoch's active workers, ascending, and their task
+    /// outcomes in the same order; cleared and refilled every epoch.
+    active: Vec<usize>,
+    outcomes: Vec<TaskOutcome>,
+    /// Each worker's core clock before a coordinator hook ran.
+    hook_clocks: Vec<u64>,
     sched: SchedStats,
     free_ns: Vec<f64>,
     ns_per_cycle: f64,
@@ -788,6 +802,9 @@ impl<A: QueueApp> Engine<A> {
             cfg,
             thread_pool: None,
             bufs: (0..workers).map(|_| PollBufs::default()).collect(),
+            active: Vec::with_capacity(workers),
+            outcomes: Vec::with_capacity(workers),
+            hook_clocks: Vec::with_capacity(workers),
         };
         for w in 0..eng.cfg.workers.len() {
             if let Some(q) = eng.cfg.workers[w].queue {
@@ -1080,14 +1097,16 @@ impl<A: QueueApp> Engine<A> {
         hw: &mut Hw<'_>,
         hook: impl FnOnce(&mut [A], &mut MergeCtx<'_>) -> R,
     ) -> R {
-        let before: Vec<u64> = self.cfg.workers.iter().map(|s| hw.m.now(s.core)).collect();
+        self.hook_clocks.clear();
+        self.hook_clocks
+            .extend(self.cfg.workers.iter().map(|s| hw.m.now(s.core)));
         let mut mc = MergeCtx {
             pool: hw.pool,
             m: hw.m,
             app_drops: &mut self.app_drops,
         };
         let out = hook(&mut self.apps, &mut mc);
-        for (w, &start) in before.iter().enumerate() {
+        for (w, &start) in self.hook_clocks.iter().enumerate() {
             let delta = hw.m.now(self.cfg.workers[w].core) - start;
             if delta > 0 {
                 self.free_ns[w] += delta as f64 * self.ns_per_cycle;
@@ -1123,118 +1142,128 @@ impl<A: QueueApp> Engine<A> {
     /// `horizon_ns` participates and polls until it runs dry or reaches
     /// the horizon. In single-poll mode (`step`) every worker with
     /// pending work polls exactly once. Returns packets moved.
+    ///
+    /// An inline epoch ([`Execution::Serial`], one active worker, or a
+    /// one-thread pool) builds one worker's task — its shard from
+    /// [`Machine::epoch_shard`], its RX view from [`Port::rx_view`], its
+    /// app and poll buffers — runs it and drops it before building the
+    /// next, in worker order. With the active list and the outcomes in
+    /// engine-owned buffers, it allocates nothing once they have grown.
+    /// A task touches only its own core state, ready ring, app and
+    /// buffers and reads the frozen LLC, which changes only at the
+    /// merge, so building it just before it runs changes nothing a
+    /// later task sees. A pooled epoch builds every task up front and
+    /// hands them to the pool at once.
     fn run_epoch(&mut self, hw: &mut Hw<'_>, horizon_ns: f64, single_poll: bool) -> usize {
         self.sched.epochs_dispatched += 1;
-        // Partition the workers: `active` get shards and run the loop;
-        // `idle` (behind the horizon with nothing to do) only get the
+        // Partition the workers: `active` get a task and run the loop;
+        // the others behind the horizon (nothing to do) only get the
         // idle re-arm refill at the merge.
-        let mut active: Vec<usize> = Vec::new();
-        let mut idle: Vec<usize> = Vec::new();
+        self.active.clear();
         for w in 0..self.cfg.workers.len() {
             if self.worker_busy(hw, w) && (single_poll || self.free_ns[w] < horizon_ns) {
-                active.push(w);
-            } else if !single_poll && self.free_ns[w] < horizon_ns {
-                idle.push(w);
+                self.active.push(w);
             }
         }
-        if !active.is_empty() {
+        if !self.active.is_empty() {
             self.sched.epochs_with_work += 1;
         }
-        self.sched.events_processed += active.len() as u64;
-        let outcomes: Vec<TaskOutcome> = if active.is_empty() {
-            Vec::new()
+        self.sched.events_processed += self.active.len() as u64;
+        self.outcomes.clear();
+        let ep = EpochParams {
+            faults: &self.faults,
+            pool: hw.pool,
+            burst: self.cfg.burst,
+            ns_per_cycle: self.ns_per_cycle,
+            horizon: horizon_ns,
+            single_poll,
+        };
+        let threads = match self.cfg.execution {
+            Execution::Serial => 1,
+            Execution::Parallel { threads } => threads.max(1),
+        };
+        let n = threads.min(self.active.len());
+        if n <= 1 {
+            // Where a task runs never changes its outcome, so running a
+            // lone worker (or a one-thread request) inline is invisible
+            // in the results.
+            for &w in &self.active {
+                let spec = self.cfg.workers[w];
+                let task = WorkerTask {
+                    worker: w,
+                    spec,
+                    free_ns: self.free_ns[w],
+                    shard: hw.m.epoch_shard(spec.core),
+                    view: spec.queue.map(|q| hw.port.rx_view(q)),
+                    app: &mut self.apps[w],
+                    bufs: &mut self.bufs[w],
+                    epoch: &ep,
+                };
+                self.outcomes.push(run_task(task));
+            }
         } else {
-            let cores: Vec<usize> = active.iter().map(|&w| self.cfg.workers[w].core).collect();
+            let cores: Vec<usize> = self
+                .active
+                .iter()
+                .map(|&w| self.cfg.workers[w].core)
+                .collect();
             let shards = hw.m.epoch_shards(&cores);
             let mut views: Vec<Option<RxView<'_>>> =
                 hw.port.rx_views().into_iter().map(Some).collect();
             let mut apps: Vec<Option<&mut A>> = self.apps.iter_mut().map(Some).collect();
             let mut bufs: Vec<Option<&mut PollBufs>> = self.bufs.iter_mut().map(Some).collect();
-            let faults = &self.faults;
-            let pool: &MbufPool = hw.pool;
-            let tasks: Vec<WorkerTask<'_, A>> = active
-                .iter()
-                .zip(shards)
-                .map(|(&w, shard)| {
-                    let spec = self.cfg.workers[w];
-                    WorkerTask {
-                        worker: w,
-                        core: spec.core,
-                        queue: spec.queue,
-                        shard,
-                        view: spec.queue.and_then(|q| views[q].take()),
-                        app: apps[w].take().expect("worker split"),
-                        bufs: bufs[w].take().expect("worker split"),
-                        faults,
-                        pool,
-                        burst: self.cfg.burst,
-                        ns_per_cycle: self.ns_per_cycle,
-                        free_ns: self.free_ns[w],
-                        horizon: horizon_ns,
-                        single_poll,
-                    }
+            // Round-robin by *position in the active list* — a pure
+            // function of worker indices, never of thread scheduling —
+            // and sort the outcomes back into worker order, so any
+            // thread count yields the same merge order.
+            let mut buckets: Vec<Vec<WorkerTask<'_, A>>> = (0..n).map(|_| Vec::new()).collect();
+            for (i, (&w, shard)) in self.active.iter().zip(shards).enumerate() {
+                let spec = self.cfg.workers[w];
+                buckets[i % n].push(WorkerTask {
+                    worker: w,
+                    spec,
+                    free_ns: self.free_ns[w],
+                    shard,
+                    view: spec.queue.and_then(|q| views[q].take()),
+                    app: apps[w].take().expect("worker split"),
+                    bufs: bufs[w].take().expect("worker split"),
+                    epoch: &ep,
+                });
+            }
+            let pool = self
+                .thread_pool
+                .get_or_insert_with(|| pool::WorkerPool::new(threads));
+            let (res_tx, res_rx) = std::sync::mpsc::channel();
+            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = buckets
+                .into_iter()
+                .map(|bucket| {
+                    let res_tx = res_tx.clone();
+                    Box::new(move || {
+                        for t in bucket {
+                            let _ = res_tx.send(run_task(t));
+                        }
+                    }) as Box<dyn FnOnce() + Send + '_>
                 })
                 .collect();
-            match self.cfg.execution {
-                Execution::Serial => tasks.into_iter().map(run_task).collect(),
-                Execution::Parallel { threads } => {
-                    let n = threads.max(1).min(tasks.len());
-                    if n == 1 {
-                        // A single active worker (or a one-thread
-                        // request) gains nothing from dispatch; run it
-                        // inline. Where a task runs never changes its
-                        // outcome, so this is invisible in the results.
-                        tasks.into_iter().map(run_task).collect()
-                    } else {
-                        // Round-robin by *position in the active list*
-                        // — a pure function of worker indices, never of
-                        // thread scheduling — and reassemble outcomes
-                        // by position, so any thread count yields the
-                        // same merge order.
-                        let mut buckets: Vec<Vec<(usize, WorkerTask<'_, A>)>> =
-                            (0..n).map(|_| Vec::new()).collect();
-                        for (i, t) in tasks.into_iter().enumerate() {
-                            buckets[i % n].push((i, t));
-                        }
-                        let pool = self
-                            .thread_pool
-                            .get_or_insert_with(|| pool::WorkerPool::new(threads));
-                        let (res_tx, res_rx) = std::sync::mpsc::channel();
-                        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = buckets
-                            .into_iter()
-                            .map(|bucket| {
-                                let res_tx = res_tx.clone();
-                                Box::new(move || {
-                                    for (i, t) in bucket {
-                                        let _ = res_tx.send((i, run_task(t)));
-                                    }
-                                }) as Box<dyn FnOnce() + Send + '_>
-                            })
-                            .collect();
-                        pool.run(jobs);
-                        drop(res_tx);
-                        let mut slots: Vec<Option<TaskOutcome>> =
-                            active.iter().map(|_| None).collect();
-                        for (i, o) in res_rx {
-                            slots[i] = Some(o);
-                        }
-                        slots
-                            .into_iter()
-                            .map(|o| o.expect("every task produces an outcome"))
-                            .collect()
-                    }
-                }
-            }
-        };
+            pool.run(jobs);
+            drop(res_tx);
+            self.outcomes.extend(res_rx);
+            assert_eq!(
+                self.outcomes.len(),
+                self.active.len(),
+                "every task produces an outcome"
+            );
+            self.outcomes.sort_unstable_by_key(|o| o.worker);
+        }
         // Merge, in canonical worker order (ascending worker index;
-        // `active` and `idle` are each ascending and disjoint, so one
-        // merged walk preserves it).
+        // `outcomes` follows `active`, which is ascending). A worker
+        // without a task is idle when it is behind the horizon: its
+        // clock has not moved since the partition.
         let mut moved = 0usize;
         let mut oi = 0usize;
-        let mut ii = 0usize;
         for w in 0..self.cfg.workers.len() {
-            if oi < outcomes.len() && outcomes[oi].worker == w {
-                let o = &outcomes[oi];
+            if oi < self.outcomes.len() && self.outcomes[oi].worker == w {
+                let o = &self.outcomes[oi];
                 oi += 1;
                 let spec = self.cfg.workers[w];
                 let aq = spec.queue.unwrap_or(0);
@@ -1283,8 +1312,7 @@ impl<A: QueueApp> Engine<A> {
                         self.free_ns[w] += cycles as f64 * self.ns_per_cycle;
                     }
                 }
-            } else if ii < idle.len() && idle[ii] == w {
-                ii += 1;
+            } else if !single_poll && self.free_ns[w] < horizon_ns {
                 self.idle_to(hw, w, horizon_ns);
             }
         }

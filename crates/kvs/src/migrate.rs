@@ -45,7 +45,14 @@
 use crate::store::{KvStore, SwapError};
 use llc_sim::hierarchy::Cycles;
 use llc_sim::machine::Machine;
+use rte::steering::FixedHasher;
 use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasherDefault;
+
+/// The migrator's tables hash with the fixed hasher of `rte::steering`:
+/// every read is a lookup, or the iteration of `counts` that a sort
+/// under a total order follows, so their order is never observed.
+type Fixed = BuildHasherDefault<FixedHasher>;
 
 /// The migration economics, read from the machine model. All constants
 /// are in core cycles; all decisions built on them are integer
@@ -224,7 +231,7 @@ impl From<SwapError> for MigrateError {
 #[derive(Debug)]
 pub struct HotMigrator {
     /// Access counts within the current epoch.
-    counts: HashMap<u32, u32>,
+    counts: HashMap<u32, u32, Fixed>,
     /// Accesses per epoch (self-tuned under the cost-aware policy).
     epoch_len: usize,
     /// Accesses seen in the current epoch.
@@ -238,7 +245,7 @@ pub struct HotMigrator {
     /// The key currently stored in each hot slot (parallel to `slots`).
     resident: Vec<u32>,
     /// Membership view of `resident` for O(1) hot checks.
-    hot_set: HashSet<u32>,
+    hot_set: HashSet<u32, Fixed>,
     /// The swap-decision policy.
     policy: MigrationPolicy,
     /// The economics constants ([`CostModel::measure`]d at
@@ -293,7 +300,7 @@ impl HotMigrator {
         let hot_set = resident.iter().copied().collect();
         let model = CostModel::measure(m, core);
         Ok(Self {
-            counts: HashMap::new(),
+            counts: HashMap::default(),
             epoch_len,
             seen: 0,
             epoch_hits: 0,
@@ -399,7 +406,7 @@ impl HotMigrator {
         let mut by_count: Vec<(u32, u32)> = self.counts.iter().map(|(&k, &c)| (k, c)).collect();
         by_count.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         let want: Vec<(u32, u32)> = by_count.iter().take(self.slots.len()).copied().collect();
-        let want_set: HashSet<u32> = want.iter().map(|&(k, _)| k).collect();
+        let want_set: HashSet<u32, Fixed> = want.iter().map(|&(k, _)| k).collect();
         // Hot-slot occupants that cooled off, coldest first under the
         // same total order — (count asc, key asc); missing from the
         // counts map is coldest of all.

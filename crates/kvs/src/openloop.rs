@@ -406,7 +406,12 @@ impl Client {
 
     /// Matches drained server outcomes against the per-queue attempt
     /// FIFOs, streaming each completion to the sink.
-    fn absorb(&mut self, q: usize, log: Vec<(f64, Served)>, sink: &mut dyn CompletionSink) {
+    fn absorb(
+        &mut self,
+        q: usize,
+        log: impl Iterator<Item = (f64, Served)>,
+        sink: &mut dyn CompletionSink,
+    ) {
         for (t, outcome) in log {
             let id = self.pending[q]
                 .pop_front()
@@ -438,10 +443,9 @@ fn drain_outcomes(
     sink: &mut dyn CompletionSink,
 ) {
     for w in 0..cores {
-        let log = std::mem::take(&mut eng.app_mut(w).outcomes);
-        if !log.is_empty() {
-            client.absorb(w, log, sink);
-        }
+        // Drained in place, so the log keeps its buffer for the next
+        // epochs.
+        client.absorb(w, eng.app_mut(w).outcomes.drain(..), sink);
     }
 }
 

@@ -213,7 +213,8 @@ impl SharedMem {
 ///
 /// Implements [`CoreMem`] with the walk of a direct [`Machine`] access,
 /// except that LLC *state* transitions are deferred to the epoch merge
-/// (see the module docs). Obtained from [`Machine::epoch_shards`];
+/// (see the module docs). Obtained from [`Machine::epoch_shards`] or,
+/// one at a time, from [`Machine::epoch_shard`];
 /// dissolves into its event log via [`EpochShard::into_log`].
 pub struct EpochShard<'a> {
     core: usize,

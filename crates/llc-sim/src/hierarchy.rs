@@ -577,6 +577,28 @@ impl Machine {
         shards
     }
 
+    /// One core's [`EpochShard`]: what [`Machine::epoch_shards`] returns
+    /// for `&[core]`, without the `Vec`. The shard borrows the whole
+    /// machine, so a caller that runs shards one at a time (the engine's
+    /// inline epochs) takes each from here and drops it before the next.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `core` is out of range.
+    pub fn epoch_shard(&mut self, core: usize) -> EpochShard<'_> {
+        assert!(core < self.cfg.cores, "core {core} out of range");
+        let mem = SharedMem::new(&mut self.mem);
+        EpochShard::new(
+            core,
+            &self.cfg,
+            &self.hash,
+            &*self.topo,
+            &self.llc,
+            mem,
+            &mut self.cores[core],
+        )
+    }
+
     /// Replays one shard's deferred-LLC event log against the live LLC,
     /// attributing allocations (CAT mask, back-invalidation) to `core`.
     ///

@@ -62,29 +62,26 @@ pub struct StreamerState {
 const LINES_PER_PAGE: u64 = 64;
 
 impl StreamerState {
-    /// Observes a demand miss on `line`; returns prefetch candidates.
-    pub fn observe(&mut self, line: u64, cfg: &PrefetchConfig) -> Vec<u64> {
-        let mut out = Vec::new();
-        if cfg.adjacent_line {
-            // The buddy line in the same aligned 128 B pair.
-            out.push(line ^ 1);
-        }
+    /// Observes a demand miss on `line` and returns its prefetch
+    /// candidates: the buddy line, then the stream run. The state is
+    /// updated before this returns; the iterator owns what it needs, so
+    /// the caller may fill caches while it iterates.
+    pub fn observe(&mut self, line: u64, cfg: &PrefetchConfig) -> impl Iterator<Item = u64> {
+        // The buddy line in the same aligned 128 B pair.
+        let buddy = cfg.adjacent_line.then_some(line ^ 1);
+        let (mut delta, mut depth) = (0i64, 0i64);
         if cfg.streamer {
-            let delta = line as i64 - self.last_line as i64;
-            if delta == 1 || delta == -1 {
-                if self.dir == delta as i8 {
+            let d = line as i64 - self.last_line as i64;
+            if d == 1 || d == -1 {
+                if self.dir == d as i8 {
                     self.confidence = self.confidence.saturating_add(1);
                 } else {
-                    self.dir = delta as i8;
+                    self.dir = d as i8;
                     self.confidence = 1;
                 }
                 if self.confidence >= 2 {
-                    for k in 1..=cfg.stream_depth as i64 {
-                        let cand = line as i64 + delta * k;
-                        if cand >= 0 && same_page(line, cand as u64) {
-                            out.push(cand as u64);
-                        }
-                    }
+                    delta = d;
+                    depth = i64::from(cfg.stream_depth);
                 }
             } else {
                 self.dir = 0;
@@ -92,7 +89,11 @@ impl StreamerState {
             }
             self.last_line = line;
         }
-        out
+        let run = (1..=depth).filter_map(move |k| {
+            let cand = line as i64 + delta * k;
+            (cand >= 0 && same_page(line, cand as u64)).then_some(cand as u64)
+        });
+        buddy.into_iter().chain(run)
     }
 }
 
@@ -108,7 +109,7 @@ mod tests {
     fn disabled_emits_nothing() {
         let cfg = PrefetchConfig::disabled();
         let mut st = StreamerState::default();
-        assert!(st.observe(100, &cfg).is_empty());
+        assert!(st.observe(100, &cfg).collect::<Vec<_>>().is_empty());
     }
 
     #[test]
@@ -119,8 +120,8 @@ mod tests {
             stream_depth: 0,
         };
         let mut st = StreamerState::default();
-        assert_eq!(st.observe(10, &cfg), vec![11]);
-        assert_eq!(st.observe(11, &cfg), vec![10]);
+        assert_eq!(st.observe(10, &cfg).collect::<Vec<_>>(), vec![11]);
+        assert_eq!(st.observe(11, &cfg).collect::<Vec<_>>(), vec![10]);
     }
 
     #[test]
@@ -131,9 +132,19 @@ mod tests {
             stream_depth: 2,
         };
         let mut st = StreamerState::default();
-        assert!(st.observe(100, &cfg).is_empty(), "first touch: no stride");
-        assert!(st.observe(101, &cfg).is_empty(), "stride seen once");
-        assert_eq!(st.observe(102, &cfg), vec![103, 104], "stride confirmed");
+        assert!(
+            st.observe(100, &cfg).collect::<Vec<_>>().is_empty(),
+            "first touch: no stride"
+        );
+        assert!(
+            st.observe(101, &cfg).collect::<Vec<_>>().is_empty(),
+            "stride seen once"
+        );
+        assert_eq!(
+            st.observe(102, &cfg).collect::<Vec<_>>(),
+            vec![103, 104],
+            "stride confirmed"
+        );
     }
 
     #[test]
@@ -144,9 +155,9 @@ mod tests {
             stream_depth: 4,
         };
         let mut st = StreamerState::default();
-        st.observe(60, &cfg);
-        st.observe(61, &cfg);
-        let out = st.observe(62, &cfg);
+        let _ = st.observe(60, &cfg);
+        let _ = st.observe(61, &cfg);
+        let out: Vec<u64> = st.observe(62, &cfg).collect();
         assert_eq!(out, vec![63], "lines 64+ are in the next 4 KB page");
     }
 
@@ -158,9 +169,9 @@ mod tests {
             stream_depth: 1,
         };
         let mut st = StreamerState::default();
-        st.observe(70, &cfg);
-        st.observe(69, &cfg);
-        assert_eq!(st.observe(68, &cfg), vec![67]);
+        let _ = st.observe(70, &cfg);
+        let _ = st.observe(69, &cfg);
+        assert_eq!(st.observe(68, &cfg).collect::<Vec<_>>(), vec![67]);
     }
 
     #[test]
@@ -169,7 +180,7 @@ mod tests {
         let mut st = StreamerState::default();
         let mut streamed = 0;
         for line in [5u64, 900, 23, 4000, 17, 250] {
-            let out = st.observe(line, &cfg);
+            let out: Vec<u64> = st.observe(line, &cfg).collect();
             // Adjacent-line always fires; anything beyond one candidate
             // would be the streamer.
             streamed += out.len().saturating_sub(1);

@@ -54,9 +54,9 @@ pub trait Interconnect: Send + Sync {
 #[derive(Debug, Clone)]
 pub struct RingBus {
     nodes: usize,
-    base: u32,
-    hop: u32,
-    cross: u32,
+    /// `nodes × nodes` latencies, row-major by core: the distance
+    /// formula of [`RingBus::new`], evaluated once.
+    latency: Vec<u32>,
 }
 
 impl RingBus {
@@ -73,12 +73,21 @@ impl RingBus {
             nodes > 0 && nodes.is_multiple_of(2),
             "need an even node count"
         );
-        Self {
-            nodes,
-            base,
-            hop,
-            cross,
-        }
+        let latency = (0..nodes)
+            .flat_map(|core| {
+                (0..nodes).map(move |slice| {
+                    // Position of the slice relative to the requesting
+                    // core. Same-ring slices are the even deltas; each
+                    // pair of deltas is one physical hop further along
+                    // the ring.
+                    let delta = (slice + nodes - core) % nodes;
+                    let hops = (delta / 2) as u32;
+                    let crossing = (delta % 2) as u32;
+                    base + hop * hops + cross * crossing
+                })
+            })
+            .collect();
+        Self { nodes, latency }
     }
 
     /// The 8-node ring of the Xeon E5-2667 v3, calibrated to Fig. 5a:
@@ -91,13 +100,7 @@ impl RingBus {
 impl Interconnect for RingBus {
     fn llc_latency(&self, core: usize, slice: usize) -> u32 {
         assert!(core < self.nodes && slice < self.nodes, "node out of range");
-        // Position of the slice relative to the requesting core.
-        let delta = (slice + self.nodes - core) % self.nodes;
-        // Same-ring slices are the even deltas; each pair of deltas is one
-        // physical hop further along the ring.
-        let hops = (delta / 2) as u32;
-        let crossing = (delta % 2) as u32;
-        self.base + self.hop * hops + self.cross * crossing
+        self.latency[core * self.nodes + slice]
     }
 
     fn cores(&self) -> usize {
@@ -237,6 +240,26 @@ mod tests {
         let r = RingBus::haswell_8();
         let order = r.slices_by_distance(0);
         assert_eq!(order[..4], [0, 2, 4, 6], "same-ring slices come first");
+    }
+
+    #[test]
+    fn ring_table_matches_the_closed_form() {
+        // Haswell: base 34, 2 per same-ring hop, 14 to cross. An even
+        // delta d costs 34 + d, an odd one 34 + (d - 1) + 14.
+        let r = RingBus::haswell_8();
+        for c in 0..8 {
+            for s in 0..8 {
+                let d = ((s + 8 - c) % 8) as u32;
+                let want = if d.is_multiple_of(2) { 34 + d } else { 47 + d };
+                assert_eq!(r.llc_latency(c, s), want, "core {c}, slice {s}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "node out of range")]
+    fn ring_rejects_an_off_ring_slice() {
+        RingBus::haswell_8().llc_latency(0, 8);
     }
 
     #[test]

@@ -465,6 +465,16 @@ impl Port {
             .collect()
     }
 
+    /// Queue `q`'s [`RxView`] alone: entry `q` of [`Port::rx_views`],
+    /// without the `Vec`.
+    pub fn rx_view(&mut self, q: usize) -> RxView<'_> {
+        RxView {
+            port_id: self.id,
+            queue: q,
+            ready: &mut self.queues[q].ready,
+        }
+    }
+
     /// PMD: transmits frames and recycles their buffers. The NIC DMA-reads
     /// each frame (untimed for the core); per-descriptor doorbell cost is
     /// charged to `core`.
@@ -531,7 +541,8 @@ fn fill_rx_meta<M: CoreMem + ?Sized>(
 }
 
 /// A worker-owned view of one RX queue's completion ring, split out of a
-/// [`Port`] with [`Port::rx_views`] for the duration of an engine epoch.
+/// [`Port`] with [`Port::rx_views`] (or one queue's with
+/// [`Port::rx_view`]) for the duration of an engine epoch.
 ///
 /// Only the polling half of the driver lives here; posting, refill and
 /// delivery stay on the coordinator, so the view is `Send` and disjoint

@@ -127,21 +127,27 @@ pub struct FdirAction {
     pub mark: Option<u32>,
 }
 
-/// The FlowDirector rule table's hasher: a fixed multiply-rotate mix
-/// per field of a [`FlowTuple`], deterministic and a few instructions
-/// long, where std's default is a randomly keyed SipHash. Nothing
-/// iterates the table, so its order is never observed.
+/// A fixed multiply-rotate hasher for hot tables with small keys: one
+/// mix per written integer (per field of a [`FlowTuple`], once for a
+/// `u32`), deterministic and a few instructions long, where std's
+/// default is a randomly keyed SipHash. Use it as
+/// `BuildHasherDefault<FixedHasher>`. A table's iteration order is then
+/// fixed but arbitrary, so no result may depend on it: the FlowDirector
+/// rule table is only looked up, and the KVS migrator's tables are
+/// looked up or iterated only into a sort under a total order. Being
+/// unkeyed, it does not resist keys crafted to collide: use it for keys
+/// the simulated workload generates, not for adversarial input.
 #[derive(Debug, Clone, Copy, Default)]
-struct FlowHasher(u64);
+pub struct FixedHasher(u64);
 
-impl FlowHasher {
+impl FixedHasher {
     #[inline]
     fn mix(&mut self, x: u64) {
         self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
     }
 }
 
-impl Hasher for FlowHasher {
+impl Hasher for FixedHasher {
     #[inline]
     fn finish(&self) -> u64 {
         // The multiply mixes upward; bring the well-mixed high bits down
@@ -175,7 +181,7 @@ impl Hasher for FlowHasher {
 #[derive(Debug, Clone)]
 pub struct FlowDirector {
     queues: usize,
-    table: HashMap<FlowTuple, FdirAction, BuildHasherDefault<FlowHasher>>,
+    table: HashMap<FlowTuple, FdirAction, BuildHasherDefault<FixedHasher>>,
     next_rr: usize,
     auto_insert: bool,
 }

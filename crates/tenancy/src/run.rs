@@ -284,7 +284,7 @@ struct RunShared {
 fn drain_apps(apps: &mut [TenantApp<'_>], sh: &mut RunShared) {
     for app in apps {
         let t = app.tenant;
-        for lat in std::mem::take(&mut app.latencies) {
+        for lat in app.latencies.drain(..) {
             sh.windows[t].push(lat);
             sh.all_latencies[t].push(lat);
         }
