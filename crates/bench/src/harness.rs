@@ -40,12 +40,6 @@ impl Group {
         self
     }
 
-    /// Overrides the warm-up time.
-    pub fn warm_up_time(mut self, d: Duration) -> Self {
-        self.warmup = d;
-        self
-    }
-
     /// Times `f`, printing median/mean ns per iteration.
     pub fn bench<F: FnMut()>(&self, name: &str, mut f: F) {
         // Warm-up and calibration: find an iteration count that takes
@@ -119,9 +113,7 @@ mod tests {
 
     #[test]
     fn bench_runs_and_reports() {
-        let g = Group::new("selftest")
-            .measurement_time(Duration::from_millis(30))
-            .warm_up_time(Duration::from_millis(5));
+        let g = Group::new("selftest").measurement_time(Duration::from_millis(30));
         let mut acc = 0u64;
         g.bench("noop_add", || {
             acc = black_box(acc.wrapping_add(1));
@@ -131,9 +123,7 @@ mod tests {
 
     #[test]
     fn bench_with_setup_runs() {
-        let g = Group::new("selftest2")
-            .measurement_time(Duration::from_millis(20))
-            .warm_up_time(Duration::from_millis(1));
+        let g = Group::new("selftest2").measurement_time(Duration::from_millis(20));
         g.bench_with_setup(
             "consume_vec",
             || vec![1u8; 64],

@@ -101,13 +101,8 @@ impl Cli {
     }
 
     /// The value given to flag `name` (e.g. `"--cores"`), if any.
-    /// Exits with code 2 when it does not parse as `T`.
-    pub fn value<T: FromStr>(&self, name: &str) -> Option<T> {
-        self.value_where(name, "", |_| true)
-    }
-
-    /// [`Cli::value`] for a flag whose values are limited: also exits
-    /// with code 2 when `valid` rejects the value, naming `expected`.
+    /// Exits with code 2 when it does not parse as `T`, or when `valid`
+    /// rejects it, naming `expected`.
     pub fn value_where<T: FromStr>(
         &self,
         name: &str,
@@ -201,7 +196,7 @@ pub struct Scale {
     pub smoke: bool,
     /// `--parallel` was passed: engine-backed experiments run workers
     /// on OS threads. Binaries without an engine accept and ignore it.
-    pub parallel: bool,
+    pub(crate) parallel: bool,
 }
 
 impl Scale {
@@ -227,7 +222,7 @@ impl Scale {
     }
 
     /// Packets per run under `--smoke`.
-    pub const SMOKE_PACKETS: usize = 2_000;
+    pub(crate) const SMOKE_PACKETS: usize = 2_000;
 }
 
 /// Prints the process-wide engine scheduler totals
@@ -260,18 +255,6 @@ pub fn median_rows(rows: &[[f64; 5]]) -> [f64; 5] {
         *slot = Summary::from_samples(col).expect("non-empty").median();
     }
     out
-}
-
-/// Formats a [p75, p90, p95, p99, mean] row in microseconds.
-pub fn fmt_us_row(row: &[f64; 5]) -> String {
-    format!(
-        "p75={:>8.1}  p90={:>8.1}  p95={:>8.1}  p99={:>8.1}  mean={:>8.1}",
-        row[0] / 1e3,
-        row[1] / 1e3,
-        row[2] / 1e3,
-        row[3] / 1e3,
-        row[4] / 1e3
-    )
 }
 
 /// Per-percentile improvement `base - new` in the same unit.
@@ -308,13 +291,14 @@ mod tests {
         let cli = parse(&["--cores=4", "3", "--chaos", "700", "--churn"]).unwrap();
         assert_eq!(cli.positional::<usize>("runs"), Some(3));
         assert_eq!(cli.positional::<usize>("packets"), Some(700));
-        assert_eq!(cli.value::<usize>("--cores"), Some(4));
+        let any = |_: &usize| true;
+        assert_eq!(cli.value_where("--cores", "", any), Some(4));
         assert!(cli.has("--chaos") && cli.has("--churn") && !cli.has("--smoke"));
-        assert_eq!(cli.value::<usize>("--churn"), None);
+        assert_eq!(cli.value_where("--churn", "", any), None);
         let scale = cli.scale(1, 100);
         assert_eq!((scale.runs, scale.packets, scale.parallel), (3, 700, false));
         let smoke = parse(&["3", "700000", "--smoke", "--churn=64"]).unwrap();
-        assert_eq!(smoke.value::<usize>("--churn"), Some(64));
+        assert_eq!(smoke.value_where("--churn", "", any), Some(64));
         let scale = smoke.scale(1, 700_000);
         assert_eq!((scale.runs, scale.packets), (1, Scale::SMOKE_PACKETS));
     }

@@ -26,7 +26,7 @@
 //! (13 lines); [`headroom_distribution`] regenerates that §4.2
 //! distribution for any trace.
 
-pub mod sorted_pools;
+pub(crate) mod sorted_pools;
 
 use llc_sim::machine::Machine;
 use llc_sim::CACHE_LINE;
@@ -45,7 +45,7 @@ pub const CACHEDIRECTOR_HEADROOM: u16 = 832;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InstallStats {
     /// (mbuf, core) pairs whose window fits a preferred slice.
-    pub placed: u64,
+    pub(crate) placed: u64,
     /// Pairs where no headroom position reached a preferred slice and the
     /// first position was kept as a fallback.
     pub fallback: u64,
@@ -187,16 +187,6 @@ impl CacheDirector {
     pub fn stats(&self) -> InstallStats {
         self.stats
     }
-
-    /// The per-core preferred slice sets in use.
-    pub fn preferred(&self) -> &[Vec<usize>] {
-        &self.preferred
-    }
-
-    /// The placed window's byte offset within the packet.
-    pub fn window_offset(&self) -> u16 {
-        self.window_offset
-    }
 }
 
 impl HeadroomPolicy for CacheDirector {
@@ -305,7 +295,7 @@ mod tests {
         let mut hits = 0;
         let mut total = 0;
         for core in 0..8 {
-            let pref = cd.preferred()[core].clone();
+            let pref = cd.preferred[core].clone();
             for mbuf in 0..64 {
                 let off = cd.data_off(&mut m, &pool, mbuf, core);
                 let pa = pool.meta(mbuf).data_pa_for(off);
@@ -356,7 +346,8 @@ mod tests {
             let flow = FlowTuple::tcp(0x0a000000 + i * 7, 1000 + i as u16, 0xc0a80001, 80);
             let frame = vec![0u8; 128];
             let q = port.deliver(&mut m, &frame, &flow, 0.0).unwrap();
-            let (batch, _) = port.rx_burst(&mut m, &pool, q, q, 4);
+            let mut batch = Vec::new();
+            port.rx_view(q).rx_burst(&mut m, &pool, q, 4, &mut batch);
             for c in batch {
                 let slice = m.slice_of(c.data_pa);
                 assert_eq!(slice, m.closest_slice(q), "queue {q}");
@@ -380,7 +371,8 @@ mod tests {
         for i in 0..256u32 {
             let flow = FlowTuple::tcp(i, 1, 2, 3);
             if port.deliver(&mut m, &[0u8; 64], &flow, 0.0).is_ok() {
-                let (batch, _) = port.rx_burst(&mut m, &pool, 0, 0, 1);
+                let mut batch = Vec::new();
+                port.rx_view(0).rx_burst(&mut m, &pool, 0, 1, &mut batch);
                 for c in batch {
                     slices_seen.insert(m.slice_of(c.data_pa));
                 }

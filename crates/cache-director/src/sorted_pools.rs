@@ -23,7 +23,6 @@ pub struct SortedPools {
     per_core: Vec<Vec<u32>>,
     /// Buffers that matched no core's preferred set.
     unplaced: Vec<u32>,
-    data_off: u16,
 }
 
 impl SortedPools {
@@ -62,41 +61,12 @@ impl SortedPools {
             }
             unplaced.push(mbuf);
         }
-        Self {
-            per_core,
-            unplaced,
-            data_off,
-        }
-    }
-
-    /// Number of cores the pool was sorted for.
-    pub fn cores(&self) -> usize {
-        self.per_core.len()
-    }
-
-    /// The buffers assigned to `core`.
-    pub fn pool_of(&self, core: usize) -> &[u32] {
-        &self.per_core[core]
-    }
-
-    /// Buffers no core could use at this `data_off`.
-    pub fn unplaced(&self) -> &[u32] {
-        &self.unplaced
-    }
-
-    /// The fixed headroom all sorted buffers use.
-    pub fn data_off(&self) -> u16 {
-        self.data_off
+        Self { per_core, unplaced }
     }
 
     /// Takes a buffer from `core`'s pool.
     pub fn get(&mut self, core: usize) -> Option<u32> {
         self.per_core[core].pop()
-    }
-
-    /// Returns a buffer to `core`'s pool.
-    pub fn put(&mut self, core: usize, mbuf: u32) {
-        self.per_core[core].push(mbuf);
     }
 
     /// Fraction of the original pool that found a home.
@@ -121,7 +91,7 @@ mod tests {
         let sorted = SortedPools::sort(&mut m, &pool, 128, 1);
         for c in 0..8 {
             let target = m.closest_slice(c);
-            for &mbuf in sorted.pool_of(c) {
+            for &mbuf in &sorted.per_core[c] {
                 let pa = pool.meta(mbuf).data_pa_for(128);
                 assert_eq!(m.slice_of(pa), target, "core {c} mbuf {mbuf}");
             }
@@ -134,9 +104,9 @@ mod tests {
         let mut m = haswell();
         let pool = MbufPool::create(&mut m, 1024, 128, 2048).unwrap();
         let sorted = SortedPools::sort(&mut m, &pool, 128, 1);
-        assert!(sorted.unplaced().is_empty());
+        assert!(sorted.unplaced.is_empty());
         assert_eq!(sorted.placement_rate(&pool), 1.0);
-        let total: usize = (0..8).map(|c| sorted.pool_of(c).len()).sum();
+        let total: usize = (0..8).map(|c| sorted.per_core[c].len()).sum();
         assert_eq!(total, 1024);
     }
 
@@ -147,22 +117,20 @@ mod tests {
         let mut m = Machine::new(MachineConfig::skylake_gold_6134().with_dram_capacity(128 << 20));
         let pool = MbufPool::create(&mut m, 1024, 128, 2048).unwrap();
         let sorted = SortedPools::sort(&mut m, &pool, 128, 1);
-        assert!(!sorted.unplaced().is_empty());
+        assert!(!sorted.unplaced.is_empty());
         // With the secondary slices admitted, coverage improves.
         let sorted3 = SortedPools::sort(&mut m, &pool, 128, 3);
-        assert!(sorted3.unplaced().len() < sorted.unplaced().len());
+        assert!(sorted3.unplaced.len() < sorted.unplaced.len());
     }
 
     #[test]
-    fn get_put_cycle_stays_within_core_pool() {
+    fn get_takes_from_its_core_pool() {
         let mut m = haswell();
         let pool = MbufPool::create(&mut m, 256, 128, 2048).unwrap();
         let mut sorted = SortedPools::sort(&mut m, &pool, 128, 1);
-        let before = sorted.pool_of(3).len();
-        let mbuf = sorted.get(3).expect("core 3 has buffers");
-        assert_eq!(sorted.pool_of(3).len(), before - 1);
-        sorted.put(3, mbuf);
-        assert_eq!(sorted.pool_of(3).len(), before);
+        let before = sorted.per_core[3].len();
+        sorted.get(3).expect("core 3 has buffers");
+        assert_eq!(sorted.per_core[3].len(), before - 1);
     }
 
     #[test]
@@ -171,12 +139,12 @@ mod tests {
         let pool = MbufPool::create(&mut m, 512, 128, 2048).unwrap();
         let sorted = SortedPools::sort(&mut m, &pool, 128, 2);
         let mut seen = std::collections::HashSet::new();
-        for c in 0..sorted.cores() {
-            for &mb in sorted.pool_of(c) {
+        for c in 0..sorted.per_core.len() {
+            for &mb in &sorted.per_core[c] {
                 assert!(seen.insert(mb), "mbuf {mb} assigned twice");
             }
         }
-        for &mb in sorted.unplaced() {
+        for &mb in &sorted.unplaced {
             assert!(seen.insert(mb), "mbuf {mb} both placed and unplaced");
         }
         assert_eq!(seen.len(), 512);
@@ -193,7 +161,7 @@ mod tests {
         // A buffer from core 2's sorted pool is as well-placed as any
         // buffer CacheDirector would adjust for core 2.
         let target = m.closest_slice(2);
-        if let Some(&mb) = sorted.pool_of(2).first() {
+        if let Some(&mb) = sorted.per_core[2].first() {
             assert_eq!(m.slice_of(pool.meta(mb).data_pa_for(128)), target);
         }
         use rte::nic::HeadroomPolicy;

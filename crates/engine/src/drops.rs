@@ -12,12 +12,12 @@
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NicDrops {
     /// No posted descriptor (queue backlogged).
-    pub nodesc: u64,
+    pub(crate) nodesc: u64,
     /// No posted descriptor *because the mbuf pool was starved*
     /// (refills were failing when the frame arrived).
     pub pool_starved: u64,
     /// Packet-rate ceiling exceeded.
-    pub overrun: u64,
+    pub(crate) overrun: u64,
     /// Hardware CRC failure (corrupt frame or runt).
     pub crc: u64,
     /// Link down at arrival.
@@ -46,7 +46,7 @@ impl NicDrops {
     }
 
     /// Adds `other` into `self`, counter by counter.
-    pub fn merge(&mut self, other: &NicDrops) {
+    pub(crate) fn merge(&mut self, other: &NicDrops) {
         self.nodesc += other.nodesc;
         self.pool_starved += other.pool_starved;
         self.overrun += other.overrun;
@@ -58,7 +58,7 @@ impl NicDrops {
     }
 
     /// The element-wise sum of a set of per-queue ledgers.
-    pub fn sum<'a, I: IntoIterator<Item = &'a NicDrops>>(iter: I) -> NicDrops {
+    pub(crate) fn sum<'a, I: IntoIterator<Item = &'a NicDrops>>(iter: I) -> NicDrops {
         let mut out = NicDrops::default();
         for d in iter {
             out.merge(d);
@@ -90,13 +90,13 @@ impl AdmitDrops {
     }
 
     /// Adds `other` into `self`, counter by counter.
-    pub fn merge(&mut self, other: &AdmitDrops) {
+    pub(crate) fn merge(&mut self, other: &AdmitDrops) {
         self.depth_shed += other.depth_shed;
         self.deadline_shed += other.deadline_shed;
     }
 
     /// The element-wise sum of a set of per-queue ledgers.
-    pub fn sum<'a, I: IntoIterator<Item = &'a AdmitDrops>>(iter: I) -> AdmitDrops {
+    pub(crate) fn sum<'a, I: IntoIterator<Item = &'a AdmitDrops>>(iter: I) -> AdmitDrops {
         let mut out = AdmitDrops::default();
         for d in iter {
             out.merge(d);

@@ -37,7 +37,7 @@ use std::collections::BinaryHeap;
 /// 2^53: the largest f64 exponent range in which every integer
 /// nanosecond is exactly representable. Above it, `u64 as f64`
 /// conversions (and back) start losing individual nanoseconds.
-pub const MAX_EXACT_NS: f64 = 9_007_199_254_740_992.0;
+pub(crate) const MAX_EXACT_NS: f64 = 9_007_199_254_740_992.0;
 
 /// Order-preserving integer key for a non-negative finite `f64` time in
 /// ns. Lossless: [`time_of_key`] inverts it exactly.

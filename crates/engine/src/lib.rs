@@ -66,8 +66,8 @@
 //! state (e.g. a KVS store and its LLC contents) reusable across runs,
 //! which Fig. 8's warm-then-measure methodology depends on.
 
-pub mod drops;
-pub mod events;
+pub(crate) mod drops;
+pub(crate) mod events;
 mod pool;
 
 pub use drops::{AdmitDrops, NicDrops};
@@ -334,18 +334,14 @@ pub enum Verdict {
 }
 
 /// Per-poll context handed to the application: the worker's machine
-/// shard plus its identity and the wall-clock anchor of the current
-/// poll iteration.
+/// shard, its core and the wall-clock anchor of the current poll
+/// iteration.
 pub struct Ctx<'a> {
     /// The worker's timed-memory view (a per-core machine shard during
     /// engine epochs; a whole [`Machine`] in direct/unit-test use).
     pub m: &'a mut (dyn CoreMem + 'a),
     /// The worker's core.
     pub core: usize,
-    /// The worker's index in [`EngineConfig::workers`].
-    pub worker: usize,
-    /// The worker's RX queue, if any.
-    pub queue: Option<usize>,
     start_cycles: u64,
     start_ns: f64,
     ns_per_cycle: f64,
@@ -404,7 +400,7 @@ pub trait QueueApp: Send {
 /// with the machine merged and the pool live).
 pub struct MergeCtx<'a> {
     /// The mbuf pool (for recycling buffers the hook drops).
-    pub pool: &'a mut MbufPool,
+    pub(crate) pool: &'a mut MbufPool,
     /// The fully merged machine. Hooks may run *timed* work against it
     /// (e.g. the KVS's §8 hot-set migration swaps): cycles land on the
     /// core they are charged to, exactly as worker-epoch work does, and
@@ -426,7 +422,7 @@ impl MergeCtx<'_> {
 /// epoch merge: move items between the per-worker apps (e.g. a pipeline
 /// stage-1 outbox into stage-2's inbox). Returns how many items moved,
 /// which keeps [`Engine::drain`] honest.
-pub type EpochHook<A> = Box<dyn FnMut(&mut [A], &mut MergeCtx<'_>) -> usize>;
+pub(crate) type EpochHook<A> = Box<dyn FnMut(&mut [A], &mut MergeCtx<'_>) -> usize>;
 
 /// A periodic control-plane hook ([`Engine::set_control_hook`]): the
 /// coordinator fires it at every multiple of the control period that a
@@ -440,7 +436,7 @@ pub type EpochHook<A> = Box<dyn FnMut(&mut [A], &mut MergeCtx<'_>) -> usize>;
 /// schedulers and both execution modes. Hooks may run timed work
 /// against `MergeCtx::m`; the cycles are folded into the owning
 /// workers' free-at times exactly like epoch-hook time.
-pub type ControlHook<A> = Box<dyn FnMut(&mut [A], &mut MergeCtx<'_>, f64)>;
+pub(crate) type ControlHook<A> = Box<dyn FnMut(&mut [A], &mut MergeCtx<'_>, f64)>;
 
 /// Per-queue slice of the final [`EngineReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -635,8 +631,6 @@ fn run_task<A: QueueApp>(mut t: WorkerTask<'_, A>) -> TaskOutcome {
             let mut ctx = Ctx {
                 m: &mut t.shard,
                 core,
-                worker: t.worker,
-                queue: t.spec.queue,
                 start_cycles,
                 start_ns,
                 ns_per_cycle: ep.ns_per_cycle,
@@ -865,16 +859,6 @@ impl<A: QueueApp> Engine<A> {
         self.queue_groups = groups;
     }
 
-    /// Worker `w`'s application (inspection).
-    pub fn app(&self, w: usize) -> &A {
-        &self.apps[w]
-    }
-
-    /// All per-worker applications (inspection).
-    pub fn apps(&self) -> &[A] {
-        &self.apps
-    }
-
     /// Worker `w`'s application (mutation between polls).
     pub fn app_mut(&mut self, w: usize) -> &mut A {
         &mut self.apps[w]
@@ -1057,20 +1041,25 @@ impl<A: QueueApp> Engine<A> {
         self.catch_up(hw, until_ns);
     }
 
+    /// The dispatch rule: whether an epoch is due before horizon `h`.
+    /// The tick-stepper dispatches one every time; the event-driven
+    /// scheduler only for a busy worker free strictly before `h`.
+    /// Without one, the tick-stepper's epoch is its idle branch plus an
+    /// epoch count and an epoch-hook call, and the hook contract
+    /// (DESIGN.md §3f) makes a hook at a workless epoch a no-op.
+    fn epoch_due(&self, hw: &Hw<'_>, h: f64) -> bool {
+        self.cfg.scheduler == Scheduler::ReferenceTick
+            || (0..self.cfg.workers.len()).any(|w| self.free_ns[w] < h && self.worker_busy(hw, w))
+    }
+
     /// Scheduler-dispatched catch-up to horizon `h` (the whole of
-    /// `run_until` when no control hook is installed). Without a busy
-    /// worker behind `h`, the tick-stepper's epoch is its idle branch
-    /// plus an epoch count and an epoch-hook call, and the hook
-    /// contract (DESIGN.md §3f) makes a hook at a workless epoch a
-    /// no-op: the event-driven scheduler runs the idle branch alone.
+    /// `run_until` when no control hook is installed): an epoch when
+    /// one is due ([`Engine::epoch_due`]), else the idle branch alone.
     fn catch_up(&mut self, hw: &mut Hw<'_>, h: f64) {
-        let workers = self.cfg.workers.len();
-        let due = self.cfg.scheduler == Scheduler::ReferenceTick
-            || (0..workers).any(|w| self.free_ns[w] < h && self.worker_busy(hw, w));
-        if due {
+        if self.epoch_due(hw, h) {
             self.run_epoch(hw, h, false);
         } else {
-            for w in 0..workers {
+            for w in 0..self.cfg.workers.len() {
                 if self.free_ns[w] < h {
                     self.idle_to(hw, w, h);
                 }
@@ -1119,11 +1108,17 @@ impl<A: QueueApp> Engine<A> {
     /// sync: all workers advance to the latest free-at time. Closed-loop
     /// callers alternate `offer(.., now_ns())` top-ups with `step`, and
     /// the sync guarantees those offers never trigger catch-up
-    /// processing mid-top-up. Returns how many packets moved; zero means
-    /// the engine is drained (or wedged by faults) and the caller should
-    /// stop.
+    /// processing mid-top-up. The round is an epoch only when one is
+    /// due at an infinite horizon (`Engine::epoch_due`): with no busy
+    /// worker the event-driven scheduler only syncs the clocks. Returns
+    /// how many packets moved; zero means the engine is drained (or
+    /// wedged by faults) and the caller should stop.
     pub fn step(&mut self, hw: &mut Hw<'_>) -> usize {
-        let moved = self.run_epoch(hw, f64::INFINITY, true);
+        let moved = if self.epoch_due(hw, f64::INFINITY) {
+            self.run_epoch(hw, f64::INFINITY, true)
+        } else {
+            0
+        };
         let now = self.now_ns();
         for f in &mut self.free_ns {
             *f = now;
@@ -1750,6 +1745,12 @@ mod tests {
         eng.run_until(&mut hw, 2e6);
         assert_eq!(hw.port.posted_count(0), 64, "the idle branch re-arms");
         assert_eq!(dispatched(&eng), before, "idle catch-up dispatches nothing");
+        assert_eq!(eng.now_ns(), 2e6);
+        // `step` follows the same rule: nothing is due, so it moves
+        // nothing, and it and `drain` dispatch no epoch and call no hook.
+        assert_eq!(eng.step(&mut hw), 0);
+        eng.drain(&mut hw);
+        assert_eq!(dispatched(&eng), before, "idle step dispatches nothing");
         assert_eq!(eng.now_ns(), 2e6);
     }
 

@@ -32,7 +32,7 @@ pub struct LargeKvStore {
 }
 
 /// Per-operation fixed work (dispatch + bookkeeping).
-pub const OP_WORK: Cycles = 20;
+pub(crate) const OP_WORK: Cycles = 20;
 
 impl LargeKvStore {
     /// Builds a store of `n` values of `value_size` bytes each.
@@ -57,26 +57,6 @@ impl LargeKvStore {
             values.push(scattered_from(segments, value_size));
         }
         Ok(Self { values, value_size })
-    }
-
-    /// Number of values.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True for an empty store (not constructable).
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Value size in bytes.
-    pub fn value_size(&self) -> usize {
-        self.value_size
-    }
-
-    /// The backing object of `key` (inspection).
-    pub fn value(&self, key: usize) -> &ScatteredBuf {
-        &self.values[key]
     }
 
     /// GET: timed read of the whole value.
@@ -137,8 +117,8 @@ mod tests {
         let mut out = vec![0u8; 1024];
         kv.get(&mut m, 0, 17, &mut out);
         assert_eq!(out, data);
-        assert_eq!(kv.value_size(), 1024);
-        assert_eq!(kv.len(), 64);
+        assert_eq!(kv.value_size, 1024);
+        assert_eq!(kv.values.len(), 64);
     }
 
     #[test]
@@ -147,7 +127,7 @@ mod tests {
         let kv = LargeKvStore::build(&mut a, 32, 512, &LargePlacement::SliceSet(vec![3])).unwrap();
         for key in 0..32 {
             for seg in 0..8 {
-                let pa = kv.value(key).segments().line(seg);
+                let pa = kv.values[key].segments().line(seg);
                 assert_eq!(m.slice_of(pa), 3, "key {key} segment {seg}");
             }
         }
@@ -198,7 +178,7 @@ mod tests {
         let kv =
             LargeKvStore::build(&mut a, 4, 4 * 64, &LargePlacement::SliceSet(vec![0, 2])).unwrap();
         let slices: Vec<usize> = (0..4)
-            .map(|seg| m.slice_of(kv.value(0).segments().line(seg)))
+            .map(|seg| m.slice_of(kv.values[0].segments().line(seg)))
             .collect();
         assert_eq!(slices, vec![0, 2, 0, 2]);
     }
@@ -207,7 +187,7 @@ mod tests {
     fn normal_placement_is_contiguous() {
         let (_m, mut a) = setup();
         let kv = LargeKvStore::build(&mut a, 2, 256, &LargePlacement::Normal).unwrap();
-        let segs = kv.value(0).segments();
+        let segs = kv.values[0].segments();
         for w in segs.lines().windows(2) {
             assert_eq!(w[1].raw(), w[0].raw() + 64);
         }

@@ -42,16 +42,16 @@
 //! assert_eq!(m.slice_of(pa), closest);
 //! ```
 
-pub mod large;
-pub mod migrate;
-pub mod openloop;
+pub(crate) mod large;
+pub(crate) mod migrate;
+pub(crate) mod openloop;
 pub mod proto;
 pub mod server;
 pub mod store;
 
 pub use large::{LargeKvStore, LargePlacement};
-pub use migrate::{CostModel, HotMigrator, MigrateError, MigrationPolicy, MigrationReport};
+pub use migrate::{CostModel, HotMigrator, MigrationPolicy};
 pub use openloop::{run_openloop_streaming, CompletionSink, OpenLoopConfig, OpenLoopReport};
 pub use proto::{KvOp, KvRequest};
-pub use server::{run_server, MigrationMode, ServerConfig, ServerReport};
-pub use store::{KvStore, Placement, SwapError};
+pub use server::{run_server, ServerConfig, ServerReport};
+pub use store::{KvStore, Placement};

@@ -63,26 +63,26 @@ pub struct CostModel {
     /// Cycles one hot-area hit saves versus serving the same LLC hit
     /// from an average-distance slice: `mean(llc_latency(core, *)) -
     /// llc_latency(core, closest)`.
-    pub saving_per_hit: u64,
+    pub(crate) saving_per_hit: u64,
     /// Initial estimate of one swap's cycle cost. [`HotMigrator`]
     /// refines it with the realized per-swap cycles after every
     /// executed batch, so the veto threshold tracks what swaps
     /// actually cost on this machine.
-    pub swap_cost: u64,
+    pub(crate) swap_cost: u64,
     /// Floor for the self-tuned epoch length (accesses per epoch).
-    pub min_epoch: usize,
+    pub(crate) min_epoch: usize,
     /// Ceiling for the self-tuned epoch length.
-    pub max_epoch: usize,
+    pub(crate) max_epoch: usize,
     /// Most swaps one epoch merge may execute; approved candidates
     /// beyond it are deferred to the next merge, bounding the timed
     /// burst a single merge injects on the serving core.
-    pub max_batch: usize,
+    pub(crate) max_batch: usize,
     /// Consecutive swap-free epochs before the controller goes dormant.
-    pub backoff_epochs: u32,
+    pub(crate) backoff_epochs: u32,
     /// Hysteresis margin: a dormant controller wakes only when the best
     /// candidate's projected benefit exceeds `wake_mult ×` the swap
     /// cost (an active one already swaps at `> 1×`).
-    pub wake_mult: u64,
+    pub(crate) wake_mult: u64,
 }
 
 impl CostModel {
@@ -113,18 +113,6 @@ impl CostModel {
             backoff_epochs: 3,
             wake_mult: 2,
         }
-    }
-
-    /// The same model with a different per-merge batch cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `max_batch == 0` (the controller could never swap).
-    #[must_use]
-    pub fn with_max_batch(mut self, max_batch: usize) -> Self {
-        assert!(max_batch > 0, "batch cap must be positive");
-        self.max_batch = max_batch;
-        self
     }
 
     /// The same model with different epoch-tuning bounds.
@@ -158,7 +146,7 @@ pub enum MigrationPolicy {
 impl MigrationPolicy {
     /// The cost-aware policy with its model measured from `m` for
     /// `core` ([`CostModel::measure`]).
-    pub fn cost_aware(m: &Machine, core: usize) -> Self {
+    pub(crate) fn cost_aware(m: &Machine, core: usize) -> Self {
         MigrationPolicy::CostAware(CostModel::measure(m, core))
     }
 }
@@ -167,9 +155,9 @@ impl MigrationPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationReport {
     /// Keys moved into the hot area (same number moved out).
-    pub migrated: usize,
+    pub(crate) migrated: usize,
     /// Cycles spent copying values and rewriting index entries.
-    pub cycles: Cycles,
+    pub(crate) cycles: Cycles,
     /// Accesses in this epoch that found their key already resident in
     /// the hot area (counted at access time, before this migration).
     pub hot_hits: u64,
@@ -178,16 +166,16 @@ pub struct MigrationReport {
     /// Candidate swaps rejected by the economics test (projected
     /// benefit ≤ swap cost), including every candidate of a dormant
     /// epoch that failed to wake the controller.
-    pub vetoed: u64,
+    pub(crate) vetoed: u64,
     /// Candidate swaps that passed the economics test but exceeded the
     /// per-merge batch cap; they stay candidates for the next merge.
-    pub deferred: u64,
+    pub(crate) deferred: u64,
     /// Executed swaps whose projected benefit was ≤ the measured swap
     /// cost — structurally zero under [`MigrationPolicy::CostAware`]
     /// (such candidates are vetoed, never executed); under
     /// [`MigrationPolicy::Always`] it counts the swaps the economics
     /// would have refused.
-    pub at_loss: u64,
+    pub(crate) at_loss: u64,
 }
 
 /// Why a [`HotMigrator`] could not be built or run.
@@ -332,42 +320,9 @@ impl HotMigrator {
         self
     }
 
-    /// Keys currently occupying the hot area, in hot-slot order.
-    pub fn resident(&self) -> &[u32] {
-        &self.resident
-    }
-
     /// True when `key`'s value currently lives in a hot slot.
-    pub fn is_hot(&self, key: u32) -> bool {
+    pub(crate) fn is_hot(&self, key: u32) -> bool {
         self.hot_set.contains(&key)
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> MigrationPolicy {
-        self.policy
-    }
-
-    /// The current (possibly self-tuned) epoch length, in accesses.
-    pub fn epoch_len(&self) -> usize {
-        self.epoch_len
-    }
-
-    /// The running swap-cost estimate, in cycles.
-    pub fn swap_cost_estimate(&self) -> u64 {
-        self.swap_cost_est
-    }
-
-    /// True when hysteresis back-off has disabled migration (the
-    /// controller still counts, and wakes when a candidate clears the
-    /// wake margin).
-    pub fn is_dormant(&self) -> bool {
-        self.dormant
-    }
-
-    /// Epochs whose realized benefit failed to cover the previous
-    /// batch's cost (the epoch tuner lengthened the epoch each time).
-    pub fn loss_epochs(&self) -> u64 {
-        self.loss_epochs
     }
 
     /// Counts one access without driving migration; returns whether the
@@ -718,7 +673,7 @@ mod tests {
         for (core, &home_slice) in slices.iter().enumerate() {
             let mut mig = HotMigrator::for_store(&m, &store, core, 400).unwrap();
             assert_eq!(
-                mig.resident(),
+                mig.resident,
                 store
                     .hot_slots(core)
                     .unwrap()
@@ -769,7 +724,7 @@ mod tests {
         drop(first);
         let second = HotMigrator::for_store(&m, &store, 0, 50).unwrap();
         assert_eq!(
-            second.resident(),
+            second.resident,
             &[900, 901, 902, 903],
             "a fresh migrator must read the migrated layout"
         );
@@ -789,7 +744,7 @@ mod tests {
         }
         // Top 4 under (count desc, key asc) with all counts == 1:
         // 100, 200, 300, 400.
-        assert_eq!(mig.resident(), &[100, 200, 300, 400]);
+        assert_eq!(mig.resident, &[100, 200, 300, 400]);
     }
 
     /// A fixed economics model for boundary tests: saving 10, swap cost
@@ -851,7 +806,7 @@ mod tests {
         // the newcomer alone would clear the bar.
         let (mut m, store) = setup(1024, 1);
         let mut mig = cost_aware_migrator(&m, &store, 32, fixed_model());
-        let occupant = mig.resident()[0];
+        let occupant = mig.resident[0];
         for _ in 0..12 {
             mig.record(&mut m, &store, occupant).unwrap();
         }
@@ -867,7 +822,10 @@ mod tests {
     #[test]
     fn batch_cap_defers_approved_swaps_to_the_next_merge() {
         let (mut m, store) = setup(4096, 8);
-        let model = fixed_model().with_max_batch(3);
+        let model = CostModel {
+            max_batch: 3,
+            ..fixed_model()
+        };
         let mut mig = cost_aware_migrator(&m, &store, 8 * 200, model);
         // Eight keys, 200 accesses each: profitable (net 2000) by a
         // margin that survives the measured-cost refinement after the
@@ -913,7 +871,7 @@ mod tests {
         }
         assert_eq!(total_migrated, 0, "uniform traffic must never migrate");
         assert_eq!(total_at_loss, 0);
-        assert!(mig.is_dormant(), "back-off must have engaged");
+        assert!(mig.dormant, "back-off must have engaged");
     }
 
     #[test]
@@ -947,7 +905,7 @@ mod tests {
                  migrated at a loss under uniform traffic"
             );
             assert_eq!(at_loss, 0, "iter {iter}: at-loss swaps reported");
-            assert!(mig.is_dormant(), "iter {iter}: back-off never engaged");
+            assert!(mig.dormant, "iter {iter}: back-off never engaged");
         }
     }
 
@@ -962,7 +920,7 @@ mod tests {
             let key = rng.gen_range(0u32..1024);
             mig.record(&mut m, &store, key).unwrap();
         }
-        assert!(mig.is_dormant());
+        assert!(mig.dormant);
         // A skewed phase: 4 keys absorb the whole epoch (64 accesses
         // each → net 640 > 2 × 100).
         let mut migrated = 0;
@@ -971,7 +929,7 @@ mod tests {
                 migrated += r.migrated;
             }
         }
-        assert!(!mig.is_dormant(), "a real hot set must wake the controller");
+        assert!(!mig.dormant, "a real hot set must wake the controller");
         assert_eq!(migrated, 4, "the shifted hot set migrated in");
         assert!(mig.is_hot(600));
     }
@@ -988,7 +946,7 @@ mod tests {
             let key = rng.gen_range(0u32..1024);
             mig.record(&mut m, &store, key).unwrap();
         }
-        assert!(mig.is_dormant());
+        assert!(mig.dormant);
         // One key with 16 accesses: net 160 > 100 (would swap awake)
         // but ≤ 2 × 100 (stays dormant).
         let mut last = None;
@@ -1001,7 +959,7 @@ mod tests {
             "marginal benefit must not wake the controller"
         );
         assert_eq!(r.vetoed, 1);
-        assert!(mig.is_dormant());
+        assert!(mig.dormant);
     }
 
     #[test]
@@ -1010,7 +968,7 @@ mod tests {
         let model = CostModel::measure(&m, 0);
         let initial = model.swap_cost;
         let mut mig = cost_aware_migrator(&m, &store, 2048, model);
-        assert_eq!(mig.swap_cost_estimate(), initial);
+        assert_eq!(mig.swap_cost_est, initial);
         // Warm the future-hot keys' index and value lines so their
         // swap reads hit cache: the realized swap is measurably cheaper
         // than the all-miss worst case the model seeds.
@@ -1023,10 +981,10 @@ mod tests {
             mig.record(&mut m, &store, 2000 + (i % 8)).unwrap();
         }
         assert!(
-            mig.swap_cost_estimate() < initial,
+            mig.swap_cost_est < initial,
             "an executed batch must refine the estimate below the \
              worst-case seed (got {} vs {initial})",
-            mig.swap_cost_estimate()
+            mig.swap_cost_est
         );
     }
 
@@ -1041,15 +999,15 @@ mod tests {
         for i in 0..512u32 {
             mig.record(&mut m, &store, 2000 + (i % 8)).unwrap();
         }
-        assert_eq!(mig.epoch_len(), 512, "no tuning signal after one batch");
-        assert_eq!(mig.loss_epochs(), 0);
+        assert_eq!(mig.epoch_len, 512, "no tuning signal after one batch");
+        assert_eq!(mig.loss_epochs, 0);
         let mut rng = Rng64::seed_from_u64(0xabad);
         for _ in 0..512 {
             let key = rng.gen_range(0u32..1024);
             mig.record(&mut m, &store, key).unwrap();
         }
-        assert_eq!(mig.loss_epochs(), 1, "the unpaid batch is a loss epoch");
-        assert_eq!(mig.epoch_len(), 1024, "loss must double the epoch");
+        assert_eq!(mig.loss_epochs, 1, "the unpaid batch is a loss epoch");
+        assert_eq!(mig.epoch_len, 1024, "loss must double the epoch");
     }
 
     #[test]
@@ -1068,11 +1026,11 @@ mod tests {
             }
         }
         assert!(
-            mig.epoch_len() < 2048,
+            mig.epoch_len < 2048,
             "a richly paying batch must shorten the epoch, got {}",
-            mig.epoch_len()
+            mig.epoch_len
         );
-        assert_eq!(mig.loss_epochs(), 0);
+        assert_eq!(mig.loss_epochs, 0);
     }
 
     #[test]

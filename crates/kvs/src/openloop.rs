@@ -99,7 +99,7 @@ pub struct OpenLoopConfig {
     pub queue_depth: usize,
     /// Logical operations the client issues (each may take several
     /// physical attempts).
-    pub logical_ops: usize,
+    pub(crate) logical_ops: usize,
     /// GET ratio in permille (1000 = 100 % GET).
     pub get_permille: u32,
     /// RNG seed (request streams; arrival seeds live in the generator).
@@ -107,16 +107,16 @@ pub struct OpenLoopConfig {
     /// Relative deadline per logical op in ns ([`f64::INFINITY`] = no
     /// deadline). The absolute wire deadline is the op's first arrival
     /// time plus this; retries carry the *same* absolute deadline.
-    pub deadline_ns: f64,
+    pub(crate) deadline_ns: f64,
     /// Base client timeout before the first retry; attempt *k* waits
     /// `timeout_ns × 2^(k-1)`, doubled again under backpressure.
-    pub timeout_ns: f64,
+    pub(crate) timeout_ns: f64,
     /// Physical attempts per logical op (1 = never retry). Must be ≥ 1.
-    pub max_attempts: u32,
+    pub(crate) max_attempts: u32,
     /// Ingress admission policy (the server side of overload control).
-    pub admission: AdmissionPolicy,
+    pub(crate) admission: AdmissionPolicy,
     /// Fault plan. Must not contain TX-stall windows (see module docs).
-    pub faults: FaultPlan,
+    pub(crate) faults: FaultPlan,
     /// Serial (reference) or parallel worker execution; reports are
     /// bit-identical either way.
     pub execution: Execution,
@@ -211,15 +211,15 @@ pub struct OpenLoopReport {
     pub gave_up: u64,
     /// Responses that arrived for an op that had already completed (a
     /// duplicate from a retransmitted attempt) or already given up.
-    pub late: u64,
+    pub(crate) late: u64,
     /// Physical attempts offered to the NIC (`logical_ops + retries`).
     pub offered: u64,
     /// Attempts the NIC accepted into a descriptor (each produced
     /// exactly one server-side outcome).
-    pub accepted: u64,
+    pub(crate) accepted: u64,
     /// Attempts rejected synchronously at offer: NIC drops plus
     /// admission sheds.
-    pub rejected: u64,
+    pub(crate) rejected: u64,
     /// Physical retransmissions (attempts beyond each op's first).
     pub retries: u64,
     /// Responses the server transmitted (`completed + late`).
@@ -232,7 +232,7 @@ pub struct OpenLoopReport {
     /// Ingress admission sheds, by cause.
     pub admit: AdmitDrops,
     /// Simulated run duration (from the engine report).
-    pub duration_ns: f64,
+    pub(crate) duration_ns: f64,
 }
 
 impl OpenLoopReport {

@@ -33,16 +33,16 @@ pub struct KvRequest {
 /// Request size on the wire (paper: "encapsulated in 128 B TCP packets").
 pub const REQUEST_SIZE: usize = 128;
 /// Offset of the opcode byte within the frame.
-pub const OP_OFF: usize = crate::server::PAYLOAD_OFF;
+pub(crate) const OP_OFF: usize = crate::server::PAYLOAD_OFF;
 /// Offset of the key.
-pub const KEY_OFF: usize = OP_OFF + 2;
+pub(crate) const KEY_OFF: usize = OP_OFF + 2;
 /// Offset of the absolute deadline (LE `u32`, [`DEADLINE_TICK_NS`]
 /// ticks; 0 = no deadline).
-pub const DEADLINE_OFF: usize = KEY_OFF + 4;
+pub(crate) const DEADLINE_OFF: usize = KEY_OFF + 4;
 /// Offset of the (SET) value.
-pub const VALUE_OFF: usize = DEADLINE_OFF + 4;
+pub(crate) const VALUE_OFF: usize = DEADLINE_OFF + 4;
 /// Granularity of the on-wire deadline field, in nanoseconds.
-pub const DEADLINE_TICK_NS: f64 = 16.0;
+pub(crate) const DEADLINE_TICK_NS: f64 = 16.0;
 
 /// Serialises a request into an already-encoded frame payload. Clears
 /// the deadline field (frames are reused buffers); set one afterwards
@@ -65,7 +65,7 @@ pub fn write_request(frame: &mut [u8], req: &KvRequest) {
 ///
 /// Panics on a non-positive or non-finite deadline (0 is the "no
 /// deadline" wire encoding; use plain [`write_request`] for that).
-pub fn write_deadline(frame: &mut [u8], deadline_ns: f64) {
+pub(crate) fn write_deadline(frame: &mut [u8], deadline_ns: f64) {
     assert!(
         deadline_ns.is_finite() && deadline_ns > 0.0,
         "deadline must be positive and finite"
@@ -77,7 +77,7 @@ pub fn write_deadline(frame: &mut [u8], deadline_ns: f64) {
 
 /// Reads the absolute deadline from a frame: `None` when the frame is
 /// too short to carry one (a legal short request) or the field is 0.
-pub fn read_deadline(frame: &[u8]) -> Option<f64> {
+pub(crate) fn read_deadline(frame: &[u8]) -> Option<f64> {
     if frame.len() < DEADLINE_OFF + 4 {
         return None;
     }
@@ -90,7 +90,7 @@ pub fn read_deadline(frame: &[u8]) -> Option<f64> {
 /// Returns `None` for an unknown opcode or a frame too short to carry
 /// the opcode + key (e.g. a truncated request): no byte sequence of any
 /// length panics this parser.
-pub fn read_request(frame: &[u8]) -> Option<KvRequest> {
+pub(crate) fn read_request(frame: &[u8]) -> Option<KvRequest> {
     if frame.len() < KEY_OFF + 4 {
         return None;
     }

@@ -28,12 +28,12 @@ use rte::nic::{DropReason, HeadroomPolicy, Port, RxCompletion, TxDesc};
 use trafficgen::FlowTuple;
 
 /// Frame offset where the KVS payload begins (after Ethernet/IPv4/TCP).
-pub const PAYLOAD_OFF: usize = 54;
+pub(crate) const PAYLOAD_OFF: usize = 54;
 
 /// Per-request server work besides store access: RX bookkeeping, request
 /// parse, response assembly. Calibrated so the all-cached request path
 /// lands near the paper's ~160-cycle figure (§3.1).
-pub const SERVE_WORK: u64 = 15;
+pub(crate) const SERVE_WORK: u64 = 15;
 
 /// PMD burst size of the closed-loop server.
 const BURST: usize = 32;
@@ -67,7 +67,7 @@ pub enum MigrationMode {
 
 impl MigrationMode {
     /// The configured epoch length, when migration is on.
-    pub fn epoch(&self) -> Option<usize> {
+    pub(crate) fn epoch(&self) -> Option<usize> {
         match *self {
             MigrationMode::Off => None,
             MigrationMode::Always { epoch } | MigrationMode::CostAware { epoch } => Some(epoch),
@@ -134,19 +134,6 @@ impl ServerConfig {
         self
     }
 
-    /// The same configuration with unconditional (always-migrate)
-    /// hot-set migration every `epoch` accesses per core.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `epoch` is 0.
-    #[must_use]
-    pub fn with_migration(mut self, epoch: usize) -> Self {
-        assert!(epoch > 0, "migration epoch must be positive");
-        self.migration = MigrationMode::Always { epoch };
-        self
-    }
-
     /// The same configuration with the cost-aware self-tuning migration
     /// controller, starting from `epoch` accesses per core.
     ///
@@ -169,9 +156,9 @@ pub struct ServerDrops {
     /// link, stalls, TX-path faults), as accounted by the engine.
     pub nic: NicDrops,
     /// Requests delivered but rejected by the parser (bad opcode).
-    pub malformed: u64,
+    pub(crate) malformed: u64,
     /// Requests delivered but too short to carry opcode/key/value.
-    pub truncated: u64,
+    pub(crate) truncated: u64,
     /// Requests already past their wire deadline when the server picked
     /// them up (expired-on-arrival: dropped before the store access, no
     /// response sent).
@@ -818,7 +805,10 @@ mod tests {
         );
         frame[crate::proto::VALUE_OFF..crate::proto::VALUE_OFF + 64].fill(0x77);
         b.port.deliver(&mut b.m, &frame, &flow, 0.0).unwrap();
-        let (batch, _) = b.port.rx_burst(&mut b.m, &b.pool, 0, core, 4);
+        let mut batch = Vec::new();
+        b.port
+            .rx_view(0)
+            .rx_burst(&mut b.m, &b.pool, core, 4, &mut batch);
         let comp = batch[0];
         let mut data = [0u8; 64];
         b.m.read_bytes(
@@ -1144,7 +1134,10 @@ mod tests {
         let keygen = ZipfGen::new(4096, 0.99, 99);
         let mut gens = [RequestGen::new(keygen, 1000, 7)];
         let mut policy = FixedHeadroom(128);
-        let cfg = ServerConfig::fig8(100, 1000, 1).with_migration(64);
+        let cfg = ServerConfig {
+            migration: MigrationMode::Always { epoch: 64 },
+            ..ServerConfig::fig8(100, 1000, 1)
+        };
         run_server(
             &mut b.m,
             &b.store,

@@ -61,7 +61,7 @@ impl Placement {
     /// The hot (slice-local, migration-target) slot numbers `core` owns
     /// under this placement in a store of `n` slots, or `None` when the
     /// placement has no hot area (or none for that core).
-    pub fn hot_slots(&self, core: usize, n: usize) -> Option<Vec<usize>> {
+    pub(crate) fn hot_slots(&self, core: usize, n: usize) -> Option<Vec<usize>> {
         match self {
             Placement::StripedHot {
                 slices,
@@ -81,11 +81,6 @@ impl Placement {
             Placement::Normal | Placement::SliceAware { .. } | Placement::Striped { .. } => None,
         }
     }
-
-    /// True when this placement declares a hot area somewhere.
-    pub fn has_hot_area(&self) -> bool {
-        matches!(self, Placement::StripedHot { .. })
-    }
 }
 
 /// The emulated store.
@@ -101,7 +96,7 @@ pub struct KvStore {
 
 /// Per-operation fixed work: request dispatch, bounds checks, response
 /// bookkeeping.
-pub const OP_WORK: Cycles = 20;
+pub(crate) const OP_WORK: Cycles = 20;
 
 impl KvStore {
     /// Builds a store of `n` values placed per `placement`.
@@ -200,30 +195,20 @@ impl KvStore {
     }
 
     /// Number of values.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slots.len()
     }
 
-    /// True for an empty store.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// The configured placement.
-    pub fn placement(&self) -> &Placement {
+    pub(crate) fn placement(&self) -> &Placement {
         &self.placement
     }
 
     /// The hot (slice-local, migration-target) slots `core` owns, or
     /// `None` when the placement has no hot area for that core. See
     /// [`Placement::hot_slots`].
-    pub fn hot_slots(&self, core: usize) -> Option<Vec<usize>> {
+    pub(crate) fn hot_slots(&self, core: usize) -> Option<Vec<usize>> {
         self.placement.hot_slots(core, self.len())
-    }
-
-    /// True when the placement declares a hot area.
-    pub fn has_hot_area(&self) -> bool {
-        self.placement.has_hot_area()
     }
 
     /// The keys currently homed in `slots`, in slot order — the store's
@@ -237,7 +222,7 @@ impl KvStore {
     /// Panics when a requested slot is out of range or unoccupied (the
     /// index is a permutation, so every in-range slot has exactly one
     /// key).
-    pub fn residents(&self, m: &Machine, slots: &[usize]) -> Vec<u32> {
+    pub(crate) fn residents(&self, m: &Machine, slots: &[usize]) -> Vec<u32> {
         let n = self.len();
         // Dense position table: `pos[slot]` is the slot's index in `slots`,
         // `usize::MAX` for a slot nobody asked for.
@@ -338,7 +323,7 @@ impl KvStore {
     /// different key classes share cache lines, so concurrent workers
     /// must NOT swap during engine epochs — the migration loop runs at
     /// the epoch merge, on the coordinator.
-    pub fn swap_keys(
+    pub(crate) fn swap_keys(
         &self,
         m: &mut Machine,
         core: usize,
@@ -600,7 +585,6 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(kv.has_hot_area());
         assert_eq!(kv.hot_slots(0), Some(vec![0, 2, 4]));
         assert_eq!(kv.hot_slots(1), Some(vec![1, 3, 5]));
         assert_eq!(kv.hot_slots(2), None, "core 2 serves no class");
@@ -659,7 +643,6 @@ mod tests {
         let (mut m, mut a) = setup(16);
         let kv =
             KvStore::build(&mut m, &mut a, 256, Placement::Striped { slices: vec![0] }).unwrap();
-        assert!(!kv.has_hot_area());
         assert_eq!(kv.hot_slots(0), None);
         let kv = KvStore::build(&mut m, &mut a, 256, Placement::Normal).unwrap();
         assert_eq!(kv.hot_slots(0), None);

@@ -6,7 +6,7 @@ use std::fmt;
 pub const CACHE_LINE: usize = 64;
 
 /// log2 of [`CACHE_LINE`]: number of offset bits below the line number.
-pub const LINE_SHIFT: u32 = 6;
+pub(crate) const LINE_SHIFT: u32 = 6;
 
 /// A physical memory address.
 ///
@@ -33,7 +33,7 @@ impl PhysAddr {
     }
 
     /// Byte offset within the containing cache line.
-    pub fn line_offset(self) -> usize {
+    pub(crate) fn line_offset(self) -> usize {
         (self.0 & ((CACHE_LINE as u64) - 1)) as usize
     }
 

@@ -36,7 +36,7 @@ pub struct Evicted {
 
 /// What [`SetAssocCache::fill_masked`] did with a line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fill {
+pub(crate) enum Fill {
     /// The line was already resident and was updated in place.
     Hit,
     /// The line took a free way.
@@ -118,23 +118,13 @@ impl SetAssocCache {
         }
     }
 
-    /// Number of ways per set.
-    pub fn ways(&self) -> usize {
-        self.ways
-    }
-
     /// Number of sets.
-    pub fn set_count(&self) -> usize {
+    pub(crate) fn set_count(&self) -> usize {
         self.rows.len() / self.stride
     }
 
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        self.set_count() * self.ways * crate::addr::CACHE_LINE
-    }
-
     /// The set index a line maps to.
-    pub fn set_of(&self, line: u64) -> usize {
+    pub(crate) fn set_of(&self, line: u64) -> usize {
         (line & self.set_mask) as usize
     }
 
@@ -144,7 +134,7 @@ impl SetAssocCache {
     }
 
     /// Zeroes the counters.
-    pub fn reset_stats(&mut self) {
+    pub(crate) fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
     }
 
@@ -237,7 +227,7 @@ impl SetAssocCache {
     /// # Panics
     ///
     /// Panics when `mask` selects no existing way and a victim is needed.
-    pub fn fill_masked(&mut self, line: u64, dirty: bool, mask: u64) -> Fill {
+    pub(crate) fn fill_masked(&mut self, line: u64, dirty: bool, mask: u64) -> Fill {
         let (set, tag) = self.locate(line);
         let mask = mask & self.all_ways;
         let ranks_at = self.ranks_at;
@@ -362,7 +352,6 @@ mod tests {
     #[test]
     fn geometry() {
         let c = cache(64, 8);
-        assert_eq!(c.capacity_bytes(), 32 * 1024);
         assert_eq!(c.set_of(0), 0);
         assert_eq!(c.set_of(63), 63);
         assert_eq!(c.set_of(64), 0);

@@ -260,7 +260,7 @@ impl<'a> EpochShard<'a> {
     }
 
     /// The core this shard owns.
-    pub fn core(&self) -> usize {
+    pub(crate) fn core(&self) -> usize {
         self.core
     }
 

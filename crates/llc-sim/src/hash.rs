@@ -69,7 +69,7 @@ impl XorSliceHash {
     /// # Panics
     ///
     /// Panics for `n == 0` or `n > 3` (no published masks beyond 8 slices).
-    pub fn for_slices_pow2(n: u32) -> Self {
+    pub(crate) fn for_slices_pow2(n: u32) -> Self {
         assert!((1..=3).contains(&n), "published masks cover 2..=8 slices");
         let all = [O0_BITS, O1_BITS, O2_BITS];
         Self::from_masks(all[..n as usize].iter().map(|b| mask_of_bits(b)).collect())
@@ -105,7 +105,8 @@ impl XorSliceHash {
     }
 
     /// The per-output-bit XOR masks.
-    pub fn masks(&self) -> &[u64] {
+    #[cfg(test)]
+    pub(crate) fn masks(&self) -> &[u64] {
         &self.masks[..self.rows]
     }
 }

@@ -341,7 +341,8 @@ impl Machine {
 
     /// The number of ways DDIO currently allocates into (the popcount
     /// of the active DDIO way mask).
-    pub fn ddio_ways(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn ddio_ways(&self) -> usize {
         self.ddio_mask.count_ones() as usize
     }
 
@@ -357,7 +358,8 @@ impl Machine {
     }
 
     /// Number of valid lines currently in slice `slice`.
-    pub fn llc_occupancy(&self, slice: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn llc_occupancy(&self, slice: usize) -> usize {
         self.llc[slice].occupancy()
     }
 
@@ -495,7 +497,7 @@ impl Machine {
     /// Reads served from the LLC when resident (DDIO), otherwise from
     /// DRAM; either way no cache state changes and no core cycles. No
     /// bytes move: the model's device never looks at them.
-    pub fn dma_read(&mut self, pa: PhysAddr, len: usize) {
+    pub(crate) fn dma_read(&mut self, pa: PhysAddr, len: usize) {
         for (base, _, _) in split_lines(pa, len) {
             self.llc_dma_probe(base.line());
         }

@@ -60,6 +60,5 @@ pub mod tsc;
 pub mod uncore;
 
 pub use addr::{PhysAddr, CACHE_LINE};
-pub use epoch::{CoreMem, EpochShard, LlcOp};
-pub use hierarchy::{AccessKind, Cycles};
+pub use hierarchy::AccessKind;
 pub use machine::{Machine, MachineConfig};

@@ -15,7 +15,7 @@ pub struct CacheGeometry {
     pub ways: usize,
     /// Hit latency in core cycles (ignored for the LLC, whose latency comes
     /// from the interconnect).
-    pub latency: u32,
+    pub(crate) latency: u32,
 }
 
 impl CacheGeometry {
@@ -38,7 +38,7 @@ pub enum LlcMode {
 
 /// Which Complex Addressing function to instantiate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HashConfig {
+pub(crate) enum HashConfig {
     /// The reverse-engineered XOR function for `2^n` slices (paper Fig. 4).
     XorPow2 {
         /// Number of output bits, 1..=3.
@@ -64,7 +64,7 @@ impl HashConfig {
 
 /// Which interconnect floorplan to instantiate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InterconnectConfig {
+pub(crate) enum InterconnectConfig {
     /// Dual bi-directional ring with co-located core/slice pairs.
     Ring {
         /// Latency to the co-located slice.
@@ -103,27 +103,27 @@ pub struct MachineConfig {
     /// a 20-way Haswell LLC, the limit the paper discusses in §8).
     pub ddio_ways: usize,
     /// Replacement policy used at every level.
-    pub replacement: ReplacementKind,
+    pub(crate) replacement: ReplacementKind,
     /// L2 hardware prefetcher setup.
-    pub prefetch: PrefetchConfig,
+    pub(crate) prefetch: PrefetchConfig,
     /// Complex Addressing function.
-    pub hash: HashConfig,
+    pub(crate) hash: HashConfig,
     /// Interconnect floorplan.
-    pub interconnect: InterconnectConfig,
+    pub(crate) interconnect: InterconnectConfig,
     /// Simulated DRAM capacity in bytes.
-    pub dram_capacity: usize,
+    pub(crate) dram_capacity: usize,
     /// Visible cost of a store that hits L1.
-    pub store_hit_cost: u32,
+    pub(crate) store_hit_cost: u32,
     /// Visible cost of a store that misses L1 (the fill happens in the
     /// background via the write/fill buffers; see `hierarchy`).
     pub store_miss_cost: u32,
     /// Cycles of pending background write-back the per-core buffers can
     /// absorb before stores start stalling the core.
-    pub wb_buffer_cap: u64,
+    pub(crate) wb_buffer_cap: u64,
     /// Core cycles consumed by a `clflush`.
-    pub clflush_cost: u32,
+    pub(crate) clflush_cost: u32,
     /// RNG seed for replacement randomness (deterministic runs).
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl MachineConfig {

@@ -15,12 +15,8 @@
 use crate::addr::PhysAddr;
 use std::fmt;
 
-/// 4 KiB base page.
-pub const PAGE_4K: usize = 4 * 1024;
-/// 2 MiB hugepage.
-pub const PAGE_2M: usize = 2 * 1024 * 1024;
 /// 1 GiB hugepage, the granularity used throughout the paper.
-pub const PAGE_1G: usize = 1024 * 1024 * 1024;
+pub(crate) const PAGE_1G: usize = 1024 * 1024 * 1024;
 
 /// Errors from physical-memory reservations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,11 +87,6 @@ impl Region {
         self.base.add(offset as u64)
     }
 
-    /// Like [`Region::pa`] but checked: `None` outside the region.
-    pub fn try_pa(&self, offset: usize) -> Option<PhysAddr> {
-        (offset < self.len).then(|| self.base.add(offset as u64))
-    }
-
     /// Whether `pa` falls inside this region.
     pub fn contains(&self, pa: PhysAddr) -> bool {
         pa.raw() >= self.base.raw() && pa.raw() < self.base.raw() + self.len as u64
@@ -125,13 +116,8 @@ impl PhysMem {
     }
 
     /// Bytes not yet reserved.
-    pub fn available(&self) -> u64 {
+    pub(crate) fn available(&self) -> u64 {
         self.capacity - self.next
-    }
-
-    /// Total capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
     }
 
     /// Reserves `len` bytes aligned to `align` (a power of two).
@@ -159,18 +145,6 @@ impl PhysMem {
         self.alloc(PAGE_1G, PAGE_1G)
     }
 
-    /// Reserves a naturally aligned 2 MiB hugepage.
-    pub fn alloc_hugepage_2m(&mut self) -> Result<Region, MemError> {
-        self.alloc(PAGE_2M, PAGE_2M)
-    }
-
-    /// Skips `bytes` of the physical space, emulating other tenants /
-    /// kernel reservations so experiment layouts are not all page-aligned
-    /// twins of each other.
-    pub fn fragment(&mut self, bytes: usize) {
-        self.next = (self.next + bytes as u64).min(self.capacity);
-    }
-
     /// The raw backing bytes, for [`crate::epoch::SharedMem`]'s
     /// cross-shard view.
     pub(crate) fn raw_bytes_mut(&mut self) -> &mut [u8] {
@@ -196,13 +170,6 @@ impl PhysMem {
     pub fn write(&mut self, pa: PhysAddr, data: &[u8]) {
         let s = pa.raw() as usize;
         self.bytes[s..s + data.len()].copy_from_slice(data);
-    }
-
-    /// Reads a little-endian `u64` at `pa`.
-    pub fn read_u64(&self, pa: PhysAddr) -> u64 {
-        let mut b = [0u8; 8];
-        self.read(pa, &mut b);
-        u64::from_le_bytes(b)
     }
 
     /// Writes a little-endian `u64` at `pa`.
@@ -262,21 +229,11 @@ mod tests {
     }
 
     #[test]
-    fn hugepage_natural_alignment() {
-        let mut m = PhysMem::new(PAGE_2M * 4);
-        m.fragment(1234);
-        let hp = m.alloc_hugepage_2m().unwrap();
-        assert_eq!(hp.base().raw() % PAGE_2M as u64, 0);
-        assert_eq!(hp.len(), PAGE_2M);
-    }
-
-    #[test]
     fn region_pa_translation() {
         let mut m = PhysMem::new(1 << 20);
         let r = m.alloc(4096, 4096).unwrap();
         assert_eq!(r.pa(0), r.base());
         assert_eq!(r.pa(100).raw(), r.base().raw() + 100);
-        assert_eq!(r.try_pa(4096), None);
         assert!(r.contains(r.pa(4095)));
         assert!(!r.contains(PhysAddr(r.base().raw() + 4096)));
     }
@@ -304,7 +261,9 @@ mod tests {
         let mut m = PhysMem::new(1 << 16);
         let r = m.alloc(64, 64).unwrap();
         m.write_u64(r.pa(0), 0x0102_0304_0506_0708);
-        assert_eq!(m.read_u64(r.pa(0)), 0x0102_0304_0506_0708);
+        let mut b = [0u8; 8];
+        m.read(r.pa(0), &mut b);
+        assert_eq!(u64::from_le_bytes(b), 0x0102_0304_0506_0708);
         assert_eq!(m.slice(r.pa(0), 1)[0], 0x08);
     }
 
@@ -312,13 +271,5 @@ mod tests {
     fn memory_starts_zeroed() {
         let m = PhysMem::new(4096);
         assert!(m.slice(PhysAddr(0), 4096).iter().all(|&b| b == 0));
-    }
-
-    #[test]
-    fn fragment_moves_cursor() {
-        let mut m = PhysMem::new(1 << 16);
-        m.fragment(1000);
-        let r = m.alloc(16, 1).unwrap();
-        assert!(r.base().raw() >= 1000);
     }
 }

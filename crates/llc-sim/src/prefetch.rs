@@ -14,12 +14,12 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefetchConfig {
     /// Adjacent-cache-line prefetcher: fetch the 128 B buddy of each miss.
-    pub adjacent_line: bool,
+    pub(crate) adjacent_line: bool,
     /// L2 streamer: on a detected +1/-1 line stride, fetch `stream_depth`
     /// lines ahead (within the same 4 KB page).
-    pub streamer: bool,
+    pub(crate) streamer: bool,
     /// How many lines ahead the streamer runs.
-    pub stream_depth: u8,
+    pub(crate) stream_depth: u8,
 }
 
 impl PrefetchConfig {
@@ -52,7 +52,7 @@ impl Default for PrefetchConfig {
 
 /// Per-core streamer state: last miss line and a stride confidence counter.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct StreamerState {
+pub(crate) struct StreamerState {
     last_line: u64,
     dir: i8,
     confidence: u8,
@@ -66,7 +66,7 @@ impl StreamerState {
     /// candidates: the buddy line, then the stream run. The state is
     /// updated before this returns; the iterator owns what it needs, so
     /// the caller may fill caches while it iterates.
-    pub fn observe(&mut self, line: u64, cfg: &PrefetchConfig) -> impl Iterator<Item = u64> {
+    pub(crate) fn observe(&mut self, line: u64, cfg: &PrefetchConfig) -> impl Iterator<Item = u64> {
         // The buddy line in the same aligned 128 B pair.
         let buddy = cfg.adjacent_line.then_some(line ^ 1);
         let (mut delta, mut depth) = (0i64, 0i64);

@@ -68,7 +68,7 @@ impl RingBus {
     /// # Panics
     ///
     /// Panics when `nodes == 0` or `nodes` is odd (pairs sit on two rings).
-    pub fn new(nodes: usize, base: u32, hop: u32, cross: u32) -> Self {
+    pub(crate) fn new(nodes: usize, base: u32, hop: u32, cross: u32) -> Self {
         assert!(
             nodes > 0 && nodes.is_multiple_of(2),
             "need an even node count"
@@ -128,7 +128,7 @@ impl Mesh {
     /// # Panics
     ///
     /// Panics on an empty or ragged table.
-    pub fn new(hops: Vec<Vec<u8>>, base: u32, hop: u32) -> Self {
+    pub(crate) fn new(hops: Vec<Vec<u8>>, base: u32, hop: u32) -> Self {
         assert!(!hops.is_empty(), "need at least one core row");
         let slices = hops[0].len();
         assert!(slices > 0, "need at least one slice column");

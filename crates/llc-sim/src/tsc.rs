@@ -10,7 +10,7 @@
 
 /// Cycles added by a serialised `rdtsc`/`rdtscp` measurement pair, the
 /// figure the paper reports for its testbed and subtracts from results.
-pub const RDTSC_OVERHEAD: u64 = 32;
+pub(crate) const RDTSC_OVERHEAD: u64 = 32;
 
 /// A measured duration in core cycles, with the measurement overhead
 /// already removed (saturating at zero, as an empty measured region cannot
@@ -22,11 +22,6 @@ impl Measured {
     /// Raw cycle count.
     pub fn cycles(self) -> u64 {
         self.0
-    }
-
-    /// Converts to nanoseconds at `freq_ghz`.
-    pub fn nanos(self, freq_ghz: f64) -> f64 {
-        self.0 as f64 / freq_ghz
     }
 }
 
@@ -51,13 +46,6 @@ mod tests {
     #[test]
     fn zero_interval() {
         assert_eq!(measure_interval(7, 7).cycles(), 0);
-    }
-
-    #[test]
-    fn nanos_at_3_2_ghz() {
-        // 32 cycles at 3.2 GHz = 10 ns.
-        let m = Measured(32);
-        assert!((m.nanos(3.2) - 10.0).abs() < 1e-12);
     }
 
     #[test]

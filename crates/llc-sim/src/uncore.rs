@@ -43,13 +43,6 @@ pub struct UncoreSnapshot {
     counts: Vec<u64>,
 }
 
-impl UncoreSnapshot {
-    /// The event that was programmed when this snapshot was taken.
-    pub fn event(&self) -> UncoreEvent {
-        self.event
-    }
-}
-
 /// The uncore monitoring unit: one programmable counter per slice.
 #[derive(Debug)]
 pub struct Uncore {
@@ -61,17 +54,12 @@ pub struct Uncore {
 impl Uncore {
     /// Monitoring for `slices` slices, programmed to count LLC lookups
     /// (the event the paper's polling uses).
-    pub fn new(slices: usize) -> Self {
+    pub(crate) fn new(slices: usize) -> Self {
         Self {
             tallies: vec![SliceTally::default(); slices],
             baseline: vec![SliceTally::default(); slices],
             event: UncoreEvent::LlcLookupAny,
         }
-    }
-
-    /// Number of monitored slices.
-    pub fn slices(&self) -> usize {
-        self.tallies.len()
     }
 
     /// Programs every per-slice counter to `event` (like writing the CBo
@@ -81,18 +69,13 @@ impl Uncore {
         self.reset();
     }
 
-    /// The currently selected event.
-    pub fn event(&self) -> UncoreEvent {
-        self.event
-    }
-
     /// Resets all counters to zero (snapshot of the running tallies).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.baseline.copy_from_slice(&self.tallies);
     }
 
     /// Reads slice `s`'s counter for the selected event.
-    pub fn read(&self, s: usize) -> u64 {
+    pub(crate) fn read(&self, s: usize) -> u64 {
         let t = &self.tallies[s];
         let b = &self.baseline[s];
         match self.event {
@@ -104,7 +87,7 @@ impl Uncore {
     }
 
     /// Reads all counters at once.
-    pub fn read_all(&self) -> Vec<u64> {
+    pub(crate) fn read_all(&self) -> Vec<u64> {
         (0..self.tallies.len()).map(|s| self.read(s)).collect()
     }
 
@@ -154,7 +137,7 @@ impl Uncore {
     ///
     /// Panics when `base` was taken under a different programmed event,
     /// or from an uncore with a different slice count.
-    pub fn read_window(&self, base: &UncoreSnapshot, s: usize) -> u64 {
+    pub(crate) fn read_window(&self, base: &UncoreSnapshot, s: usize) -> u64 {
         assert_eq!(
             base.event, self.event,
             "snapshot was taken under a different uncore event"

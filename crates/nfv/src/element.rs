@@ -51,7 +51,7 @@ impl Pkt {
     /// `None` means the frame does not carry a well-formed
     /// Ethernet+IPv4+TCP prefix (truncated or malformed); elements must
     /// drop such packets as [`DropCause::Parse`], never panic.
-    pub fn flow(&mut self, ctx: &mut Ctx<'_>) -> (Option<FlowTuple>, Cycles) {
+    pub(crate) fn flow(&mut self, ctx: &mut Ctx<'_>) -> (Option<FlowTuple>, Cycles) {
         if let Some(f) = self.flow {
             return (Some(f), 0);
         }
@@ -110,7 +110,7 @@ pub trait Element: Send {
 }
 
 /// A run-to-completion chain of elements.
-pub struct ServiceChain {
+pub(crate) struct ServiceChain {
     elements: Vec<Box<dyn Element>>,
 }
 
@@ -123,30 +123,20 @@ impl std::fmt::Debug for ServiceChain {
 
 impl ServiceChain {
     /// An empty chain.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             elements: Vec::new(),
         }
     }
 
     /// Appends an element.
-    pub fn push(mut self, e: Box<dyn Element>) -> Self {
+    pub(crate) fn push(mut self, e: Box<dyn Element>) -> Self {
         self.elements.push(e);
         self
     }
 
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.elements.len()
-    }
-
-    /// True for a chain with no elements.
-    pub fn is_empty(&self) -> bool {
-        self.elements.is_empty()
-    }
-
     /// Runs the packet through every element, stopping on a drop.
-    pub fn process(&mut self, ctx: &mut Ctx<'_>, pkt: &mut Pkt) -> (Action, Cycles) {
+    pub(crate) fn process(&mut self, ctx: &mut Ctx<'_>, pkt: &mut Pkt) -> (Action, Cycles) {
         let mut total = 0;
         for e in &mut self.elements {
             let (action, c) = e.process(ctx, pkt);
@@ -213,7 +203,7 @@ mod tests {
                 calls: 0,
                 action: Action::Forward,
             }));
-        assert_eq!(chain.len(), 2);
+        assert_eq!(chain.elements.len(), 2);
         let mut ctx = Ctx { m: &mut m, core: 0 };
         let (a, c) = chain.process(&mut ctx, &mut pkt());
         assert_eq!(a, Action::Forward);
@@ -287,6 +277,6 @@ mod tests {
             action: Action::Forward,
         }));
         assert_eq!(format!("{chain:?}"), "ServiceChain(counting)");
-        assert!(!chain.is_empty());
+        assert!(!chain.elements.is_empty());
     }
 }

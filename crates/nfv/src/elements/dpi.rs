@@ -12,7 +12,7 @@ use llc_sim::hierarchy::Cycles;
 use llc_sim::CACHE_LINE;
 
 /// Per-byte scan work (a DFA step).
-pub const SCAN_WORK_PER_LINE: Cycles = 18;
+pub(crate) const SCAN_WORK_PER_LINE: Cycles = 18;
 
 /// What to do with packets whose payload matches a signature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -11,26 +11,12 @@ use crate::table::{FlowTable, TableError};
 use llc_sim::hierarchy::Cycles;
 use llc_sim::machine::Machine;
 
-/// LB counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LbStats {
-    /// Flows assigned a backend.
-    pub new_flows: u64,
-    /// Packets forwarded to an already-assigned backend.
-    pub hits: u64,
-    /// Packets dropped on table exhaustion.
-    pub exhausted: u64,
-    /// Packets whose headers failed to parse (dropped).
-    pub malformed: u64,
-}
-
 /// The load-balancer element.
 #[derive(Debug)]
-pub struct LoadBalancer {
+pub(crate) struct LoadBalancer {
     table: FlowTable,
     backends: Vec<u32>,
     next_rr: usize,
-    stats: LbStats,
 }
 
 impl LoadBalancer {
@@ -40,7 +26,7 @@ impl LoadBalancer {
     /// # Panics
     ///
     /// Panics when `backends` is empty.
-    pub fn new(
+    pub(crate) fn new(
         m: &mut Machine,
         buckets: usize,
         backends: Vec<u32>,
@@ -50,18 +36,7 @@ impl LoadBalancer {
             table: FlowTable::create(m, buckets)?,
             backends,
             next_rr: 0,
-            stats: LbStats::default(),
         })
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> LbStats {
-        self.stats
-    }
-
-    /// Number of tracked flows.
-    pub fn flows(&self) -> usize {
-        self.table.len()
     }
 }
 
@@ -69,7 +44,6 @@ impl Element for LoadBalancer {
     fn process(&mut self, ctx: &mut Ctx<'_>, pkt: &mut Pkt) -> (Action, Cycles) {
         let (flow, mut cycles) = pkt.flow(ctx);
         let Some(flow) = flow else {
-            self.stats.malformed += 1;
             return (Action::Drop(DropCause::Parse), cycles);
         };
         let backends = &self.backends;
@@ -83,23 +57,15 @@ impl Element for LoadBalancer {
             .table
             .lookup_or_insert_with(ctx.m, ctx.core, &flow, &mut pick)
         {
-            Ok((backend, fresh, c)) => {
+            Ok((backend, _, c)) => {
                 cycles += c;
-                if fresh {
-                    self.stats.new_flows += 1;
-                } else {
-                    self.stats.hits += 1;
-                }
                 cycles += rewrite_dst_ip(ctx.m, ctx.core, pkt.data_pa, backend as u32);
                 if let Some(f) = pkt.flow.as_mut() {
                     f.dst_ip = backend as u32;
                 }
                 (Action::Forward, cycles)
             }
-            Err(TableError::Full) => {
-                self.stats.exhausted += 1;
-                (Action::Drop(DropCause::TableExhausted), cycles)
-            }
+            Err(TableError::Full) => (Action::Drop(DropCause::TableExhausted), cycles),
         }
     }
 
@@ -155,7 +121,6 @@ mod tests {
         assert_eq!(b2, 0x0a640002);
         assert_eq!(b3, 0x0a640003);
         assert_eq!(b4, 0x0a640001, "rotation wraps");
-        assert_eq!(lb.stats().new_flows, 4);
     }
 
     #[test]
@@ -166,8 +131,7 @@ mod tests {
         let _ = run_pkt(&mut m, &mut lb, r, &FlowTuple::tcp(8, 8, 99, 80));
         let b2 = run_pkt(&mut m, &mut lb, r, &f);
         assert_eq!(b1, b2, "flow affinity");
-        assert_eq!(lb.stats().hits, 1);
-        assert_eq!(lb.flows(), 2);
+        assert_eq!(lb.table.len(), 2);
     }
 
     #[test]

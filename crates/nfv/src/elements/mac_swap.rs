@@ -8,25 +8,17 @@ use llc_sim::hierarchy::Cycles;
 /// MAC addresses of the incoming packets and sends them back" — the
 /// stateless, minimal-processing baseline of Figs. 12 and 13.
 #[derive(Debug, Default)]
-pub struct MacSwap {
-    processed: u64,
-}
+pub(crate) struct MacSwap;
 
 impl MacSwap {
     /// A fresh element.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Packets processed so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
+    pub(crate) fn new() -> Self {
+        Self
     }
 }
 
 impl Element for MacSwap {
     fn process(&mut self, ctx: &mut Ctx<'_>, pkt: &mut Pkt) -> (Action, Cycles) {
-        self.processed += 1;
         let c = mac_swap(ctx.m, ctx.core, pkt.data_pa);
         (Action::Forward, c)
     }
@@ -62,7 +54,6 @@ mod tests {
         let (a, c) = e.process(&mut ctx, &mut pkt);
         assert_eq!(a, Action::Forward);
         assert!(c > 0);
-        assert_eq!(e.processed(), 1);
         let out = m.mem().slice(r.pa(0), 12);
         assert_eq!(&out[0..6], &LOADGEN_MAC);
         assert_eq!(&out[6..12], &DUT_MAC);

@@ -9,8 +9,8 @@ mod router;
 mod vxlan;
 
 pub use dpi::{Dpi, MatchAction};
-pub use lb::LoadBalancer;
-pub use mac_swap::MacSwap;
+pub(crate) use lb::LoadBalancer;
+pub(crate) use mac_swap::MacSwap;
 pub use napt::Napt;
 pub use router::Router;
 pub use vxlan::{encapsulate, VxlanDecap, VXLAN_OVERHEAD};

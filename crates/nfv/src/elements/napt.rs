@@ -47,11 +47,6 @@ impl Napt {
     pub fn stats(&self) -> NaptStats {
         self.stats
     }
-
-    /// Active translations.
-    pub fn flows(&self) -> usize {
-        self.table.len()
-    }
 }
 
 impl Element for Napt {
@@ -157,7 +152,7 @@ mod tests {
             ports.insert(p.flow.unwrap().src_port);
         }
         assert_eq!(ports.len(), 50);
-        assert_eq!(napt.flows(), 50);
+        assert_eq!(napt.table.len(), 50);
     }
 
     #[test]
@@ -190,6 +185,6 @@ mod tests {
         let (a, _) = napt.process(&mut ctx, &mut p);
         assert_eq!(a, Action::Drop(DropCause::Parse));
         assert_eq!(napt.stats().malformed, 1);
-        assert_eq!(napt.flows(), 0, "no translation state for garbage");
+        assert_eq!(napt.table.len(), 0, "no translation state for garbage");
     }
 }

@@ -30,9 +30,6 @@ pub struct RouterStats {
 pub struct Router {
     lpm: Arc<Lpm>,
     stats: RouterStats,
-    /// Next hop chosen for the last forwarded packet (consumed by tests
-    /// and by chaining logic that picks the TX port).
-    last_next_hop: Option<u16>,
 }
 
 impl std::fmt::Debug for Router {
@@ -50,23 +47,12 @@ impl Router {
         Self {
             lpm,
             stats: RouterStats::default(),
-            last_next_hop: None,
         }
     }
 
     /// Counters.
     pub fn stats(&self) -> RouterStats {
         self.stats
-    }
-
-    /// The LPM table (control-plane access, e.g. for offload decisions).
-    pub fn lpm(&self) -> &Lpm {
-        &self.lpm
-    }
-
-    /// Next hop of the most recent forwarded packet.
-    pub fn last_next_hop(&self) -> Option<u16> {
-        self.last_next_hop
     }
 }
 
@@ -96,8 +82,7 @@ impl Element for Router {
                 self.stats.no_route += 1;
                 (Action::Drop(DropCause::NoRoute), cycles)
             }
-            Some(hop) => {
-                self.last_next_hop = Some(hop);
+            Some(_) => {
                 cycles += decrement_ttl(ctx.m, ctx.core, pkt.data_pa);
                 (Action::Forward, cycles)
             }
@@ -110,7 +95,7 @@ impl Element for Router {
 }
 
 /// Cycles to read and validate the descriptor mark.
-pub const MARK_CHECK_WORK: Cycles = 8;
+pub(crate) const MARK_CHECK_WORK: Cycles = 8;
 
 #[cfg(test)]
 mod tests {
@@ -155,7 +140,6 @@ mod tests {
         let mut ctx = Ctx { m: &mut m, core: 0 };
         let (a, _) = router.process(&mut ctx, &mut pkt);
         assert_eq!(a, Action::Forward);
-        assert_eq!(router.last_next_hop(), Some(3));
         assert_eq!(router.stats().software, 1);
         let (hdr, _) = crate::packet::parse_header(&mut m, 0, r.pa(0), 64);
         assert_eq!(hdr.expect("well-formed frame parses").ttl, 63);
@@ -169,7 +153,6 @@ mod tests {
         let mut ctx = Ctx { m: &mut m, core: 0 };
         let (a, _) = router.process(&mut ctx, &mut pkt);
         assert_eq!(a, Action::Forward);
-        assert_eq!(router.last_next_hop(), Some(9));
         assert_eq!(router.stats().offloaded, 1);
         assert_eq!(router.stats().software, 0);
     }

@@ -16,9 +16,9 @@ use trafficgen::FlowTuple;
 /// Outer Ethernet(14) + IPv4(20) + UDP(8) + VXLAN(8).
 pub const VXLAN_OVERHEAD: usize = 50;
 /// The standard VXLAN UDP port.
-pub const VXLAN_PORT: u16 = 4789;
+pub(crate) const VXLAN_PORT: u16 = 4789;
 /// Work to validate the VXLAN header and shift the packet view.
-pub const DECAP_WORK: Cycles = 25;
+pub(crate) const DECAP_WORK: Cycles = 25;
 
 /// Wraps a frame in a VXLAN envelope (LoadGen-side helper, untimed).
 ///
@@ -54,12 +54,11 @@ pub struct VxlanStats {
     pub truncated: u64,
 }
 
-/// The decapsulation element: validates the envelope, reads the VNI, and
-/// advances the packet view to the inner frame.
+/// The decapsulation element: validates the envelope and advances the
+/// packet view to the inner frame.
 #[derive(Debug, Default)]
 pub struct VxlanDecap {
     stats: VxlanStats,
-    last_vni: Option<u32>,
 }
 
 impl VxlanDecap {
@@ -71,11 +70,6 @@ impl VxlanDecap {
     /// Counters.
     pub fn stats(&self) -> VxlanStats {
         self.stats
-    }
-
-    /// VNI of the most recent decapsulated frame.
-    pub fn last_vni(&self) -> Option<u32> {
-        self.last_vni
     }
 }
 
@@ -106,7 +100,6 @@ impl Element for VxlanDecap {
             self.stats.truncated += 1;
             return (Action::Drop(DropCause::Parse), cycles);
         }
-        self.last_vni = Some(u32::from_be_bytes([0, head[46], head[47], head[48]]));
         // Decap: shift the packet view to the inner frame. The inner
         // header read (by whatever follows) now lands in the second
         // physical line — the window CacheDirector can be told to place.
@@ -158,7 +151,6 @@ mod tests {
         let mut ctx = Ctx { m: &mut m, core: 0 };
         let (a, _) = e.process(&mut ctx, &mut pkt);
         assert_eq!(a, Action::Forward);
-        assert_eq!(e.last_vni(), Some(42));
         assert_eq!(e.stats().decapped, 1);
         // The packet view now parses as the inner frame.
         let (flow, _) = pkt.flow(&mut Ctx { m: &mut m, core: 0 });

@@ -51,6 +51,3 @@ pub mod packet;
 pub mod pipeline;
 pub mod runtime;
 pub mod table;
-
-pub use element::{Action, Ctx, Element, ServiceChain};
-pub use runtime::{HeadroomMode, RunConfig, RunResult};

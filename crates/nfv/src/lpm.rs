@@ -16,7 +16,7 @@ use llc_sim::machine::Machine;
 use llc_sim::mem::{MemError, Region};
 
 /// Sentinel for "no route".
-pub const NO_ROUTE: u16 = u16::MAX;
+pub(crate) const NO_ROUTE: u16 = u16::MAX;
 
 /// A routing-table entry: IPv4 prefix, prefix length, next hop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,7 +73,7 @@ impl Lpm {
     }
 
     /// Number of routes installed.
-    pub fn routes(&self) -> usize {
+    pub(crate) fn routes(&self) -> usize {
         self.routes
     }
 
@@ -108,7 +108,7 @@ impl Lpm {
 }
 
 /// Index arithmetic charged per lookup.
-pub const LOOKUP_WORK: Cycles = 10;
+pub(crate) const LOOKUP_WORK: Cycles = 10;
 
 /// Generates a deterministic routing table like the evaluation's
 /// (3120 entries by default in the benches).

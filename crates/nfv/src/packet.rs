@@ -12,26 +12,26 @@ use llc_sim::machine::Machine;
 use trafficgen::FlowTuple;
 
 /// Ethernet header length.
-pub const ETH_LEN: usize = 14;
+pub(crate) const ETH_LEN: usize = 14;
 /// IPv4 header length (no options).
-pub const IPV4_LEN: usize = 20;
+pub(crate) const IPV4_LEN: usize = 20;
 /// TCP header length (no options).
-pub const TCP_LEN: usize = 20;
+pub(crate) const TCP_LEN: usize = 20;
 /// Total L2-L4 header prefix.
 pub const HDR_LEN: usize = ETH_LEN + IPV4_LEN + TCP_LEN;
 /// Payload offset of the timestamp (whole nanoseconds, u32 — enough for
 /// runs of up to ~4.3 simulated seconds, and small enough that the tag
 /// fits the paper's 64 B minimum frames).
-pub const TS_OFF: usize = HDR_LEN;
+pub(crate) const TS_OFF: usize = HDR_LEN;
 /// Payload offset of the (u32) sequence number.
-pub const SEQ_OFF: usize = HDR_LEN + 4;
+pub(crate) const SEQ_OFF: usize = HDR_LEN + 4;
 /// Smallest frame that still carries timestamp + sequence.
-pub const MIN_FRAME: usize = SEQ_OFF + 4;
+pub(crate) const MIN_FRAME: usize = SEQ_OFF + 4;
 
 /// Fixed MACs: LoadGen and DuT ends of the wire.
-pub const LOADGEN_MAC: [u8; 6] = [0x02, 0x00, 0x00, 0x00, 0x00, 0x01];
+pub(crate) const LOADGEN_MAC: [u8; 6] = [0x02, 0x00, 0x00, 0x00, 0x00, 0x01];
 /// DuT port MAC.
-pub const DUT_MAC: [u8; 6] = [0x02, 0x00, 0x00, 0x00, 0x00, 0x02];
+pub(crate) const DUT_MAC: [u8; 6] = [0x02, 0x00, 0x00, 0x00, 0x00, 0x02];
 
 /// Encodes a frame into `buf` (host-side, untimed — this is LoadGen
 /// work, not DuT work). Returns the frame length actually written.
@@ -69,7 +69,7 @@ pub struct ParsedHeader {
     /// Transport 5-tuple.
     pub flow: FlowTuple,
     /// IPv4 TTL.
-    pub ttl: u8,
+    pub(crate) ttl: u8,
 }
 
 /// Reads and parses the 54 B header prefix at `data_pa` (timed on
@@ -120,7 +120,7 @@ pub fn parse_header<M: CoreMem + ?Sized>(
 }
 
 /// Cycles of pure-ALU work charged for header field extraction.
-pub const PARSE_WORK: Cycles = 30;
+pub(crate) const PARSE_WORK: Cycles = 30;
 
 /// Swaps source and destination MAC addresses in place (timed) — the
 /// §5.1 simple-forwarding application.
@@ -135,7 +135,7 @@ pub fn mac_swap<M: CoreMem + ?Sized>(m: &mut M, core: usize, data_pa: PhysAddr) 
 
 /// Rewrites the IPv4 destination address (timed) — the load balancer's
 /// action.
-pub fn rewrite_dst_ip<M: CoreMem + ?Sized>(
+pub(crate) fn rewrite_dst_ip<M: CoreMem + ?Sized>(
     m: &mut M,
     core: usize,
     data_pa: PhysAddr,
@@ -149,7 +149,7 @@ pub fn rewrite_dst_ip<M: CoreMem + ?Sized>(
 }
 
 /// Rewrites the transport source port (timed) — NAPT's action.
-pub fn rewrite_src_port<M: CoreMem + ?Sized>(
+pub(crate) fn rewrite_src_port<M: CoreMem + ?Sized>(
     m: &mut M,
     core: usize,
     data_pa: PhysAddr,
@@ -172,7 +172,7 @@ pub fn decrement_ttl<M: CoreMem + ?Sized>(m: &mut M, core: usize, data_pa: PhysA
 }
 
 /// Incremental-checksum work per header rewrite.
-pub const CSUM_WORK: Cycles = 15;
+pub(crate) const CSUM_WORK: Cycles = 15;
 
 /// Reads the payload timestamp and sequence back out (host-side,
 /// untimed — this happens at the LoadGen on the packet's return).

@@ -60,11 +60,11 @@ const SEED: u64 = 0x99;
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// Header placement.
-    pub headroom: PipelineHeadroom,
+    pub(crate) headroom: PipelineHeadroom,
     /// RX descriptor and handoff ring depth.
-    pub queue_depth: usize,
+    pub(crate) queue_depth: usize,
     /// Serial or parallel worker execution (bit-identical either way).
-    pub execution: Execution,
+    pub(crate) execution: Execution,
 }
 
 impl PipelineConfig {

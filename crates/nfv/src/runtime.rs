@@ -88,11 +88,11 @@ pub struct DropStats {
     /// Chain: header parse failure (truncated/malformed frame).
     pub parse: u64,
     /// Chain: no route for the destination.
-    pub no_route: u64,
+    pub(crate) no_route: u64,
     /// Chain: a flow table was full.
-    pub table_exhausted: u64,
+    pub(crate) table_exhausted: u64,
     /// Chain: deliberate policy drop.
-    pub policy: u64,
+    pub(crate) policy: u64,
 }
 
 impl DropStats {
@@ -102,7 +102,7 @@ impl DropStats {
     }
 
     /// Sum over the chain-level (software) causes only.
-    pub fn chain_total(&self) -> u64 {
+    pub(crate) fn chain_total(&self) -> u64 {
         self.parse + self.no_route + self.table_exhausted + self.policy
     }
 }
@@ -213,19 +213,6 @@ impl RunConfig {
             execution: Execution::Serial,
         }
     }
-
-    /// The same configuration with a fault plan attached.
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// The same configuration with the given execution mode.
-    #[must_use]
-    pub fn with_execution(mut self, execution: Execution) -> Self {
-        self.execution = execution;
-        self
-    }
 }
 
 /// Everything a finished run reports.
@@ -250,7 +237,7 @@ pub struct RunResult {
     /// Simulated duration in ns.
     pub duration_ns: f64,
     /// Loopback component to add for end-to-end numbers.
-    pub loopback_ns: f64,
+    pub(crate) loopback_ns: f64,
 }
 
 impl RunResult {

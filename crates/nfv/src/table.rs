@@ -22,7 +22,7 @@ const VAL_OFF: u64 = 16;
 const KEY_LEN: usize = 13;
 
 /// Hash-computation work charged per operation.
-pub const HASH_WORK: Cycles = 15;
+pub(crate) const HASH_WORK: Cycles = 15;
 
 /// Serialises a flow key into 13 bytes.
 fn pack_key(f: &FlowTuple) -> [u8; KEY_LEN] {
@@ -83,11 +83,6 @@ impl FlowTable {
         })
     }
 
-    /// Bucket count.
-    pub fn buckets(&self) -> usize {
-        self.buckets
-    }
-
     /// Occupied buckets.
     pub fn len(&self) -> usize {
         self.used
@@ -96,11 +91,6 @@ impl FlowTable {
     /// True when no entry is stored.
     pub fn is_empty(&self) -> bool {
         self.used == 0
-    }
-
-    /// Table size in bytes.
-    pub fn bytes(&self) -> usize {
-        self.buckets * CACHE_LINE
     }
 
     fn bucket_pa(&self, i: usize) -> PhysAddr {
@@ -172,7 +162,7 @@ impl FlowTable {
 
     /// Timed lookup that inserts `make()`'s value on a miss — the
     /// standard per-flow state pattern of NAPT/LB.
-    pub fn lookup_or_insert_with<M: CoreMem + ?Sized>(
+    pub(crate) fn lookup_or_insert_with<M: CoreMem + ?Sized>(
         &mut self,
         m: &mut M,
         core: usize,
@@ -285,8 +275,7 @@ mod tests {
         let mut m = machine();
         let t = FlowTable::create(&mut m, 128).unwrap();
         assert!(t.is_empty());
-        assert_eq!(t.bytes(), 128 * 64);
-        assert_eq!(t.buckets(), 128);
+        assert_eq!(t.buckets, 128);
     }
 
     #[test]

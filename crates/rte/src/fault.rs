@@ -90,7 +90,7 @@ impl Window {
     }
 
     /// Whether nanosecond `ns` falls inside the window.
-    pub fn contains(&self, ns: u64) -> bool {
+    pub(crate) fn contains(&self, ns: u64) -> bool {
         ns >= self.start && ns < self.end
     }
 }
@@ -107,11 +107,11 @@ fn any_contains(windows: &[Window], ns: u64) -> bool {
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     /// Seed for the per-frame random draws (corruption, truncation).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Probability that a frame arrives with a bad FCS.
-    pub corrupt_prob: f64,
+    pub(crate) corrupt_prob: f64,
     /// Probability that a frame is truncated to a random shorter length.
-    pub truncate_prob: f64,
+    pub(crate) truncate_prob: f64,
     /// Windows during which the mbuf pool refuses allocations.
     pub pool_exhaust: Vec<Window>,
     /// Windows during which the NIC does not drain posted descriptors.
@@ -206,7 +206,7 @@ pub struct FrameFault {
     /// The frame's FCS is bad; the MAC must drop it.
     pub corrupt: bool,
     /// Truncate the frame to this many bytes before delivery.
-    pub truncate_to: Option<usize>,
+    pub(crate) truncate_to: Option<usize>,
     /// The link is down while this frame arrives.
     pub link_down: bool,
     /// The NIC is not draining descriptors while this frame arrives.
@@ -215,12 +215,12 @@ pub struct FrameFault {
     pub pool_blocked: bool,
     /// The completion ring refuses this frame, as if the application
     /// stopped polling (ready-ring overrun under backpressure).
-    pub ready_blocked: bool,
+    pub(crate) ready_blocked: bool,
 }
 
 impl FrameFault {
     /// A fault-free frame.
-    pub fn clean() -> Self {
+    pub(crate) fn clean() -> Self {
         Self::default()
     }
 }

@@ -32,13 +32,14 @@
 //!
 //! ```
 //! use llc_sim::machine::{Machine, MachineConfig};
+//! use rte::mbuf::{DEFAULT_DATAROOM, DEFAULT_HEADROOM};
 //! use rte::mempool::MbufPool;
-//! use rte::nic::{FixedHeadroom, Port, TxDesc};
+//! use rte::nic::{tx_wire, FixedHeadroom, Port, TxDesc};
 //! use rte::steering::{Rss, Steering};
 //! use trafficgen::FlowTuple;
 //!
 //! let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3());
-//! let mut pool = MbufPool::create_default(&mut m, 64).unwrap();
+//! let mut pool = MbufPool::create(&mut m, 64, DEFAULT_HEADROOM, DEFAULT_DATAROOM).unwrap();
 //! let mut port = Port::new(0, Steering::Rss(Rss::new(2)), 32);
 //! let mut policy = FixedHeadroom(128);
 //! for q in 0..2 {
@@ -47,9 +48,12 @@
 //! // A frame arrives, is DMA'd through DDIO, and is polled back out.
 //! let flow = FlowTuple::tcp(0x0a000001, 1234, 0xc0a80001, 80);
 //! let q = port.deliver(&mut m, &[0u8; 64], &flow, 0.0).unwrap();
-//! let (batch, _cycles) = port.rx_burst(&mut m, &pool, q, q, 8);
+//! let mut batch = Vec::new();
+//! port.rx_view(q).rx_burst(&mut m, &pool, q, 8, &mut batch);
 //! assert_eq!(batch.len(), 1);
-//! port.tx_burst(&mut m, &mut pool, q, &[TxDesc::echo(&batch[0])]);
+//! let tx = [TxDesc::echo(&batch[0])];
+//! tx_wire(&mut m, q, &tx);
+//! port.tx_commit(&mut pool, &tx);
 //! assert_eq!(port.stats().tx_pkts, 1);
 //! ```
 
@@ -60,9 +64,6 @@ pub mod nic;
 pub mod ring;
 pub mod steering;
 
-pub use fault::{FaultPlan, FaultState, FrameFault, Window};
-pub use mbuf::{MbufMeta, MBUF_META_SIZE};
 pub use mempool::MbufPool;
-pub use nic::{tx_wire, FixedHeadroom, HeadroomPolicy, Port, RxCompletion, RxView};
-pub use ring::Ring;
+pub use nic::{FixedHeadroom, Port};
 pub use steering::{FlowDirector, Rss, Steering};

@@ -28,12 +28,12 @@ pub const DEFAULT_DATAROOM: u16 = 2048;
 
 /// Byte offsets of metadata fields within the object.
 mod off {
-    pub const DATA_OFF: usize = 0; // u16
-    pub const DATA_LEN: usize = 2; // u16
-    pub const PKT_LEN: usize = 4; // u32
-    pub const UDATA64: usize = 8; // u64
-    pub const PORT: usize = 16; // u16
-    pub const QUEUE: usize = 18; // u16
+    pub(crate) const DATA_OFF: usize = 0; // u16
+    pub(crate) const DATA_LEN: usize = 2; // u16
+    pub(crate) const PKT_LEN: usize = 4; // u32
+    pub(crate) const UDATA64: usize = 8; // u64
+    pub(crate) const PORT: usize = 16; // u16
+    pub(crate) const QUEUE: usize = 18; // u16
 }
 
 /// Typed accessor for one mbuf's metadata, given the object's base
@@ -49,7 +49,7 @@ pub struct MbufMeta {
 
 impl MbufMeta {
     /// Overlay at the object base address.
-    pub fn at(base: PhysAddr) -> Self {
+    pub(crate) fn at(base: PhysAddr) -> Self {
         Self { base }
     }
 
@@ -60,7 +60,7 @@ impl MbufMeta {
 
     /// Physical address of the headroom start (offset 0 of the buffer
     /// area, directly after the metadata).
-    pub fn buf_base(&self) -> PhysAddr {
+    pub(crate) fn buf_base(&self) -> PhysAddr {
         self.base.add(MBUF_META_SIZE as u64)
     }
 
@@ -70,38 +70,56 @@ impl MbufMeta {
     }
 
     /// Reads `data_off` (headroom size).
-    pub fn data_off<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize) -> (u16, Cycles) {
+    #[cfg(test)]
+    pub(crate) fn data_off<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize) -> (u16, Cycles) {
         let mut b = [0u8; 2];
         let c = m.read_bytes(core, self.base.add(off::DATA_OFF as u64), &mut b);
         (u16::from_le_bytes(b), c)
     }
 
     /// Writes `data_off`.
-    pub fn set_data_off<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize, v: u16) -> Cycles {
+    pub(crate) fn set_data_off<M: CoreMem + ?Sized>(
+        &self,
+        m: &mut M,
+        core: usize,
+        v: u16,
+    ) -> Cycles {
         m.write_bytes(core, self.base.add(off::DATA_OFF as u64), &v.to_le_bytes())
     }
 
     /// Reads the segment data length.
-    pub fn data_len<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize) -> (u16, Cycles) {
+    #[cfg(test)]
+    pub(crate) fn data_len<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize) -> (u16, Cycles) {
         let mut b = [0u8; 2];
         let c = m.read_bytes(core, self.base.add(off::DATA_LEN as u64), &mut b);
         (u16::from_le_bytes(b), c)
     }
 
     /// Writes the segment data length.
-    pub fn set_data_len<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize, v: u16) -> Cycles {
+    pub(crate) fn set_data_len<M: CoreMem + ?Sized>(
+        &self,
+        m: &mut M,
+        core: usize,
+        v: u16,
+    ) -> Cycles {
         m.write_bytes(core, self.base.add(off::DATA_LEN as u64), &v.to_le_bytes())
     }
 
     /// Reads the total packet length.
-    pub fn pkt_len<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize) -> (u32, Cycles) {
+    #[cfg(test)]
+    pub(crate) fn pkt_len<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize) -> (u32, Cycles) {
         let mut b = [0u8; 4];
         let c = m.read_bytes(core, self.base.add(off::PKT_LEN as u64), &mut b);
         (u32::from_le_bytes(b), c)
     }
 
     /// Writes the total packet length.
-    pub fn set_pkt_len<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize, v: u32) -> Cycles {
+    pub(crate) fn set_pkt_len<M: CoreMem + ?Sized>(
+        &self,
+        m: &mut M,
+        core: usize,
+        v: u32,
+    ) -> Cycles {
         m.write_bytes(core, self.base.add(off::PKT_LEN as u64), &v.to_le_bytes())
     }
 
@@ -111,32 +129,29 @@ impl MbufMeta {
         (v, c)
     }
 
-    /// Writes `udata64`.
-    pub fn set_udata64<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize, v: u64) -> Cycles {
-        m.write_u64(core, self.base.add(off::UDATA64 as u64), v)
-    }
-
     /// Reads the input port id.
-    pub fn port<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize) -> (u16, Cycles) {
+    #[cfg(test)]
+    pub(crate) fn port<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize) -> (u16, Cycles) {
         let mut b = [0u8; 2];
         let c = m.read_bytes(core, self.base.add(off::PORT as u64), &mut b);
         (u16::from_le_bytes(b), c)
     }
 
     /// Writes the input port id.
-    pub fn set_port<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize, v: u16) -> Cycles {
+    pub(crate) fn set_port<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize, v: u16) -> Cycles {
         m.write_bytes(core, self.base.add(off::PORT as u64), &v.to_le_bytes())
     }
 
     /// Reads the input queue id.
-    pub fn queue<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize) -> (u16, Cycles) {
+    #[cfg(test)]
+    pub(crate) fn queue<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize) -> (u16, Cycles) {
         let mut b = [0u8; 2];
         let c = m.read_bytes(core, self.base.add(off::QUEUE as u64), &mut b);
         (u16::from_le_bytes(b), c)
     }
 
     /// Writes the input queue id.
-    pub fn set_queue<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize, v: u16) -> Cycles {
+    pub(crate) fn set_queue<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize, v: u16) -> Cycles {
         m.write_bytes(core, self.base.add(off::QUEUE as u64), &v.to_le_bytes())
     }
 }
@@ -178,13 +193,11 @@ mod tests {
         meta.set_data_off(&mut m, 0, 256);
         meta.set_data_len(&mut m, 0, 1500);
         meta.set_pkt_len(&mut m, 0, 1500);
-        meta.set_udata64(&mut m, 0, 0xdead_beef);
         meta.set_port(&mut m, 0, 3);
         meta.set_queue(&mut m, 0, 5);
         assert_eq!(meta.data_off(&mut m, 0).0, 256);
         assert_eq!(meta.data_len(&mut m, 0).0, 1500);
         assert_eq!(meta.pkt_len(&mut m, 0).0, 1500);
-        assert_eq!(meta.udata64(&mut m, 0).0, 0xdead_beef);
         assert_eq!(meta.port(&mut m, 0).0, 3);
         assert_eq!(meta.queue(&mut m, 0).0, 5);
     }

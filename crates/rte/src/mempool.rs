@@ -6,7 +6,7 @@
 //! room, cache-line aligned so that Complex Addressing sees each object's
 //! lines individually.
 
-use crate::mbuf::{MbufMeta, DEFAULT_DATAROOM, MBUF_META_SIZE};
+use crate::mbuf::{MbufMeta, MBUF_META_SIZE};
 use llc_sim::addr::PhysAddr;
 use llc_sim::machine::Machine;
 use llc_sim::mem::{MemError, Region};
@@ -61,11 +61,6 @@ impl MbufPool {
         })
     }
 
-    /// Pool with the stock DPDK geometry (128 B headroom, 2 KB data room).
-    pub fn create_default(m: &mut Machine, n: u32) -> Result<Self, MemError> {
-        Self::create(m, n, crate::mbuf::DEFAULT_HEADROOM, DEFAULT_DATAROOM)
-    }
-
     /// Total objects.
     pub fn capacity(&self) -> u32 {
         self.n
@@ -89,11 +84,6 @@ impl MbufPool {
     /// Data-room size.
     pub fn dataroom(&self) -> u16 {
         self.dataroom
-    }
-
-    /// The backing region.
-    pub fn region(&self) -> Region {
-        self.region
     }
 
     /// Base physical address of object `idx`.
@@ -217,14 +207,6 @@ mod tests {
         // The second object's buffer area must not overlap the first.
         assert!(meta.base().raw() >= pool.obj_base(0).raw() + pool.obj_size() as u64);
         assert_eq!(pool.headroom_cap(), 832);
-        assert_eq!(pool.dataroom(), 2048);
-    }
-
-    #[test]
-    fn default_geometry_matches_dpdk() {
-        let mut m = machine();
-        let pool = MbufPool::create_default(&mut m, 8).unwrap();
-        assert_eq!(pool.headroom_cap(), 128);
         assert_eq!(pool.dataroom(), 2048);
     }
 

@@ -12,9 +12,10 @@
 //!    an LLC slice. No posted descriptor ⇒ the frame is dropped and
 //!    counted (`rx_nodesc`), which is how the NIC-side throughput ceiling
 //!    of Table 3 manifests.
-//! 3. The application polls completions with [`Port::rx_burst`], fills
-//!    metadata (timed), processes, and transmits via [`Port::tx_burst`],
-//!    which DMA-reads the frame out and recycles the buffer.
+//! 3. The application polls completions through a queue's [`RxView`]
+//!    ([`RxView::rx_burst`] fills the metadata, timed), processes, and
+//!    transmits: [`tx_wire`] DMA-reads each frame out (timed on the
+//!    core), then [`Port::tx_commit`] counts it and recycles the buffer.
 
 use crate::fault::FrameFault;
 use crate::mempool::MbufPool;
@@ -26,12 +27,9 @@ use llc_sim::hierarchy::Cycles;
 use llc_sim::machine::Machine;
 use trafficgen::FlowTuple;
 
-/// Default RX queue depth in descriptors.
-pub const DEFAULT_QUEUE_DEPTH: usize = 1024;
-
 /// Frames shorter than an Ethernet header are runts; the MAC drops them
 /// before software ever sees them, like a bad FCS.
-pub const MIN_MAC_FRAME: usize = 14;
+pub(crate) const MIN_MAC_FRAME: usize = 14;
 
 /// Chooses each posted buffer's `data_off`.
 ///
@@ -77,7 +75,7 @@ pub struct RxCompletion {
     pub mark: Option<u32>,
 }
 
-/// A frame handed to [`Port::tx_burst`].
+/// A frame handed to [`tx_wire`] and [`Port::tx_commit`].
 #[derive(Debug, Clone, Copy)]
 pub struct TxDesc {
     /// Buffer to transmit and recycle.
@@ -137,9 +135,9 @@ impl std::fmt::Display for DropReason {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PortStats {
     /// Frames delivered into RX queues.
-    pub rx_pkts: u64,
+    pub(crate) rx_pkts: u64,
     /// Bytes delivered into RX queues.
-    pub rx_bytes: u64,
+    pub(crate) rx_bytes: u64,
     /// Frames dropped for lack of posted descriptors.
     pub rx_nodesc: u64,
     /// Frames dropped by the NIC packet-rate ceiling.
@@ -156,19 +154,7 @@ pub struct PortStats {
     /// Frames transmitted.
     pub tx_pkts: u64,
     /// Bytes transmitted.
-    pub tx_bytes: u64,
-}
-
-impl PortStats {
-    /// Every frame the NIC dropped, across all causes.
-    pub fn rx_dropped(&self) -> u64 {
-        self.rx_nodesc
-            + self.rx_overrun
-            + self.rx_crc
-            + self.rx_linkdown
-            + self.rx_stall
-            + self.rx_ready_overrun
-    }
+    pub(crate) tx_bytes: u64,
 }
 
 /// One RX queue: posted descriptors and ready completions.
@@ -228,11 +214,6 @@ impl Port {
         };
     }
 
-    /// Port id.
-    pub fn id(&self) -> u16 {
-        self.id
-    }
-
     /// Number of RX queues.
     pub fn num_queues(&self) -> usize {
         self.queues.len()
@@ -241,11 +222,6 @@ impl Port {
     /// Counters.
     pub fn stats(&self) -> PortStats {
         self.stats
-    }
-
-    /// Frames received so far on queue `q`.
-    pub fn queue_rx_pkts(&self, q: usize) -> u64 {
-        self.queues[q].rx_pkts
     }
 
     /// Posted descriptors currently available on queue `q`.
@@ -433,21 +409,6 @@ impl Port {
         Ok(())
     }
 
-    /// PMD: harvests up to `max` completions from queue `q` and fills the
-    /// mbuf metadata (timed on `core`), like the RX path of a real driver.
-    pub fn rx_burst(
-        &mut self,
-        m: &mut Machine,
-        pool: &MbufPool,
-        q: usize,
-        core: usize,
-        max: usize,
-    ) -> (Vec<RxCompletion>, Cycles) {
-        let batch = self.queues[q].ready.dequeue_burst(max);
-        let cycles = fill_rx_meta(m, pool, self.id, q, core, &batch);
-        (batch, cycles)
-    }
-
     /// Splits the port's RX queues into per-queue [`RxView`]s, one per
     /// queue, for worker-side polling during an engine epoch. While the
     /// views are alive the port is fully borrowed; stats and posted rings
@@ -473,24 +434,6 @@ impl Port {
             queue: q,
             ready: &mut self.queues[q].ready,
         }
-    }
-
-    /// PMD: transmits frames and recycles their buffers. The NIC DMA-reads
-    /// each frame (untimed for the core); per-descriptor doorbell cost is
-    /// charged to `core`.
-    ///
-    /// Equivalent to [`tx_wire`] (the worker-side, timed half) followed by
-    /// [`Port::tx_commit`] (the coordinator-side stats + recycle half).
-    pub fn tx_burst(
-        &mut self,
-        m: &mut Machine,
-        pool: &mut MbufPool,
-        core: usize,
-        frames: &[TxDesc],
-    ) -> Cycles {
-        let cycles = tx_wire(m, core, frames);
-        self.tx_commit(pool, frames);
-        cycles
     }
 
     /// The coordinator-side half of a transmit: counts the frames and
@@ -520,7 +463,7 @@ pub fn tx_wire<M: CoreMem + ?Sized>(m: &mut M, core: usize, frames: &[TxDesc]) -
 }
 
 /// Fills RX metadata for a harvested batch (timed on `core`) — the
-/// driver-side cost shared by [`Port::rx_burst`] and [`RxView::rx_burst`].
+/// driver-side cost of [`RxView::rx_burst`].
 fn fill_rx_meta<M: CoreMem + ?Sized>(
     m: &mut M,
     pool: &MbufPool,
@@ -555,11 +498,6 @@ pub struct RxView<'a> {
 }
 
 impl RxView<'_> {
-    /// The queue this view polls.
-    pub fn queue(&self) -> usize {
-        self.queue
-    }
-
     /// Completions currently waiting.
     pub fn ready_len(&self) -> usize {
         self.ready.len()
@@ -567,8 +505,7 @@ impl RxView<'_> {
 
     /// PMD: harvests up to `max` completions into `batch` (cleared
     /// first; the caller reuses it across polls) and fills the mbuf
-    /// metadata (timed on `core`) — [`Port::rx_burst`] against the split
-    /// view.
+    /// metadata (timed on `core`), like the RX path of a real driver.
     pub fn rx_burst<M: CoreMem + ?Sized>(
         &mut self,
         m: &mut M,
@@ -609,7 +546,8 @@ mod tests {
         }
         let frame = vec![0xaau8; 100];
         let q = port.deliver(&mut m, &frame, &flow(), 10.0).unwrap();
-        let (batch, _) = port.rx_burst(&mut m, &pool, q, 0, 32);
+        let mut batch = Vec::new();
+        port.rx_view(q).rx_burst(&mut m, &pool, 0, 32, &mut batch);
         assert_eq!(batch.len(), 1);
         let c = batch[0];
         assert_eq!(c.len, 100);
@@ -631,7 +569,8 @@ mod tests {
         port.refill(&mut m, &mut pool, 1, 0, &mut policy, 8);
         let frame = vec![1u8; 64];
         let q = port.deliver(&mut m, &frame, &flow(), 0.0).unwrap();
-        let (batch, _) = port.rx_burst(&mut m, &pool, q, 0, 8);
+        let mut batch = Vec::new();
+        port.rx_view(q).rx_burst(&mut m, &pool, 0, 8, &mut batch);
         let c = batch[0];
         let slice = m.slice_of(c.data_pa);
         assert!(m.llc_probe(slice, c.data_pa), "DDIO fills the LLC");
@@ -668,9 +607,12 @@ mod tests {
         let before = pool.available();
         let frame = vec![7u8; 200];
         let q = port.deliver(&mut m, &frame, &flow(), 0.0).unwrap();
-        let (batch, _) = port.rx_burst(&mut m, &pool, q, 0, 4);
+        let mut batch = Vec::new();
+        port.rx_view(q).rx_burst(&mut m, &pool, 0, 4, &mut batch);
         let c = batch[0];
-        port.tx_burst(&mut m, &mut pool, 0, &[TxDesc::echo(&c)]);
+        let tx = [TxDesc::echo(&c)];
+        tx_wire(&mut m, 0, &tx);
+        port.tx_commit(&mut pool, &tx);
         assert_eq!(pool.available(), before + 1);
         let s = port.stats();
         assert_eq!(s.tx_pkts, 1);
@@ -694,7 +636,8 @@ mod tests {
         port.refill(&mut m, &mut pool, 1, 0, &mut policy, 8);
         let q = port.deliver(&mut m, &[0u8; 64], &flow(), 0.0).unwrap();
         assert_eq!(q, 1);
-        let (batch, _) = port.rx_burst(&mut m, &pool, 1, 0, 8);
+        let mut batch = Vec::new();
+        port.rx_view(1).rx_burst(&mut m, &pool, 0, 8, &mut batch);
         assert_eq!(batch[0].mark, Some(777));
     }
 
@@ -790,7 +733,8 @@ mod fault_tests {
             ..FrameFault::clean()
         };
         let q = deliver_with(&mut port, &mut m, &[0xabu8; 100], 0.0, fault).unwrap();
-        let (batch, _) = port.rx_burst(&mut m, &pool, q, 0, 8);
+        let mut batch = Vec::new();
+        port.rx_view(q).rx_burst(&mut m, &pool, 0, 8, &mut batch);
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].len, 40, "delivered at the truncated length");
         assert_eq!(port.stats().rx_bytes, 40);
@@ -820,7 +764,6 @@ mod fault_tests {
         let s = port.stats();
         assert_eq!(s.rx_linkdown, 1);
         assert_eq!(s.rx_stall, 1);
-        assert_eq!(s.rx_dropped(), 2);
         assert_eq!(s.rx_pkts, 0);
     }
 
@@ -830,8 +773,7 @@ mod fault_tests {
         let mut policy = FixedHeadroom(128);
         port.refill(&mut m, &mut pool, 0, 0, &mut policy, 8);
         let q = deliver_with(&mut port, &mut m, &[0u8; 64], 0.0, FrameFault::clean()).unwrap();
-        assert_eq!(port.queue_rx_pkts(q), 1);
-        assert_eq!(port.stats().rx_dropped(), 0);
+        assert_eq!(port.queues[q].rx_pkts, 1);
     }
 
     #[test]
@@ -898,7 +840,8 @@ mod fault_tests {
         let (q, mark) = port.route(&flow());
         port.deliver_routed(&mut m, &[0u8; 64], q, mark, 0.0, FrameFault::clean())
             .unwrap();
-        let (batch, _) = port.rx_burst(&mut m, &pool, q, 0, 8);
+        let mut batch = Vec::new();
+        port.rx_view(q).rx_burst(&mut m, &pool, 0, 8, &mut batch);
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].len, 64);
     }

@@ -30,11 +30,6 @@ impl<T> Ring<T> {
         }
     }
 
-    /// Capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// Current occupancy.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -46,7 +41,7 @@ impl<T> Ring<T> {
     }
 
     /// True when full.
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.buf.len() == self.cap
     }
 
@@ -154,7 +149,6 @@ mod tests {
         assert_eq!(r.len(), 5);
         r.dequeue();
         assert_eq!(r.len(), 4);
-        assert_eq!(r.capacity(), 8);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub fn toeplitz_hash(key: &[u8; 40], data: &[u8]) -> u32 {
 
 /// Serialises the RSS input for an IPv4 TCP/UDP flow: src ip, dst ip,
 /// src port, dst port, big-endian (the `IPV4_TCP` RSS type).
-pub fn rss_input(flow: &FlowTuple) -> [u8; 12] {
+pub(crate) fn rss_input(flow: &FlowTuple) -> [u8; 12] {
     let mut d = [0u8; 12];
     d[0..4].copy_from_slice(&flow.src_ip.to_be_bytes());
     d[4..8].copy_from_slice(&flow.dst_ip.to_be_bytes());
@@ -97,7 +97,7 @@ impl Rss {
     }
 
     /// Number of queues.
-    pub fn queues(&self) -> usize {
+    pub(crate) fn queues(&self) -> usize {
         self.queues
     }
 
@@ -203,16 +203,8 @@ impl FlowDirector {
         }
     }
 
-    /// Like [`FlowDirector::new`] but unknown flows fall back to queue 0
-    /// without installing a rule (pure static tables).
-    pub fn new_static(queues: usize) -> Self {
-        let mut fd = Self::new(queues);
-        fd.auto_insert = false;
-        fd
-    }
-
     /// Number of queues.
-    pub fn queues(&self) -> usize {
+    pub(crate) fn queues(&self) -> usize {
         self.queues
     }
 
@@ -220,11 +212,6 @@ impl FlowDirector {
     pub fn set_rule(&mut self, flow: FlowTuple, action: FdirAction) {
         assert!(action.queue < self.queues, "queue out of range");
         self.table.insert(flow, action);
-    }
-
-    /// Number of installed rules.
-    pub fn rules(&self) -> usize {
-        self.table.len()
     }
 
     /// Whether a rule for `flow` is installed, by [`FlowDirector::set_rule`]
@@ -267,7 +254,7 @@ pub enum Steering {
 
 impl Steering {
     /// Queue + optional mark for `flow`.
-    pub fn steer(&mut self, flow: &FlowTuple) -> (usize, Option<u32>) {
+    pub(crate) fn steer(&mut self, flow: &FlowTuple) -> (usize, Option<u32>) {
         match self {
             Steering::Rss(r) => (r.queue_for(flow), None),
             Steering::FlowDirector(fd) => {
@@ -278,7 +265,7 @@ impl Steering {
     }
 
     /// Number of queues.
-    pub fn queues(&self) -> usize {
+    pub(crate) fn queues(&self) -> usize {
         match self {
             Steering::Rss(r) => r.queues(),
             Steering::FlowDirector(fd) => fd.queues(),
@@ -366,7 +353,7 @@ mod tests {
             counts[fd.action_for(&f).queue] += 1;
         }
         assert!(counts.iter().all(|&c| c == 100), "{counts:?}");
-        assert_eq!(fd.rules(), 800);
+        assert_eq!(fd.table.len(), 800);
     }
 
     #[test]
@@ -418,7 +405,7 @@ mod tests {
         fd.auto_insert = false;
         let a = fd.action_for(&FlowTuple::tcp(7, 7, 7, 7));
         assert_eq!(a.queue, 0);
-        assert_eq!(fd.rules(), 0);
+        assert!(fd.table.is_empty());
     }
 
     #[test]

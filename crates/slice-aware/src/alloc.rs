@@ -80,11 +80,6 @@ impl SliceBuffer {
         self.lines.is_empty()
     }
 
-    /// Total capacity in bytes.
-    pub fn bytes(&self) -> usize {
-        self.lines.len() * CACHE_LINE
-    }
-
     /// Address of line `i`.
     ///
     /// # Panics
@@ -177,7 +172,11 @@ impl<F: FnMut(PhysAddr) -> usize> SliceAllocator<F> {
     }
 
     /// Allocates `bytes` rounded up to whole lines, all in `slice`.
-    pub fn alloc_bytes(&mut self, slice: usize, bytes: usize) -> Result<SliceBuffer, AllocError> {
+    pub(crate) fn alloc_bytes(
+        &mut self,
+        slice: usize,
+        bytes: usize,
+    ) -> Result<SliceBuffer, AllocError> {
         self.alloc_lines(slice, bytes.div_ceil(CACHE_LINE))
     }
 
@@ -236,13 +235,11 @@ impl<F: FnMut(PhysAddr) -> usize> SliceAllocator<F> {
     }
 
     /// Contiguous variant of [`SliceAllocator::alloc_bytes`].
-    pub fn alloc_contiguous_bytes(&mut self, bytes: usize) -> Result<SliceBuffer, AllocError> {
+    pub(crate) fn alloc_contiguous_bytes(
+        &mut self,
+        bytes: usize,
+    ) -> Result<SliceBuffer, AllocError> {
         self.alloc_contiguous_lines(bytes.div_ceil(CACHE_LINE))
-    }
-
-    /// The region this allocator carves from.
-    pub fn region(&self) -> Region {
-        self.region
     }
 }
 
@@ -345,7 +342,7 @@ mod tests {
         let mut a = SliceAllocator::new(region, oracle);
         let buf = a.alloc_bytes(2, 100).unwrap();
         assert_eq!(buf.len(), 2);
-        assert_eq!(buf.bytes(), 128);
+        assert_eq!(buf.len() * CACHE_LINE, 128);
     }
 
     #[test]
@@ -355,7 +352,7 @@ mod tests {
         let (region, oracle) = setup(16 << 20);
         let mut a = SliceAllocator::new(region, oracle);
         let buf = a.alloc_bytes(5, 1_441_792).unwrap();
-        assert_eq!(buf.bytes(), 1_441_792);
+        assert_eq!(buf.len() * CACHE_LINE, 1_441_792);
     }
 
     #[test]
@@ -377,7 +374,7 @@ mod tests {
         assert_eq!(buf.len(), 2);
         assert!(!buf.is_empty());
         assert_eq!(buf.line(1), PhysAddr(64));
-        assert_eq!(buf.bytes(), 128);
+        assert_eq!(buf.len() * CACHE_LINE, 128);
     }
 }
 

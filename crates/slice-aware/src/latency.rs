@@ -31,14 +31,14 @@ pub struct SliceAccessTime {
 #[derive(Debug, Clone)]
 pub struct SliceLatencyProfile {
     /// Probing core.
-    pub core: usize,
+    pub(crate) core: usize,
     /// One entry per slice, in slice order.
     pub entries: Vec<SliceAccessTime>,
 }
 
 impl SliceLatencyProfile {
     /// Slices ordered by measured read latency (ascending).
-    pub fn by_read_latency(&self) -> Vec<usize> {
+    pub(crate) fn by_read_latency(&self) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.entries.len()).collect();
         order.sort_by(|&a, &b| {
             self.entries[a]
@@ -69,7 +69,7 @@ impl SliceLatencyProfile {
 /// share one LLC set (and therefore one L1/L2 set, given the strides).
 ///
 /// Returns fewer than `count` only if the region is too small.
-pub fn find_conflicting_lines(
+pub(crate) fn find_conflicting_lines(
     m: &Machine,
     region: Region,
     slice: usize,

@@ -49,8 +49,3 @@ pub mod scatter;
 pub mod workload;
 
 pub use alloc::{SliceAllocator, SliceBuffer};
-pub use latency::SliceLatencyProfile;
-pub use mapping::poll_slice_of;
-pub use partition::SlicePartitioner;
-pub use placement::PlacementPolicy;
-pub use scatter::ScatteredBuf;

@@ -13,10 +13,6 @@ use llc_sim::machine::Machine;
 use llc_sim::mem::Region;
 use llc_sim::uncore::UncoreEvent;
 
-/// Number of flush+reload probes per address; enough for the target
-/// slice's counter to dominate incidental lookups (fills, prefetches).
-pub const DEFAULT_POLLS: usize = 32;
-
 /// Determines the slice `pa` maps to by polling the uncore counters.
 ///
 /// Runs `polls` flush+reload rounds on `core` and returns the slice whose
@@ -100,11 +96,6 @@ impl SliceMap {
             .map(|&s| s as usize)
     }
 
-    /// Number of mapped lines.
-    pub fn lines(&self) -> usize {
-        self.slices.len()
-    }
-
     /// Per-slice line counts (distribution check).
     pub fn histogram(&self, slices: usize) -> Vec<usize> {
         let mut h = vec![0usize; slices];
@@ -116,7 +107,8 @@ impl SliceMap {
 
     /// Fraction of lines whose mapping agrees with `other` (e.g. polled vs
     /// ground truth).
-    pub fn agreement(&self, other: &SliceMap) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn agreement(&self, other: &SliceMap) -> f64 {
         assert_eq!(self.base_line, other.base_line, "different regions");
         assert_eq!(self.slices.len(), other.slices.len(), "different sizes");
         let same = self
@@ -133,6 +125,10 @@ impl SliceMap {
 mod tests {
     use super::*;
     use llc_sim::machine::MachineConfig;
+
+    /// Flush+reload probes per address: enough for the target slice's
+    /// counter to dominate incidental lookups (fills, prefetches).
+    const DEFAULT_POLLS: usize = 32;
 
     fn machine() -> Machine {
         Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(64 << 20))
@@ -186,7 +182,7 @@ mod tests {
         let mut m = machine();
         let r = m.mem_mut().alloc(4096, 4096).unwrap();
         let map = SliceMap::from_hash(&m, r);
-        assert_eq!(map.lines(), 64);
+        assert_eq!(map.slices.len(), 64);
         let pa = r.pa(0);
         assert_eq!(map.slice_of(pa), Some(m.slice_of(pa)));
         assert_eq!(map.slice_of(PhysAddr(r.base().raw() + 4096)), None);
@@ -199,7 +195,7 @@ mod tests {
         let map = SliceMap::from_hash(&m, r);
         let h = map.histogram(8);
         // 2^14 lines over 8 slices: the XOR hash balances exactly.
-        assert!(h.iter().all(|&c| c == map.lines() / 8), "{h:?}");
+        assert!(h.iter().all(|&c| c == map.slices.len() / 8), "{h:?}");
     }
 
     #[test]
@@ -209,7 +205,7 @@ mod tests {
         let coarse = SliceMap::discover(&mut m, 0, r, 8, 4);
         let truth = SliceMap::from_hash(&m, r);
         // Every 8th line is exact; in-between lines are best-effort.
-        let exact: Vec<usize> = (0..truth.lines()).step_by(8).collect();
+        let exact: Vec<usize> = (0..truth.slices.len()).step_by(8).collect();
         for i in exact {
             let pa = r.pa(i * 64);
             assert_eq!(coarse.slice_of(pa), truth.slice_of(pa));

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 /// A tenant identifier.
-pub type TenantId = u32;
+pub(crate) type TenantId = u32;
 
 /// Partitioning failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,11 +129,6 @@ impl<F: FnMut(PhysAddr) -> usize> SlicePartitioner<F> {
         self.grants.get(&tenant).map(Vec::as_slice)
     }
 
-    /// The owner of `slice`.
-    pub fn owner_of(&self, slice: usize) -> Option<TenantId> {
-        self.owner[slice]
-    }
-
     /// Slices not granted to anyone.
     pub fn free_slices(&self) -> Vec<usize> {
         (0..self.slices)
@@ -183,9 +178,9 @@ mod tests {
         let err = p.grant(2, &[1, 2]).unwrap_err();
         assert_eq!(err, PartitionError::SliceTaken { slice: 1, owner: 1 });
         // The failed grant must not have claimed slice 2.
-        assert_eq!(p.owner_of(2), None);
+        assert_eq!(p.owner[2], None);
         p.grant(2, &[2, 3]).unwrap();
-        assert_eq!(p.owner_of(2), Some(2));
+        assert_eq!(p.owner[2], Some(2));
     }
 
     #[test]
@@ -224,7 +219,7 @@ mod tests {
         assert_eq!(freed, vec![6, 7]);
         assert_eq!(p.free_slices().len(), 8);
         p.grant(2, &[6]).unwrap();
-        assert_eq!(p.owner_of(6), Some(2));
+        assert_eq!(p.owner[6], Some(2));
     }
 
     #[test]

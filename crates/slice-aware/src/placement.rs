@@ -98,11 +98,6 @@ impl PlacementPolicy {
         }
     }
 
-    /// Number of cores covered.
-    pub fn cores(&self) -> usize {
-        self.primary.len()
-    }
-
     /// The closest slice for `core`.
     pub fn primary(&self, core: usize) -> usize {
         self.primary[core]
@@ -111,11 +106,6 @@ impl PlacementPolicy {
     /// The slices at the second latency step for `core`.
     pub fn secondary(&self, core: usize) -> &[usize] {
         &self.secondary[core]
-    }
-
-    /// All slices ordered by preference for `core`.
-    pub fn preference_order(&self, core: usize) -> &[usize] {
-        &self.order[core]
     }
 
     /// The `n` most preferred slices for `core` (primary first). Spreading

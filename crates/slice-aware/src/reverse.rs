@@ -22,7 +22,7 @@ use trafficgen::Rng64;
 
 /// Lowest physical-address bit that can participate (bit 6: below that is
 /// the line offset, which never matters).
-pub const FIRST_CANDIDATE_BIT: u32 = 6;
+pub(crate) const FIRST_CANDIDATE_BIT: u32 = 6;
 
 /// Result of a hash reconstruction.
 #[derive(Debug, Clone)]

@@ -51,16 +51,6 @@ pub struct ScatteredBuf {
 }
 
 impl ScatteredBuf {
-    /// Allocates a `len`-byte object whose every line maps to `slice`.
-    pub fn new<F: FnMut(PhysAddr) -> usize>(
-        alloc: &mut SliceAllocator<F>,
-        slice: usize,
-        len: usize,
-    ) -> Result<Self, AllocError> {
-        let segments = alloc.alloc_lines(slice, len.div_ceil(CACHE_LINE))?;
-        Ok(Self { segments, len })
-    }
-
     /// Wraps an already-allocated segment list as a `len`-byte object.
     ///
     /// # Panics
@@ -74,26 +64,6 @@ impl ScatteredBuf {
         Self { segments, len }
     }
 
-    /// Allocates a `len`-byte object spread over the `slices` set.
-    pub fn new_multi<F: FnMut(PhysAddr) -> usize>(
-        alloc: &mut SliceAllocator<F>,
-        slices: &[usize],
-        len: usize,
-    ) -> Result<Self, AllocError> {
-        let segments = alloc.alloc_lines_multi(slices, len.div_ceil(CACHE_LINE))?;
-        Ok(Self { segments, len })
-    }
-
-    /// Logical length in bytes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True for a zero-length object.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// The backing lines (inspection).
     pub fn segments(&self) -> &SliceBuffer {
         &self.segments
@@ -104,7 +74,7 @@ impl ScatteredBuf {
     /// # Panics
     ///
     /// Panics when `off >= len`.
-    pub fn pa_of(&self, off: usize) -> PhysAddr {
+    pub(crate) fn pa_of(&self, off: usize) -> PhysAddr {
         assert!(off < self.len, "offset outside object");
         self.segments
             .line(off / CACHE_LINE)
@@ -167,8 +137,8 @@ mod tests {
     #[test]
     fn scattered_object_lives_in_one_slice() {
         let (m, mut a) = setup();
-        let obj = ScatteredBuf::new(&mut a, 5, 1000).unwrap();
-        assert_eq!(obj.len(), 1000);
+        let obj = ScatteredBuf::from_segments(a.alloc_lines(5, 16).unwrap(), 1000);
+        assert_eq!(obj.len, 1000);
         assert_eq!(obj.segments().len(), 16, "1000 B = 16 lines");
         for off in [0usize, 63, 64, 500, 999] {
             assert_eq!(m.slice_of(obj.pa_of(off)), 5, "offset {off}");
@@ -178,7 +148,7 @@ mod tests {
     #[test]
     fn roundtrip_across_segment_boundaries() {
         let (mut m, mut a) = setup();
-        let obj = ScatteredBuf::new(&mut a, 2, 256).unwrap();
+        let obj = ScatteredBuf::from_segments(a.alloc_lines(2, 4).unwrap(), 256);
         let data: Vec<u8> = (0..200u8).collect();
         // Unaligned start, crosses three segment boundaries.
         obj.write(&mut m, 0, 30, &data);
@@ -190,7 +160,7 @@ mod tests {
     #[test]
     fn multi_slice_spread_round_robin() {
         let (m, mut a) = setup();
-        let obj = ScatteredBuf::new_multi(&mut a, &[0, 2], 64 * 8).unwrap();
+        let obj = ScatteredBuf::from_segments(a.alloc_lines_multi(&[0, 2], 8).unwrap(), 64 * 8);
         let slices: Vec<usize> = (0..8).map(|i| m.slice_of(obj.segments().line(i))).collect();
         assert_eq!(slices, vec![0, 2, 0, 2, 0, 2, 0, 2]);
     }
@@ -211,7 +181,7 @@ mod tests {
     #[test]
     fn scattered_reads_pay_per_segment() {
         let (mut m, mut a) = setup();
-        let obj = ScatteredBuf::new(&mut a, 0, 256).unwrap();
+        let obj = ScatteredBuf::from_segments(a.alloc_lines(0, 4).unwrap(), 256);
         // Cold read of 256 B = 4 segment lines from DRAM.
         let mut out = vec![0u8; 256];
         let c = obj.read(&mut m, 0, 0, &mut out);
@@ -225,7 +195,7 @@ mod tests {
     #[should_panic(expected = "outside object")]
     fn read_beyond_len_panics() {
         let (mut m, mut a) = setup();
-        let obj = ScatteredBuf::new(&mut a, 0, 100).unwrap();
+        let obj = ScatteredBuf::from_segments(a.alloc_lines(0, 2).unwrap(), 100);
         let mut out = vec![0u8; 8];
         obj.read(&mut m, 0, 96, &mut out);
     }

@@ -17,7 +17,7 @@ use trafficgen::Rng64;
 
 /// Fixed per-operation cycles: random-index arithmetic plus the pointer
 /// fetch from the (hot) pointer array.
-pub const OP_OVERHEAD: Cycles = 20;
+pub(crate) const OP_OVERHEAD: Cycles = 20;
 
 /// Touches every line once so the measurement starts warm (the paper's
 /// 100-run experiments amortise the cold start; we separate it).

@@ -42,7 +42,7 @@ use trafficgen::PhaseSchedule;
 
 /// Which service a worker runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TenantKind {
+pub(crate) enum TenantKind {
     /// KVS instance (uses the shared per-tenant store).
     Kvs,
     /// NFV forwarding chain.
@@ -54,28 +54,28 @@ pub enum TenantKind {
 /// One worker's application state. Workers of the same tenant share
 /// the tenant's pressure-set *addresses* (cloned, read-only) but own
 /// their RNG, so the combined reference stream is deterministic.
-pub struct TenantApp<'s> {
+pub(crate) struct TenantApp<'s> {
     /// Owning tenant id.
-    pub tenant: usize,
+    pub(crate) tenant: usize,
     /// Service kind.
-    pub kind: TenantKind,
+    pub(crate) kind: TenantKind,
     /// The tenant's store (KVS workers only).
-    pub store: Option<&'s KvStore>,
+    pub(crate) store: Option<&'s KvStore>,
     /// The tenant's pressure-set lines (empty for the antagonist).
-    pub pressure: Vec<PhysAddr>,
+    pub(crate) pressure: Vec<PhysAddr>,
     /// Pressure reads per packet.
-    pub reads_per_packet: usize,
+    pub(crate) reads_per_packet: usize,
     /// Streaming-thrash region `(base, lines, cursor)` (antagonist).
-    pub thrash: Option<(PhysAddr, u64, u64)>,
+    pub(crate) thrash: Option<(PhysAddr, u64, u64)>,
     /// Thrash reads per packet.
-    pub thrash_per_packet: usize,
+    pub(crate) thrash_per_packet: usize,
     /// xorshift64 state for the random pressure walk.
-    pub rng: u64,
+    pub(crate) rng: u64,
     /// Sojourn latency (serve completion − offer time, ns) of every
     /// served frame, in processing order — drained by the control hook.
-    pub latencies: Vec<f64>,
+    pub(crate) latencies: Vec<f64>,
     /// Frames that produced a response.
-    pub served_ok: u64,
+    pub(crate) served_ok: u64,
 }
 
 impl TenantApp<'_> {
@@ -148,7 +148,7 @@ impl QueueApp for TenantApp<'_> {
 /// arrive at near line rate, and every *accepted* storm frame is a
 /// DDIO fill — that is the chaos injection.
 #[derive(Debug, Clone)]
-pub struct PhasedGaps {
+pub(crate) struct PhasedGaps {
     sched: PhaseSchedule,
     /// Inter-arrival gap (ns) per schedule phase index.
     gaps: Vec<f64>,
@@ -163,7 +163,7 @@ impl PhasedGaps {
     ///
     /// Panics when the gap list does not match the schedule's phase
     /// count or a gap is not positive.
-    pub fn new(sched: PhaseSchedule, gaps_ns: Vec<f64>) -> Self {
+    pub(crate) fn new(sched: PhaseSchedule, gaps_ns: Vec<f64>) -> Self {
         assert_eq!(sched.phases().len(), gaps_ns.len(), "one gap per phase");
         assert!(gaps_ns.iter().all(|&g| g > 0.0 && g.is_finite()));
         Self {
@@ -175,19 +175,14 @@ impl PhasedGaps {
     }
 
     /// The time of the next arrival without consuming it.
-    pub fn peek_next_ns(&self) -> f64 {
+    pub(crate) fn peek_next_ns(&self) -> f64 {
         self.t_ns + self.gaps[self.sched.phase_at(self.idx)]
     }
 
     /// Consumes and returns the next arrival time.
-    pub fn next_arrival_ns(&mut self) -> f64 {
+    pub(crate) fn next_arrival_ns(&mut self) -> f64 {
         self.t_ns = self.peek_next_ns();
         self.idx += 1;
         self.t_ns
-    }
-
-    /// How many arrivals have been consumed so far.
-    pub fn arrivals_emitted(&self) -> u64 {
-        self.idx
     }
 }

@@ -39,7 +39,7 @@ use std::fmt;
 
 /// Why a control epoch could not improve the partition.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ControlError {
+pub(crate) enum ControlError {
     /// A victim earned a re-partition but every potential donor is
     /// itself pressured or already at the allocation floor.
     NoFeasiblePartition {
@@ -66,7 +66,7 @@ impl std::error::Error for ControlError {}
 
 /// One partition change the harness must apply to the machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ControlAction {
+pub(crate) enum ControlAction {
     /// Move one CAT way from `from`'s segment to `to`'s segment.
     MoveWay {
         /// Donor tenant.
@@ -85,58 +85,58 @@ pub enum ControlAction {
 /// the observations arrive in (ns for latency, fill events per epoch
 /// for the uncore window).
 #[derive(Debug, Clone)]
-pub struct ControllerConfig {
+pub(crate) struct ControllerConfig {
     /// Per-tenant p99 SLO in ns; `f64::INFINITY` marks a best-effort
     /// tenant that is never considered pressured (and therefore makes
     /// an ideal donor).
-    pub slo_p99_ns: Vec<f64>,
+    pub(crate) slo_p99_ns: Vec<f64>,
     /// No tenant's way count ever drops below this.
-    pub floor_ways: usize,
+    pub(crate) floor_ways: usize,
     /// Consecutive pressured windows before a tenant earns a steal.
-    pub hysteresis: u32,
+    pub(crate) hysteresis: u32,
     /// Epochs the way-steal arm stays quiet after a move.
-    pub cooldown: u32,
+    pub(crate) cooldown: u32,
     /// LlcFill events per epoch above which the epoch counts as a DMA
     /// storm (for the DDIO arm).
-    pub ddio_spike_fills: u64,
+    pub(crate) ddio_spike_fills: u64,
     /// Consecutive calm epochs before DDIO is restored.
-    pub ddio_calm_epochs: u32,
+    pub(crate) ddio_calm_epochs: u32,
     /// DDIO width when unthreatened (the hardware default).
-    pub ddio_full: usize,
+    pub(crate) ddio_full: usize,
     /// DDIO width under storm defense.
-    pub ddio_min: usize,
+    pub(crate) ddio_min: usize,
 }
 
 /// Everything the controller did, for reports and assertions.
 #[derive(Debug, Clone, Default)]
-pub struct ControlLog {
+pub(crate) struct ControlLog {
     /// Control epochs observed.
-    pub epochs: u64,
+    pub(crate) epochs: u64,
     /// Way moves applied.
-    pub moves: u64,
+    pub(crate) moves: u64,
     /// DDIO shrink actions.
-    pub ddio_shrinks: u64,
+    pub(crate) ddio_shrinks: u64,
     /// DDIO restore actions.
-    pub ddio_restores: u64,
+    pub(crate) ddio_restores: u64,
     /// Epochs that recorded [`ControlError::NoFeasiblePartition`].
-    pub infeasible: u64,
+    pub(crate) infeasible: u64,
     /// Smallest way count each tenant was ever left with.
-    pub min_ways_seen: Vec<usize>,
+    pub(crate) min_ways_seen: Vec<usize>,
     /// Per tenant: `(epoch time ns, held window p99 ns)` — the series
     /// [`xstats::slo_violation_ns`] runs over. First-order hold: an
     /// empty window holds the previous value.
-    pub series: Vec<Vec<(f64, f64)>>,
+    pub(crate) series: Vec<Vec<(f64, f64)>>,
     /// `(epoch time ns, LlcFill delta)` per epoch — the storm-detection
     /// input, kept for calibration and reports.
-    pub fills: Vec<(f64, u64)>,
+    pub(crate) fills: Vec<(f64, u64)>,
     /// Every typed error, in epoch order.
-    pub errors: Vec<ControlError>,
+    pub(crate) errors: Vec<ControlError>,
 }
 
 /// The closed-loop controller state. See the module docs for the
 /// policy; [`IsolationController::observe`] is the whole interface.
 #[derive(Debug)]
-pub struct IsolationController {
+pub(crate) struct IsolationController {
     cfg: ControllerConfig,
     ways: Vec<usize>,
     ddio: usize,
@@ -147,7 +147,7 @@ pub struct IsolationController {
     cooldown_left: u32,
     calm_epochs: u32,
     /// The actions applied, counters, series — the run's evidence.
-    pub log: ControlLog,
+    pub(crate) log: ControlLog,
 }
 
 impl IsolationController {
@@ -158,7 +158,7 @@ impl IsolationController {
     ///
     /// Panics when the tenant counts of `initial_ways` and the SLO list
     /// disagree, or an initial allocation is already below the floor.
-    pub fn new(cfg: ControllerConfig, initial_ways: Vec<usize>) -> Self {
+    pub(crate) fn new(cfg: ControllerConfig, initial_ways: Vec<usize>) -> Self {
         assert_eq!(
             cfg.slo_p99_ns.len(),
             initial_ways.len(),
@@ -188,12 +188,12 @@ impl IsolationController {
     }
 
     /// Current way partition, tenant order.
-    pub fn ways(&self) -> &[usize] {
+    pub(crate) fn ways(&self) -> &[usize] {
         &self.ways
     }
 
     /// Current DDIO width.
-    pub fn ddio(&self) -> usize {
+    pub(crate) fn ddio(&self) -> usize {
         self.ddio
     }
 
@@ -204,7 +204,7 @@ impl IsolationController {
     /// identical series bookkeeping, no decisions — which is how the
     /// static regimes get violation accounting on the exact same
     /// sampling grid as the online one.
-    pub fn observe(
+    pub(crate) fn observe(
         &mut self,
         t_ns: f64,
         window_p99: &[Option<f64>],
@@ -291,7 +291,7 @@ impl IsolationController {
     /// # Panics
     ///
     /// Panics when `t_ns` precedes an already-recorded epoch.
-    pub fn finalize(&mut self, t_ns: f64) {
+    pub(crate) fn finalize(&mut self, t_ns: f64) {
         for (i, series) in self.log.series.iter_mut().enumerate() {
             if let Some(&(last_t, _)) = series.last() {
                 assert!(t_ns >= last_t, "finalize must not rewind the series");

@@ -21,12 +21,8 @@
 //! Everything is deterministic: [`run::run_tenancy`] reports are
 //! bit-identical across execution modes.
 
-pub mod apps;
-pub mod controller;
+pub(crate) mod apps;
+pub(crate) mod controller;
 pub mod run;
 
-pub use apps::{PhasedGaps, TenantApp, TenantKind};
-pub use controller::{
-    ControlAction, ControlError, ControlLog, ControllerConfig, IsolationController,
-};
-pub use run::{run_tenancy, Regime, TenancyConfig, TenancyReport, TenantReport};
+pub use run::{run_tenancy, Regime, TenancyConfig, TenancyReport};

@@ -78,9 +78,9 @@ use trafficgen::{FlowTuple, Phase, PhaseSchedule, ZipfGen};
 use xstats::{slo_violation_ns, Summary};
 
 /// Tenant count (kvs, nfv, antagonist).
-pub const TENANTS: usize = 3;
+pub(crate) const TENANTS: usize = 3;
 /// Tenant display names, tenant order.
-pub const NAMES: [&str; TENANTS] = ["kvs", "nfv", "antagonist"];
+pub(crate) const NAMES: [&str; TENANTS] = ["kvs", "nfv", "antagonist"];
 /// Serving cores (== RX queues) per tenant.
 const TENANT_QUEUES: [&[usize]; TENANTS] = [&[0, 1], &[2, 3], &[4]];
 /// Queue → owning tenant (also the engine's ledger groups).
@@ -90,10 +90,10 @@ const QUEUE_TENANT: [usize; 5] = [0, 0, 1, 1, 2];
 const SEGMENT_ORDER: [usize; TENANTS] = [2, 0, 1];
 
 /// The static even split (tenant order).
-pub const EVEN_WAYS: [usize; TENANTS] = [7, 7, 6];
+pub(crate) const EVEN_WAYS: [usize; TENANTS] = [7, 7, 6];
 /// The hand-tuned oracle split (tenant order); the oracle also pins
 /// DDIO to [`DDIO_MIN`].
-pub const ORACLE_WAYS: [usize; TENANTS] = [8, 10, 2];
+pub(crate) const ORACLE_WAYS: [usize; TENANTS] = [8, 10, 2];
 
 /// Pressure-set depth per slice set: kvs wants one way more than even
 /// gives it; nfv wants two more — and because DMA churn steals its top
@@ -125,8 +125,8 @@ pub const CONTROL_PERIOD_NS: f64 = 20_000.0;
 /// Per-tenant p99 SLOs (antagonist is best-effort). Placed between the
 /// healthy-path p99 and the pressured-path p99 measured at this
 /// scenario's scales; see EXPERIMENTS.md for the calibration numbers.
-pub const KVS_SLO_NS: f64 = 230.0;
-pub const NFV_SLO_NS: f64 = 220.0;
+pub(crate) const KVS_SLO_NS: f64 = 230.0;
+pub(crate) const NFV_SLO_NS: f64 = 220.0;
 /// Allocation floor: no tenant ever drops below 2 ways.
 pub const FLOOR_WAYS: usize = 2;
 const HYSTERESIS: u32 = 2;
@@ -217,7 +217,7 @@ pub struct TenantReport {
     /// Frames the harness offered for this tenant.
     pub offered: u64,
     /// Frames the NIC accepted.
-    pub accepted: u64,
+    pub(crate) accepted: u64,
     /// Frames rejected at offer (NIC drops + faults).
     pub rejected: u64,
     /// Frames served with a response (== the engine group's delivered).
@@ -262,7 +262,7 @@ pub struct TenancyReport {
     pub series: Vec<Vec<(f64, f64)>>,
     /// `(epoch ns, LlcFill delta)` per epoch — the storm-detection
     /// input.
-    pub fills: Vec<(f64, u64)>,
+    pub(crate) fills: Vec<(f64, u64)>,
     /// The engine's per-tenant ledgers (queue groups == tenants); each
     /// satisfies the conservation identity, and they sum to the
     /// aggregate (both asserted in [`engine::Engine::finish`]).

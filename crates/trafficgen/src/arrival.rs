@@ -14,7 +14,7 @@
 /// Preamble + start-of-frame delimiter + inter-frame gap on the wire.
 /// Frame sizes are quoted FCS-inclusive (the usual convention behind the
 /// "148.8 Mpps of 64 B frames at 100 Gbps" figure).
-pub const WIRE_OVERHEAD_BYTES: u32 = 20;
+pub(crate) const WIRE_OVERHEAD_BYTES: u32 = 20;
 
 /// Bits one frame of `size` bytes occupies on the wire.
 pub fn wire_bits(size: u16) -> u64 {
@@ -99,7 +99,7 @@ impl ArrivalSchedule {
 
     /// The next arrival timestamp without consuming it (exactly the
     /// value the next [`ArrivalSchedule::next_arrival_ns`] returns).
-    pub fn peek_next_ns(&self) -> f64 {
+    pub(crate) fn peek_next_ns(&self) -> f64 {
         self.next_ps as f64 / 1e3
     }
 }

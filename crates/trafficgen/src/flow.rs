@@ -41,17 +41,6 @@ impl FlowTuple {
             proto: 17,
         }
     }
-
-    /// The reverse direction of the same conversation.
-    pub fn reversed(self) -> Self {
-        Self {
-            src_ip: self.dst_ip,
-            dst_ip: self.src_ip,
-            src_port: self.dst_port,
-            dst_port: self.src_port,
-            proto: self.proto,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -62,14 +51,5 @@ mod tests {
     fn constructors_set_proto() {
         assert_eq!(FlowTuple::tcp(1, 2, 3, 4).proto, 6);
         assert_eq!(FlowTuple::udp(1, 2, 3, 4).proto, 17);
-    }
-
-    #[test]
-    fn reverse_is_involutive() {
-        let f = FlowTuple::tcp(0x0a000001, 1234, 0x0a000002, 80);
-        let r = f.reversed();
-        assert_eq!(r.src_ip, f.dst_ip);
-        assert_eq!(r.dst_port, f.src_port);
-        assert_eq!(r.reversed(), f);
     }
 }

@@ -33,21 +33,21 @@
 //!   their original inter-arrival structure.
 
 pub mod arrival;
-pub mod flow;
-pub mod openloop;
-pub mod phase;
-pub mod replay;
+pub(crate) mod flow;
+pub(crate) mod openloop;
+pub(crate) mod phase;
+pub(crate) mod replay;
 pub mod rng;
 pub mod trace;
 pub mod tracefile;
-pub mod zipf;
+pub(crate) mod zipf;
 
 pub use arrival::{gbps_to_pps, ArrivalSchedule, Arrivals};
 pub use flow::FlowTuple;
 pub use openloop::{OpenLoopGen, RateProfile};
-pub use phase::{FlashCrowd, Phase, PhaseGen, PhaseSchedule};
+pub use phase::{Phase, PhaseGen, PhaseSchedule};
 pub use replay::TraceReplay;
 pub use rng::Rng64;
-pub use trace::{CampusTrace, PacketSpec, SizeMix};
+pub use trace::{CampusTrace, SizeMix};
 pub use tracefile::TimedPacket;
 pub use zipf::{ZipfConstants, ZipfGen};

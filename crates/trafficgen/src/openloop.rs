@@ -77,7 +77,7 @@ impl RateProfile {
     }
 
     /// Instantaneous rate multiplier at simulated time `t_ns`.
-    pub fn multiplier_at(&self, t_ns: f64) -> f64 {
+    pub(crate) fn multiplier_at(&self, t_ns: f64) -> f64 {
         let mut m = 1.0;
         for s in &self.segments {
             if t_ns >= s.start_ns && t_ns < s.end_ns {
@@ -184,11 +184,6 @@ impl OpenLoopGen {
         self
     }
 
-    /// Mean packets per second before profile scaling.
-    pub fn base_pps(&self) -> f64 {
-        self.base_pps
-    }
-
     /// Next arrival timestamp in simulated nanoseconds.
     pub fn next_arrival_ns(&mut self) -> f64 {
         let t = self.next_ns;
@@ -229,7 +224,7 @@ impl OpenLoopGen {
     /// value the next [`OpenLoopGen::next_arrival_ns`] returns — the
     /// gap draw happens when the arrival is consumed, so peeking burns
     /// no RNG state).
-    pub fn peek_next_ns(&self) -> f64 {
+    pub(crate) fn peek_next_ns(&self) -> f64 {
         self.next_ns
     }
 }

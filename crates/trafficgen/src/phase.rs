@@ -28,25 +28,25 @@ use crate::zipf::ZipfGen;
 /// the phase's draws are redirected to `rank` (post-rotation rank
 /// space), modelling a single suddenly-viral key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlashCrowd {
+pub(crate) struct FlashCrowd {
     /// The rank every redirected draw lands on.
-    pub rank: u64,
+    pub(crate) rank: u64,
     /// Fraction of draws redirected, in permille.
-    pub permille: u32,
+    pub(crate) permille: u32,
 }
 
 /// One span of the request stream with a fixed key regime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Phase {
     /// Draws this phase covers.
-    pub len: u64,
+    pub(crate) len: u64,
     /// Rank-space rotation: rank `r` becomes `(r + rotate) mod n`.
     /// Because Zipf popularity attaches to the *rank*, rotating moves
     /// the whole hot set to a different stretch of the key space —
     /// hot-set churn.
-    pub rotate: u64,
+    pub(crate) rotate: u64,
     /// Optional flash-crowd override for this phase.
-    pub flash: Option<FlashCrowd>,
+    pub(crate) flash: Option<FlashCrowd>,
 }
 
 impl Phase {
@@ -142,13 +142,8 @@ impl PhaseSchedule {
     }
 
     /// Total draws covered by one pass over the schedule.
-    pub fn total_len(&self) -> u64 {
+    pub(crate) fn total_len(&self) -> u64 {
         self.phases.iter().map(|p| p.len).sum()
-    }
-
-    /// Whether the schedule repeats from the top after its last phase.
-    pub fn cycles(&self) -> bool {
-        self.cycle
     }
 
     /// The phase index active at draw `idx` (0-based).
@@ -201,11 +196,6 @@ impl PhaseGen {
     /// Draws made so far.
     pub fn drawn(&self) -> u64 {
         self.drawn
-    }
-
-    /// The schedule.
-    pub fn schedule(&self) -> &PhaseSchedule {
-        &self.schedule
     }
 
     /// The phase index the *next* draw will use.

@@ -51,7 +51,7 @@ impl TraceReplay {
     /// # Panics
     ///
     /// Panics on an empty or decreasing sequence.
-    pub fn from_arrivals(arrivals_ns: Vec<u64>) -> Self {
+    pub(crate) fn from_arrivals(arrivals_ns: Vec<u64>) -> Self {
         assert!(!arrivals_ns.is_empty(), "cannot replay an empty trace");
         assert!(
             arrivals_ns.windows(2).all(|w| w[0] <= w[1]),
@@ -68,22 +68,6 @@ impl TraceReplay {
             idx: 0,
             base_ns: 0,
         }
-    }
-
-    /// Arrivals in one pass of the trace.
-    pub fn len(&self) -> usize {
-        self.arrivals_ns.len()
-    }
-
-    /// True when the trace holds no arrivals (never: construction
-    /// rejects empty traces — provided for the `len`/`is_empty` pair).
-    pub fn is_empty(&self) -> bool {
-        self.arrivals_ns.is_empty()
-    }
-
-    /// The wrap-around period in ns (see the looping rule above).
-    pub fn period_ns(&self) -> u64 {
-        self.period_ns
     }
 }
 
@@ -123,7 +107,7 @@ mod tests {
     fn wraps_with_mean_gap_period() {
         // arrivals 0, 30, 60: mean gap 30, period 60 + 30 = 90.
         let mut r = TraceReplay::from_arrivals(vec![0, 30, 60]);
-        assert_eq!(r.period_ns(), 90);
+        assert_eq!(r.period_ns, 90);
         let first_pass: Vec<f64> = (0..3).map(|_| r.next_arrival_ns()).collect();
         let second_pass: Vec<f64> = (0..3).map(|_| r.next_arrival_ns()).collect();
         assert_eq!(first_pass, vec![0.0, 30.0, 60.0]);
@@ -167,7 +151,7 @@ mod tests {
     #[test]
     fn single_arrival_trace_advances_by_at_least_one_ns() {
         let mut r = TraceReplay::from_arrivals(vec![1000]);
-        assert_eq!(r.period_ns(), 1001);
+        assert_eq!(r.period_ns, 1001);
         assert_eq!(r.next_arrival_ns(), 1000.0);
         assert_eq!(r.next_arrival_ns(), 2001.0);
     }

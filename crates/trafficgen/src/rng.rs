@@ -86,7 +86,7 @@ impl Rng64 {
     ///
     /// Panics when `n == 0`.
     #[inline]
-    pub fn next_bounded(&mut self, n: u64) -> u64 {
+    pub(crate) fn next_bounded(&mut self, n: u64) -> u64 {
         assert!(n > 0, "empty sample range");
         loop {
             let x = self.next_u64();

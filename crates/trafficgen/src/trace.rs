@@ -32,9 +32,9 @@ pub struct PacketSpec {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SizeMix {
     /// Fraction of frames in `[64, 100)` B.
-    pub small: f64,
+    pub(crate) small: f64,
     /// Fraction in `[100, 500)` B.
-    pub medium: f64,
+    pub(crate) medium: f64,
     // Remainder is `[500, 1500]` B.
 }
 
@@ -50,7 +50,7 @@ impl SizeMix {
     /// All frames of one fixed size (Table 2's 64/512/1024/1500 B runs are
     /// generated with [`CampusTrace::fixed_size`] instead, but a degenerate
     /// mix is handy in tests).
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(
             self.small >= 0.0 && self.medium >= 0.0 && self.small + self.medium <= 1.0,
             "size fractions must form a sub-distribution"
@@ -114,11 +114,6 @@ impl CampusTrace {
             rng: Rng64::seed_from_u64(seed ^ 0x2222),
             seq: 0,
         }
-    }
-
-    /// Number of distinct flows in the population.
-    pub fn flow_count(&self) -> usize {
-        self.flows.len()
     }
 
     /// Generates the next packet.

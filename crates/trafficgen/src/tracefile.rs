@@ -29,13 +29,13 @@ use crate::trace::PacketSpec;
 use std::io::{self, Write};
 
 /// File magic.
-pub const MAGIC: [u8; 4] = *b"SATR";
+pub(crate) const MAGIC: [u8; 4] = *b"SATR";
 /// Version written by [`write_trace_v2`], the only version read.
-pub const VERSION_V2: u16 = 2;
+pub(crate) const VERSION_V2: u16 = 2;
 /// Bytes per packet record.
-pub const RECORD_LEN_V2: usize = 31;
+pub(crate) const RECORD_LEN_V2: usize = 31;
 /// Bytes in the header (`magic | version | count`).
-pub const HEADER_LEN: usize = 14;
+pub(crate) const HEADER_LEN: usize = 14;
 /// Bytes of a record's [`PacketSpec`]; `arrival_ns` follows.
 const SPEC_LEN: usize = 23;
 

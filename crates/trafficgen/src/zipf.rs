@@ -47,7 +47,7 @@ impl ZipfConstants {
     ///
     /// Panics when `n == 0`, `theta < 0` or `theta >= 1` (the Gray et
     /// al. closed form needs θ < 1; the paper uses 0.99).
-    pub fn compute(n: u64, theta: f64) -> Self {
+    pub(crate) fn compute(n: u64, theta: f64) -> Self {
         assert!(n > 0, "need a non-empty key space");
         assert!((0.0..1.0).contains(&theta), "theta must be in [0, 1)");
         let zetan = zeta(n, theta);
@@ -89,16 +89,6 @@ impl ZipfConstants {
             table.push(c);
         }
         c
-    }
-
-    /// Key-space size.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
-    /// Configured skew.
-    pub fn theta(&self) -> f64 {
-        self.theta
     }
 }
 

@@ -44,23 +44,13 @@ impl Cdf {
     }
 
     /// Inverse CDF; `None` when `q` is non-finite or outside `(0, 1]`.
-    pub fn try_quantile(&self, q: f64) -> Option<f64> {
+    pub(crate) fn try_quantile(&self, q: f64) -> Option<f64> {
         if !(q.is_finite() && q > 0.0 && q <= 1.0) {
             return None;
         }
         let n = self.sorted.len();
         let idx = ((q * n as f64).ceil() as usize).clamp(1, n) - 1;
         Some(self.sorted[idx])
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// True if the CDF holds no samples (never constructable).
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
     }
 
     /// Evaluates the CDF at `points` evenly spaced x-values spanning the

@@ -17,7 +17,7 @@ pub struct LinearFit {
 
 impl LinearFit {
     /// Evaluates the fitted line at `x`.
-    pub fn eval(&self, x: f64) -> f64 {
+    pub(crate) fn eval(&self, x: f64) -> f64 {
         self.a + self.b * x
     }
 }
@@ -37,31 +37,19 @@ pub struct QuadraticFit {
 
 impl QuadraticFit {
     /// Evaluates the fitted parabola at `x`.
-    pub fn eval(&self, x: f64) -> f64 {
+    pub(crate) fn eval(&self, x: f64) -> f64 {
         self.a + self.b * x + self.c * x * x
     }
 }
 
-/// The Fig. 15 piecewise model: linear below `knee`, quadratic at or above.
+/// The Fig. 15 piecewise model: linear below the knee, quadratic at or
+/// above.
 #[derive(Debug, Clone, Copy)]
 pub struct PiecewiseFit {
-    /// Knee position on the x axis (throughput, Gbps in the paper).
-    pub knee: f64,
     /// Fit used for `x < knee`.
     pub low: LinearFit,
     /// Fit used for `x >= knee`.
     pub high: QuadraticFit,
-}
-
-impl PiecewiseFit {
-    /// Evaluates the piecewise model at `x`.
-    pub fn eval(&self, x: f64) -> f64 {
-        if x < self.knee {
-            self.low.eval(x)
-        } else {
-            self.high.eval(x)
-        }
-    }
 }
 
 fn r_squared(points: &[(f64, f64)], predict: impl Fn(f64) -> f64) -> f64 {
@@ -183,7 +171,6 @@ pub fn piecewise_knee_fit(points: &[(f64, f64)], knee: f64) -> Option<PiecewiseF
     let low: Vec<(f64, f64)> = points.iter().copied().filter(|p| p.0 < knee).collect();
     let high: Vec<(f64, f64)> = points.iter().copied().filter(|p| p.0 >= knee).collect();
     Some(PiecewiseFit {
-        knee,
         low: linear_fit(&low)?,
         high: quadratic_fit(&high)?,
     })
@@ -261,8 +248,6 @@ mod tests {
         assert!((f.low.b - 0.2379).abs() < 1e-6);
         assert!((f.high.c - 1.158).abs() < 1e-6);
         assert!(f.low.r2 > 0.999 && f.high.r2 > 0.999);
-        // Continuity-ish evaluation.
-        assert!(f.eval(10.0) < f.eval(70.0));
     }
 
     #[test]

@@ -75,11 +75,6 @@ impl Histogram {
         self.overflow
     }
 
-    /// Non-finite samples (NaN, ±∞), counted but never binned.
-    pub fn nonfinite(&self) -> u64 {
-        self.nonfinite
-    }
-
     /// Per-bin counts.
     pub fn bins(&self) -> &[u64] {
         &self.bins
@@ -172,7 +167,7 @@ mod tests {
         h.record(f64::INFINITY);
         h.record(f64::NEG_INFINITY);
         h.record(0.5);
-        assert_eq!(h.nonfinite(), 3);
+        assert_eq!(h.nonfinite, 3);
         assert_eq!(h.bins().iter().sum::<u64>(), 1);
         assert_eq!(h.underflow(), 0);
         assert_eq!(h.overflow(), 0);

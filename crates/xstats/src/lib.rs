@@ -12,20 +12,16 @@
 //! Everything is plain, allocation-light `f64` math with no external
 //! dependencies, so the simulator crates can use it freely from hot paths.
 
-pub mod cdf;
+pub(crate) mod cdf;
 pub mod fit;
-pub mod hist;
+pub(crate) mod hist;
 pub mod percentile;
 pub mod report;
-pub mod sketch;
-pub mod slo;
+pub(crate) mod sketch;
+pub(crate) mod slo;
 
 pub use cdf::Cdf;
-pub use fit::{piecewise_knee_fit, LinearFit, PiecewiseFit, QuadraticFit};
 pub use hist::Histogram;
 pub use percentile::Summary;
 pub use sketch::LogHist;
-pub use slo::{
-    slo_violation_ns, time_above_threshold, try_slo_violation_ns, try_time_above_threshold,
-    try_violation_minutes, violation_minutes,
-};
+pub use slo::{slo_violation_ns, violation_minutes};

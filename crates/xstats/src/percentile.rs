@@ -43,25 +43,9 @@ impl Summary {
         })
     }
 
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// True when the summary holds no samples (never constructable; kept for
-    /// API completeness).
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
     /// Arithmetic mean.
     pub fn mean(&self) -> f64 {
         self.mean
-    }
-
-    /// Population variance.
-    pub fn variance(&self) -> f64 {
-        self.variance
     }
 
     /// Population standard deviation.
@@ -106,7 +90,7 @@ impl Summary {
 
     /// Linear-interpolation percentile, `p` in `[0, 100]`; `None` when
     /// `p` is non-finite or outside the range.
-    pub fn try_percentile(&self, p: f64) -> Option<f64> {
+    pub(crate) fn try_percentile(&self, p: f64) -> Option<f64> {
         if !(p.is_finite() && (0.0..=100.0).contains(&p)) {
             return None;
         }
@@ -131,11 +115,6 @@ impl Summary {
             self.percentile(99.0),
             self.mean(),
         ]
-    }
-
-    /// Borrow the sorted samples.
-    pub fn sorted(&self) -> &[f64] {
-        &self.sorted
     }
 }
 
@@ -165,7 +144,7 @@ mod tests {
     #[test]
     fn non_finite_filtered() {
         let s = Summary::from_samples(vec![1.0, f64::NAN, 3.0, f64::INFINITY]).unwrap();
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.sorted.len(), 2);
         assert_eq!(s.max(), 3.0);
     }
 
@@ -202,7 +181,7 @@ mod tests {
     #[test]
     fn unsorted_input_is_sorted() {
         let s = summary(&[5.0, 1.0, 3.0]);
-        assert_eq!(s.sorted(), &[1.0, 3.0, 5.0]);
+        assert_eq!(s.sorted, [1.0, 3.0, 5.0]);
     }
 
     #[test]

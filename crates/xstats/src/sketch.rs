@@ -58,7 +58,7 @@ impl LogHist {
     /// # Panics
     ///
     /// Panics unless `0 < alpha < 1` and `0 < lo < hi` (both finite).
-    pub fn new(alpha: f64, lo: f64, hi: f64) -> Self {
+    pub(crate) fn new(alpha: f64, lo: f64, hi: f64) -> Self {
         assert!(
             alpha > 0.0 && alpha < 1.0,
             "relative error must be in (0, 1)"
@@ -164,11 +164,6 @@ impl LogHist {
         self.nonfinite
     }
 
-    /// The configured relative-error bound α.
-    pub fn relative_error(&self) -> f64 {
-        self.alpha
-    }
-
     /// Fixed bucket count (the whole memory footprint is
     /// `bucket_count × 8 B` plus a few scalars).
     pub fn bucket_count(&self) -> usize {
@@ -183,11 +178,6 @@ impl LogHist {
     pub fn mean(&self) -> f64 {
         assert!(self.count > 0, "mean of an empty sketch");
         self.sum / self.count as f64
-    }
-
-    /// Exact minimum finite sample.
-    pub fn min(&self) -> f64 {
-        self.min
     }
 
     /// Exact maximum finite sample.
@@ -279,7 +269,7 @@ mod tests {
         }
         assert_eq!(sk.quantile(0.0), 0.001); // underflow rank → exact min
         assert_eq!(sk.quantile(1.0), 2e12); // overflow rank → exact max
-        assert_eq!(sk.min(), 0.001);
+        assert_eq!(sk.min, 0.001);
         assert_eq!(sk.max(), 2e12);
         assert_eq!(sk.underflow(), 1);
         assert_eq!(sk.overflow(), 1);

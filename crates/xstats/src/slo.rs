@@ -13,8 +13,9 @@
 //! The functions follow the crate's total/`try_` convention (see
 //! [`crate::percentile::Summary::percentile`]): the total variants
 //! absorb dirty input — non-finite samples are skipped, non-monotone
-//! timestamps contribute zero width — while the `try_` variants return
-//! `None` on the first irregularity so tests can detect it.
+//! timestamps contribute zero width — while the `try_` variants,
+//! compiled for the tests only, return `None` on the first irregularity
+//! so the tests can detect it.
 
 /// Total time, in the series' time unit, that the signal sat strictly
 /// above `threshold`.
@@ -22,9 +23,9 @@
 /// Total over all inputs: samples with a non-finite time or value are
 /// skipped entirely (the previous sample's hold extends over them), a
 /// non-monotone successor contributes zero width (never negative), and
-/// a non-finite `threshold` yields 0.0. Use [`try_time_above_threshold`]
+/// a non-finite `threshold` yields 0.0. Use `try_time_above_threshold`
 /// to detect dirty input instead of absorbing it.
-pub fn time_above_threshold(series: &[(f64, f64)], threshold: f64) -> f64 {
+pub(crate) fn time_above_threshold(series: &[(f64, f64)], threshold: f64) -> f64 {
     if !threshold.is_finite() {
         return 0.0;
     }
@@ -47,7 +48,8 @@ pub fn time_above_threshold(series: &[(f64, f64)], threshold: f64) -> f64 {
 /// Strict variant of [`time_above_threshold`]: `None` when the
 /// threshold or any sample is non-finite, or when timestamps are not
 /// non-decreasing.
-pub fn try_time_above_threshold(series: &[(f64, f64)], threshold: f64) -> Option<f64> {
+#[cfg(test)]
+fn try_time_above_threshold(series: &[(f64, f64)], threshold: f64) -> Option<f64> {
     if !threshold.is_finite() {
         return None;
     }
@@ -73,15 +75,16 @@ pub fn try_time_above_threshold(series: &[(f64, f64)], threshold: f64) -> Option
 /// SLO-violation time for a latency series: the time the observed
 /// latency spent strictly above the objective `slo`. This is
 /// [`time_above_threshold`] under the name the overload reports use —
-/// total over all inputs, with [`try_slo_violation_ns`] as the strict
+/// total over all inputs, with `try_slo_violation_ns` as the strict
 /// variant.
 pub fn slo_violation_ns(series: &[(f64, f64)], slo: f64) -> f64 {
     time_above_threshold(series, slo)
 }
 
 /// Strict variant of [`slo_violation_ns`] (see
-/// [`try_time_above_threshold`]).
-pub fn try_slo_violation_ns(series: &[(f64, f64)], slo: f64) -> Option<f64> {
+/// `try_time_above_threshold`).
+#[cfg(test)]
+fn try_slo_violation_ns(series: &[(f64, f64)], slo: f64) -> Option<f64> {
     try_time_above_threshold(series, slo)
 }
 
@@ -101,7 +104,7 @@ const NS_PER_MINUTE: f64 = 60.0e9;
 /// absorption rules per run: non-finite samples are skipped (the
 /// previous hold extends over them), backwards timestamps clamp to
 /// zero width (never negative), and a non-finite `slo` yields 0.0. An
-/// empty run list is 0.0. Use [`try_violation_minutes`] to detect dirty
+/// empty run list is 0.0. Use `try_violation_minutes` to detect dirty
 /// input instead of absorbing it.
 pub fn violation_minutes(runs: &[&[(f64, f64)]], slo: f64) -> f64 {
     runs.iter()
@@ -112,8 +115,9 @@ pub fn violation_minutes(runs: &[&[(f64, f64)]], slo: f64) -> f64 {
 
 /// Strict variant of [`violation_minutes`]: `None` when the SLO or any
 /// run's sample is non-finite, or any run's timestamps are not
-/// non-decreasing (per-run rules of [`try_time_above_threshold`]).
-pub fn try_violation_minutes(runs: &[&[(f64, f64)]], slo: f64) -> Option<f64> {
+/// non-decreasing (per-run rules of `try_time_above_threshold`).
+#[cfg(test)]
+fn try_violation_minutes(runs: &[&[(f64, f64)]], slo: f64) -> Option<f64> {
     let mut total = 0.0;
     for series in runs {
         total += try_slo_violation_ns(series, slo)?;

@@ -151,7 +151,8 @@ fn vxlan_chain_places_inner_header_window() {
     nfv::packet::encode_frame(&mut inner, &inner_flow, 128, 0.0, 0);
     let frame = encapsulate(&outer, 99, &inner);
     port.deliver(&mut m, &frame, &outer, 0.0).unwrap();
-    let (batch, _) = port.rx_burst(&mut m, &pool, 0, 0, 4);
+    let mut batch = Vec::new();
+    port.rx_view(0).rx_burst(&mut m, &pool, 0, 4, &mut batch);
     let comp = batch[0];
     // The *second* line of the frame (the placed window) is in core 0's
     // closest slice...
