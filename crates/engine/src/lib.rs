@@ -71,7 +71,7 @@ pub(crate) mod events;
 mod pool;
 
 pub use drops::{AdmitDrops, NicDrops};
-pub use events::{time_key, time_of_key, DelayedQueue};
+pub use events::{time_key, time_of_key};
 
 use llc_sim::epoch::{CoreMem, EpochShard, LlcOp};
 use llc_sim::machine::Machine;

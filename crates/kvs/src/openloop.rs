@@ -47,8 +47,8 @@ use crate::proto::{RequestGen, REQUEST_SIZE};
 use crate::server::{flow_for_queue, serve_packet, Served, ServedCounts, ServerDrops};
 use crate::store::KvStore;
 use engine::{
-    time_key, time_of_key, AdmissionPolicy, AdmitDrops, Ctx, DelayedQueue, Engine, EngineConfig,
-    Execution, Hw, QueueApp, Scheduler, Verdict, WorkerSpec,
+    time_key, time_of_key, AdmissionPolicy, AdmitDrops, Ctx, Engine, EngineConfig, Execution, Hw,
+    QueueApp, Scheduler, Verdict, WorkerSpec,
 };
 use llc_sim::machine::Machine;
 use rte::fault::FaultPlan;
@@ -307,11 +307,10 @@ impl QueueApp for OpenLoopApp<'_> {
     }
 }
 
-/// A client-side virtual-time event: the next schedule arrival, or one
-/// op's retry/deadline timer firing. Both ride the engine's
-/// [`DelayedQueue`]; same-time ties resolve by sub-priority — arrivals
-/// (sub 0) before timers (sub `1 + op`), timers in op order — exactly
-/// the order the former two-queue merge produced.
+/// A client-side virtual-time event, as the client's [`EventQueue`]
+/// pops it: the next schedule arrival, or one op's retry/deadline timer
+/// firing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ClientEvent {
     /// The arrival the generator's [`Arrivals::peek_next_ns`] promised.
     /// Consuming it draws the arrival and schedules the next peek.
@@ -319,6 +318,91 @@ enum ClientEvent {
     /// Op `id`'s retry timer (or its give-up check once the deadline or
     /// attempt budget is spent). Stale once the op resolved.
     Retry(usize),
+}
+
+/// The backoff exponent is clamped here: at 2^30 × timeout a timer is
+/// already astronomically past any deadline, and further doubling would
+/// only risk overflow.
+const MAX_BACKOFF_EXP: u32 = 30;
+
+/// A timer's backoff class: its attempt (clamped at
+/// [`MAX_BACKOFF_EXP`]) and whether backpressure doubled it. Every timer
+/// of one class waits the same backoff.
+fn timer_class(attempt: u32, backpressured: bool) -> usize {
+    2 * (attempt.min(MAX_BACKOFF_EXP) as usize - 1) + usize::from(backpressured)
+}
+
+/// The client's virtual-time event queue: the one promised arrival plus
+/// every armed retry timer, keyed on integer time ([`time_key`]).
+///
+/// Events pop in ascending `(key, sub)` order, where `sub` is 0 for the
+/// arrival and `1 + op` for op `op`'s timer: arrivals win ties, then
+/// timers fire in op order. At most one arrival is pending and each op
+/// has at most one armed timer, so `(key, sub)` is unique and no
+/// insertion sequence is needed to break ties.
+///
+/// Timers wait in one FIFO per backoff class ([`timer_class`]). A class
+/// arms at `t + b` with one backoff `b` and a client clock `t` that only
+/// moves forward, so its keys arrive in non-decreasing order and a push
+/// at the back keeps the FIFO sorted by `(key, op)`. Only two arming
+/// times that round to the same key can arrive in descending op order;
+/// such a timer is inserted at its sorted place. A pop compares the
+/// arrival with the class heads, and a stale timer costs one
+/// `pop_front`.
+#[derive(Default)]
+struct EventQueue {
+    /// Key of the promised arrival.
+    arrival: Option<u64>,
+    /// Per backoff class: armed timers `(key, op)`, sorted.
+    classes: Vec<VecDeque<(u64, usize)>>,
+}
+
+impl EventQueue {
+    /// Promises the next arrival at `key`.
+    fn promise_arrival(&mut self, key: u64) {
+        debug_assert!(self.arrival.is_none(), "one arrival is pending at most");
+        self.arrival = Some(key);
+    }
+
+    /// Arms op `op`'s timer at `key` in backoff class `class`.
+    fn arm(&mut self, class: usize, key: u64, op: usize) {
+        if class >= self.classes.len() {
+            self.classes.resize_with(class + 1, VecDeque::new);
+        }
+        let fifo = &mut self.classes[class];
+        let timer = (key, op);
+        if fifo.back().is_none_or(|&last| last < timer) {
+            fifo.push_back(timer);
+        } else {
+            let at = fifo.partition_point(|&queued| queued < timer);
+            fifo.insert(at, timer);
+        }
+    }
+
+    /// Pops the event with the least `(key, sub)`.
+    fn pop(&mut self) -> Option<(u64, ClientEvent)> {
+        let mut least = self.arrival.map(|key| ((key, 0), None));
+        for (class, fifo) in self.classes.iter().enumerate() {
+            if let Some(&(key, op)) = fifo.front() {
+                let at = (key, 1 + op as u64);
+                if least.is_none_or(|(best, _)| at < best) {
+                    least = Some((at, Some(class)));
+                }
+            }
+        }
+        match least? {
+            ((key, _), None) => {
+                self.arrival = None;
+                Some((key, ClientEvent::Arrival))
+            }
+            ((key, _), Some(class)) => {
+                let (_, op) = self.classes[class]
+                    .pop_front()
+                    .expect("the least event is this class's head");
+                Some((key, ClientEvent::Retry(op)))
+            }
+        }
+    }
 }
 
 /// One logical operation's client-side state.
@@ -330,8 +414,9 @@ struct OpState {
     /// Absolute deadline (`f64::INFINITY` when the run has none).
     deadline_ns: f64,
     attempts: u32,
-    done: bool,
-    gave_up: bool,
+    /// Completed or given up: a later response is late, and its timer
+    /// is stale.
+    resolved: bool,
 }
 
 /// Client bookkeeping shared by the arrival and timeout paths.
@@ -342,15 +427,17 @@ struct Client {
     frame: Vec<u8>,
     /// Sequence number of the next frame.
     seq: u64,
-    ops: Vec<OpState>,
-    /// Per queue: op indices of accepted attempts, in offer order —
-    /// the FIFO the outcome log is matched against.
+    /// The ops in flight: from the oldest unresolved op to the newest.
+    /// Op `id` (its logical op number) is `ops[id - base]`; every op
+    /// below `base` is resolved.
+    ops: VecDeque<OpState>,
+    base: usize,
+    /// Per queue: op ids of accepted attempts, in offer order — the
+    /// FIFO the outcome log is matched against.
     pending: Vec<VecDeque<usize>>,
-    /// The client's virtual-time event queue: the promised next arrival
-    /// plus every armed retry timer, keyed on integer time
-    /// ([`time_key`]). Stale timers (op already done/given up) are
-    /// dropped lazily at pop.
-    events: DelayedQueue<ClientEvent>,
+    /// The promised next arrival and every armed retry timer. Stale
+    /// timers (op already resolved) are dropped at pop.
+    events: EventQueue,
     offered: u64,
     accepted: u64,
     rejected: u64,
@@ -360,6 +447,20 @@ struct Client {
 }
 
 impl Client {
+    /// Op `id`'s state while it is unresolved.
+    fn unresolved(&mut self, id: usize) -> Option<&mut OpState> {
+        let op = &mut self.ops[id.checked_sub(self.base)?];
+        (!op.resolved).then_some(op)
+    }
+
+    /// Drops the resolved ops off the window's front.
+    fn retire(&mut self) {
+        while self.ops.front().is_some_and(|op| op.resolved) {
+            self.ops.pop_front();
+            self.base += 1;
+        }
+    }
+
     /// Offers one physical attempt for op `id` at time `t` and arms its
     /// retry timer. The timer always fires — even for a rejected
     /// attempt the client waits out the backoff (that is the point of
@@ -372,7 +473,7 @@ impl Client {
         id: usize,
         t: f64,
     ) {
-        let op = &mut self.ops[id];
+        let op = &mut self.ops[id - self.base];
         op.attempts += 1;
         let attempt = op.attempts;
         let q = op.queue;
@@ -393,15 +494,17 @@ impl Client {
             Err(_) => self.rejected += 1,
         }
         // Exponential backoff, doubled again while the engine signals
-        // backpressure on this op's queue. The exponent is clamped: at
-        // 2^30 × timeout the timer is already astronomically past any
-        // deadline, and further doubling would only risk overflow.
-        let mut backoff = cfg.timeout_ns * f64::powi(2.0, attempt.min(30) as i32 - 1);
-        if eng.backpressured(hw, q) {
+        // backpressure on this op's queue.
+        let backpressured = eng.backpressured(hw, q);
+        let mut backoff = cfg.timeout_ns * f64::powi(2.0, attempt.min(MAX_BACKOFF_EXP) as i32 - 1);
+        if backpressured {
             backoff *= 2.0;
         }
-        self.events
-            .push_sub(time_key(t + backoff), 1 + id as u64, ClientEvent::Retry(id));
+        self.events.arm(
+            timer_class(attempt, backpressured),
+            time_key(t + backoff),
+            id,
+        );
     }
 
     /// Matches drained server outcomes against the per-queue attempt
@@ -417,13 +520,13 @@ impl Client {
                 .pop_front()
                 .expect("an outcome implies an accepted attempt at this queue's FIFO head");
             if let Served::Ok { .. } = outcome {
-                let op = &mut self.ops[id];
-                if op.done || op.gave_up {
-                    self.late += 1;
-                } else {
-                    op.done = true;
+                if let Some(op) = self.unresolved(id) {
+                    op.resolved = true;
+                    let first_ns = op.first_ns;
                     self.completed += 1;
-                    sink.record(q, t, t - op.first_ns);
+                    sink.record(q, t, t - first_ns);
+                } else {
+                    self.late += 1;
                 }
             }
             // Server-side drops produce no response; the client only
@@ -432,10 +535,11 @@ impl Client {
     }
 }
 
-/// Drains every worker's outcome log into the client. Worker order is
-/// fixed, outcome order within a worker is the engine's deterministic
-/// processing order, and matching is per-queue — so the client's state
-/// evolution is bit-identical in serial and parallel execution.
+/// Drains every worker's outcome log into the client, then retires the
+/// resolved ops. Worker order is fixed, outcome order within a worker is
+/// the engine's deterministic processing order, and matching is
+/// per-queue — so the client's state evolution is bit-identical in
+/// serial and parallel execution.
 fn drain_outcomes(
     eng: &mut Engine<OpenLoopApp<'_>>,
     client: &mut Client,
@@ -447,6 +551,7 @@ fn drain_outcomes(
         // epochs.
         client.absorb(w, eng.app_mut(w).outcomes.drain(..), sink);
     }
+    client.retire();
 }
 
 /// Runs the open-loop benchmark: `cfg.logical_ops` operations arriving
@@ -536,9 +641,10 @@ pub fn run_openloop_streaming(
         flows,
         frame: vec![0u8; REQUEST_SIZE],
         seq: 0,
-        ops: Vec::with_capacity(cfg.logical_ops),
+        ops: VecDeque::new(),
+        base: 0,
         pending: vec![VecDeque::new(); cores],
-        events: DelayedQueue::new(),
+        events: EventQueue::default(),
         offered: 0,
         accepted: 0,
         rejected: 0,
@@ -554,12 +660,12 @@ pub fn run_openloop_streaming(
         // ever pending.
         client
             .events
-            .push(time_key(arrivals.peek_next_ns()), ClientEvent::Arrival);
+            .promise_arrival(time_key(arrivals.peek_next_ns()));
     }
 
-    // Event loop: one shared virtual-time queue interleaves the arrival
+    // Event loop: one virtual-time queue interleaves the arrival
     // schedule with the retry timers in global time order (arrivals win
-    // ties by sub-priority, deterministically).
+    // ties, then timers in op order).
     while let Some((key, ev)) = client.events.pop() {
         match ev {
             ClientEvent::Arrival => {
@@ -573,22 +679,21 @@ pub fn run_openloop_streaming(
                 } else {
                     f64::INFINITY
                 };
-                client.ops.push(OpState {
+                client.ops.push_back(OpState {
                     queue: q,
                     req,
                     first_ns: ta,
                     deadline_ns: deadline,
                     attempts: 0,
-                    done: false,
-                    gave_up: false,
+                    resolved: false,
                 });
-                let id = client.ops.len() - 1;
-                client.issue(&mut eng, &mut hw, cfg, id, ta);
+                debug_assert_eq!(client.base + client.ops.len() - 1, issued);
+                client.issue(&mut eng, &mut hw, cfg, issued, ta);
                 issued += 1;
                 if issued < cfg.logical_ops {
                     client
                         .events
-                        .push(time_key(arrivals.peek_next_ns()), ClientEvent::Arrival);
+                        .promise_arrival(time_key(arrivals.peek_next_ns()));
                 }
             }
             ClientEvent::Retry(id) => {
@@ -596,24 +701,22 @@ pub fn run_openloop_streaming(
                 // catch-up (running to a stale timer's horizon would
                 // charge idle time to the run); otherwise catch the
                 // engine up to the timer, so a response already served
-                // by now marks the op done before the client
+                // by now resolves the op before the client
                 // retransmits or gives up.
                 let te = time_of_key(key);
-                if client.ops[id].done || client.ops[id].gave_up {
+                if client.unresolved(id).is_none() {
                     continue; // Stale timer.
                 }
                 eng.run_until(&mut hw, te);
                 drain_outcomes(&mut eng, &mut client, cores, sink);
-                let op = &client.ops[id];
-                if op.done || op.gave_up {
+                let Some(op) = client.unresolved(id) else {
                     continue; // Resolved by the catch-up.
-                }
+                };
                 if op.attempts >= cfg.max_attempts || te >= op.deadline_ns {
                     // Budget spent, or even an instant retry could no
                     // longer beat the deadline: stop amplifying
                     // overload.
-                    let op = &mut client.ops[id];
-                    op.gave_up = true;
+                    op.resolved = true;
                     client.gave_up += 1;
                 } else {
                     client.issue(&mut eng, &mut hw, cfg, id, te);
@@ -796,6 +899,123 @@ mod tests {
         assert!(rep.drops.nic.link_down > 0, "flap must surface");
         assert!(rep.completed > 0);
         rep.assert_conservation();
+    }
+
+    /// The brute-force reference for [`EventQueue`]: every pending event
+    /// in one `Vec`, popped by least `(key, sub, seq)` — the order of a
+    /// binary heap keyed on insertion sequence as its last tie-break.
+    /// Each entry keeps its class (`None` for the arrival) for the
+    /// coverage counts.
+    #[derive(Default)]
+    struct Reference {
+        events: Vec<(u64, u64, u64, Option<usize>, ClientEvent)>,
+        seq: u64,
+    }
+
+    impl Reference {
+        fn push(&mut self, key: u64, class: Option<usize>, ev: ClientEvent) {
+            let sub = match ev {
+                ClientEvent::Arrival => 0,
+                ClientEvent::Retry(op) => 1 + op as u64,
+            };
+            self.events.push((key, sub, self.seq, class, ev));
+            self.seq += 1;
+        }
+
+        /// Pops the least event and says whether another pending event
+        /// shares its key from a different class, and whether the tie
+        /// involves the arrival.
+        fn pop(&mut self) -> Option<((u64, ClientEvent), bool, bool)> {
+            let i = (0..self.events.len()).min_by_key(|&i| {
+                let (key, sub, seq, ..) = self.events[i];
+                (key, sub, seq)
+            })?;
+            let (key, _, _, class, ev) = self.events.swap_remove(i);
+            let tied = self.events.iter().filter(|e| e.0 == key);
+            let cross_class = tied.clone().any(|e| e.3 != class);
+            let with_arrival =
+                cross_class && (class.is_none() || tied.clone().any(|e| e.3.is_none()));
+            Some(((key, ev), cross_class, with_arrival))
+        }
+    }
+
+    /// [`EventQueue`] pops exactly what a `(key, sub, seq)` min-queue
+    /// pops, over seeded random runs that follow the client's rules:
+    /// one pending arrival, at most one armed timer per op, and a clock
+    /// that moves forward to each popped key, every timer armed at
+    /// `now + backoff[class]`. Backoffs repeat across the 6 to 9
+    /// classes, so keys tie across classes; arrivals are promised at
+    /// timer keys, so an arrival ties a timer; and several ops armed in
+    /// one class before the clock moves share a key in random op order,
+    /// so a class takes pushes below its back.
+    #[test]
+    fn event_queue_matches_a_brute_force_min_queue() {
+        use trafficgen::rng::Rng64;
+        const OPS: usize = 48;
+        let (mut cross_class, mut with_arrival, mut below_back) = (0, 0, 0);
+        for seed in 0..300 {
+            let mut rng = Rng64::seed_from_u64(seed);
+            let classes = rng.gen_range(6..10usize);
+            let backoffs: Vec<u64> = (0..classes).map(|_| rng.gen_range(1..5u64) * 10).collect();
+            let mut queue = EventQueue::default();
+            let mut reference = Reference::default();
+            let mut armed = [false; OPS];
+            let mut arrival = false;
+            let mut now = 0u64;
+            for step in 0..600 {
+                let draining = step >= 500;
+                match rng.gen_range(0..5u32) {
+                    0 if !arrival && !draining => {
+                        let key =
+                            now + backoffs[rng.gen_range(0..classes)] + rng.gen_range(0..2u64);
+                        queue.promise_arrival(key);
+                        reference.push(key, None, ClientEvent::Arrival);
+                        arrival = true;
+                    }
+                    1 | 2 if !draining => {
+                        let op = rng.gen_range(0..OPS);
+                        if armed[op] {
+                            continue;
+                        }
+                        let class = rng.gen_range(0..classes);
+                        let key = now + backoffs[class];
+                        if queue
+                            .classes
+                            .get(class)
+                            .and_then(VecDeque::back)
+                            .is_some_and(|&back| (key, op) < back)
+                        {
+                            below_back += 1;
+                        }
+                        queue.arm(class, key, op);
+                        reference.push(key, Some(class), ClientEvent::Retry(op));
+                        armed[op] = true;
+                    }
+                    _ => {
+                        let got = queue.pop();
+                        let want = reference.pop();
+                        assert_eq!(got, want.map(|(ev, ..)| ev), "seed {seed}, step {step}");
+                        let Some((ev, cross, arrival_tie)) = want else {
+                            continue;
+                        };
+                        cross_class += usize::from(cross);
+                        with_arrival += usize::from(arrival_tie);
+                        now = ev.0;
+                        match ev.1 {
+                            ClientEvent::Arrival => arrival = false,
+                            ClientEvent::Retry(op) => armed[op] = false,
+                        }
+                    }
+                }
+            }
+            while let Some((ev, ..)) = reference.pop() {
+                assert_eq!(queue.pop(), Some(ev), "seed {seed}: drain");
+            }
+            assert_eq!(queue.pop(), None, "seed {seed}: both queues empty");
+        }
+        assert!(cross_class > 0, "no key tied across classes");
+        assert!(with_arrival > 0, "no arrival tied a timer");
+        assert!(below_back > 0, "no push landed below its class's back");
     }
 
     #[test]

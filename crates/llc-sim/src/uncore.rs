@@ -150,12 +150,22 @@ impl Uncore {
         self.read(s).saturating_sub(base.counts[s])
     }
 
-    /// All slices' windowed deltas since `base` (see
-    /// [`Uncore::read_window`]).
-    pub fn read_window_all(&self, base: &UncoreSnapshot) -> Vec<u64> {
-        (0..self.tallies.len())
-            .map(|s| self.read_window(base, s))
-            .collect()
+    /// The windowed delta since `base` summed over all slices (each
+    /// slice's as [`Uncore::read_window`] reads it), with `base` moved up
+    /// to the current readings in place — what a fresh
+    /// [`Uncore::snapshot`] would hold — so the next call reads the next
+    /// window. Allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// As [`Uncore::read_window`].
+    pub fn advance_window(&self, base: &mut UncoreSnapshot) -> u64 {
+        let mut total = 0;
+        for s in 0..self.tallies.len() {
+            total += self.read_window(base, s);
+            base.counts[s] = self.read(s);
+        }
+        total
     }
 
     // Event feeds, called by the machine.
@@ -247,9 +257,16 @@ mod tests {
         // The window sees only post-snapshot growth...
         assert_eq!(u.read_window(&base, 0), 0);
         assert_eq!(u.read_window(&base, 2), 2);
-        assert_eq!(u.read_window_all(&base), vec![0, 0, 2]);
         // ...while the live counters still hold the full totals.
         assert_eq!(u.read_all(), vec![1, 0, 3]);
+        // Advancing the window reads its total and re-bases it on now.
+        let mut window = base.clone();
+        assert_eq!(u.advance_window(&mut window), 2);
+        assert_eq!(window, u.snapshot());
+        u.on_lookup(1);
+        assert_eq!(u.advance_window(&mut window), 1);
+        assert_eq!(u.advance_window(&mut window), 0);
+        assert_eq!(u.read_all(), vec![1, 1, 3]);
     }
 
     #[test]

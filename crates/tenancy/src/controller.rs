@@ -146,6 +146,9 @@ pub(crate) struct IsolationController {
     streak: Vec<u32>,
     cooldown_left: u32,
     calm_epochs: u32,
+    /// The last epoch's actions (two at most), in one buffer that every
+    /// epoch clears and refills.
+    actions: Vec<ControlAction>,
     /// The actions applied, counters, series — the run's evidence.
     pub(crate) log: ControlLog,
 }
@@ -181,6 +184,7 @@ impl IsolationController {
             streak: vec![0; n],
             cooldown_left: 0,
             calm_epochs: 0,
+            actions: Vec::new(),
             ways: initial_ways,
             ddio,
             cfg,
@@ -210,8 +214,9 @@ impl IsolationController {
         window_p99: &[Option<f64>],
         fill_delta: u64,
         act: bool,
-    ) -> Vec<ControlAction> {
+    ) -> &[ControlAction] {
         assert_eq!(window_p99.len(), self.ways.len(), "one window per tenant");
+        self.actions.clear();
         self.log.epochs += 1;
         for (i, w) in window_p99.iter().enumerate() {
             if let Some(p) = *w {
@@ -222,49 +227,48 @@ impl IsolationController {
         }
         self.log.fills.push((t_ns, fill_delta));
         if !act {
-            return Vec::new();
+            return &self.actions;
         }
 
-        let pressured: Vec<bool> = self
-            .held_p99
-            .iter()
-            .zip(&self.cfg.slo_p99_ns)
-            .map(|(&p, &slo)| p > slo)
-            .collect();
-        for (s, &p) in self.streak.iter_mut().zip(&pressured) {
-            *s = if p { *s + 1 } else { 0 };
+        for i in 0..self.streak.len() {
+            self.streak[i] = if self.pressured(i) {
+                self.streak[i] + 1
+            } else {
+                0
+            };
         }
-
-        let mut actions = Vec::new();
 
         // DDIO arm: shrink on a storm that coincides with SLO pressure,
         // restore only after a sustained calm.
         let storm = fill_delta > self.cfg.ddio_spike_fills;
         self.calm_epochs = if storm { 0 } else { self.calm_epochs + 1 };
-        if storm && pressured.iter().any(|&p| p) && self.ddio > self.cfg.ddio_min {
+        if storm && (0..self.ways.len()).any(|i| self.pressured(i)) && self.ddio > self.cfg.ddio_min
+        {
             self.ddio = self.cfg.ddio_min;
             self.log.ddio_shrinks += 1;
-            actions.push(ControlAction::SetDdio { ways: self.ddio });
+            self.actions
+                .push(ControlAction::SetDdio { ways: self.ddio });
         } else if !storm
             && self.ddio < self.cfg.ddio_full
             && self.calm_epochs >= self.cfg.ddio_calm_epochs
         {
             self.ddio = self.cfg.ddio_full;
             self.log.ddio_restores += 1;
-            actions.push(ControlAction::SetDdio { ways: self.ddio });
+            self.actions
+                .push(ControlAction::SetDdio { ways: self.ddio });
         }
 
         // Way-steal arm.
         if self.cooldown_left > 0 {
             self.cooldown_left -= 1;
         } else if let Some(victim) = self.most_pressured() {
-            if let Some(donor) = self.best_donor(victim, &pressured) {
+            if let Some(donor) = self.best_donor(victim) {
                 self.ways[donor] -= 1;
                 self.ways[victim] += 1;
                 self.streak[victim] = 0;
                 self.cooldown_left = self.cfg.cooldown;
                 self.log.moves += 1;
-                actions.push(ControlAction::MoveWay {
+                self.actions.push(ControlAction::MoveWay {
                     from: donor,
                     to: victim,
                 });
@@ -280,7 +284,7 @@ impl IsolationController {
             *seen = (*seen).min(w);
             assert!(w >= self.cfg.floor_ways, "the floor is inviolable");
         }
-        actions
+        &self.actions
     }
 
     /// Closes the series at `t_ns` (the run's end) by appending one
@@ -298,6 +302,11 @@ impl IsolationController {
             }
             series.push((t_ns, self.held_p99[i]));
         }
+    }
+
+    /// Whether tenant `i`'s held p99 is above its SLO.
+    fn pressured(&self, i: usize) -> bool {
+        self.held_p99[i] > self.cfg.slo_p99_ns[i]
     }
 
     /// The tenant that has earned a grant: `hysteresis` consecutive
@@ -324,10 +333,10 @@ impl IsolationController {
     /// ones — an SLO tenant's headroom is borrowed only when no
     /// best-effort capacity is left — then the widest, ties to the
     /// lowest id.
-    fn best_donor(&self, victim: usize, pressured: &[bool]) -> Option<usize> {
+    fn best_donor(&self, victim: usize) -> Option<usize> {
         let mut best: Option<usize> = None;
-        for (i, &p) in pressured.iter().enumerate() {
-            if i == victim || p || self.ways[i] <= self.cfg.floor_ways {
+        for i in 0..self.ways.len() {
+            if i == victim || self.pressured(i) || self.ways[i] <= self.cfg.floor_ways {
                 continue;
             }
             let cand = (self.cfg.slo_p99_ns[i].is_infinite(), self.ways[i]);

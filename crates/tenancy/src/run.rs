@@ -57,8 +57,8 @@
 use crate::apps::{PhasedGaps, TenantApp, TenantKind};
 use crate::controller::{ControllerConfig, IsolationController};
 use engine::{
-    time_key, time_of_key, AdmissionPolicy, DelayedQueue, Engine, EngineConfig, Execution, Hw,
-    MergeCtx, Scheduler, WorkerSpec,
+    time_key, time_of_key, AdmissionPolicy, Engine, EngineConfig, Execution, Hw, MergeCtx,
+    Scheduler, WorkerSpec,
 };
 use kvs::proto::{RequestGen, REQUEST_SIZE};
 use kvs::server::flow_for_queue;
@@ -75,6 +75,7 @@ use slice_aware::alloc::SliceAllocator;
 use std::cell::RefCell;
 use std::rc::Rc;
 use trafficgen::{FlowTuple, Phase, PhaseSchedule, ZipfGen};
+use xstats::percentile::percentile_in_place;
 use xstats::{slo_violation_ns, Summary};
 
 /// Tenant count (kvs, nfv, antagonist).
@@ -507,7 +508,9 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
 
     // The control loop: drain the latency windows, poll the CBo fill
     // window, let the controller decide, apply. Runs at every control
-    // boundary, at exact virtual times.
+    // boundary, at exact virtual times, and allocates nothing: each
+    // window's p99 is computed in the window's own buffer, which is then
+    // emptied for the next period.
     let hook_shared = Rc::clone(&shared);
     eng.set_control_hook(
         CONTROL_PERIOD_NS,
@@ -515,13 +518,12 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
             move |apps: &mut [TenantApp<'_>], mc: &mut MergeCtx<'_>, t: f64| {
                 let sh = &mut *hook_shared.borrow_mut();
                 drain_apps(apps, sh);
-                let p99: Vec<Option<f64>> = sh
-                    .windows
-                    .iter_mut()
-                    .map(|w| Summary::from_samples(w.drain(..)).map(|s| s.percentile(99.0)))
-                    .collect();
-                let fill_delta: u64 = mc.m.uncore().read_window_all(&sh.fill_base).iter().sum();
-                sh.fill_base = mc.m.uncore().snapshot();
+                let mut p99 = [None; TENANTS];
+                for (p, window) in p99.iter_mut().zip(&mut sh.windows) {
+                    *p = percentile_in_place(window, 99.0);
+                    window.clear();
+                }
+                let fill_delta = mc.m.uncore().advance_window(&mut sh.fill_base);
                 let actions = sh.ctrl.observe(t, &p99, fill_delta, sh.act);
                 if !actions.is_empty() {
                     apply_partition(mc.m, sh.ctrl.ways(), sh.ctrl.ddio());
@@ -530,8 +532,9 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
         ),
     );
 
-    // Arrival event loop: one virtual-time queue interleaves the three
-    // tenants' schedules (ties break by tenant id via sub-priority).
+    // Arrival loop: each tenant has one pending arrival, keyed on integer
+    // time; the least `(key, tenant)` goes next, so same-time arrivals
+    // go in tenant order.
     let horizon_ns = cfg.packets as f64 * VICTIM_GAP_NS;
     let mut ant_gaps = PhasedGaps::new(
         PhaseSchedule::cycling(vec![
@@ -540,13 +543,12 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
         ]),
         vec![ANT_QUIET_GAP_NS, ANT_STORM_GAP_NS],
     );
-    let mut events: DelayedQueue<usize> = DelayedQueue::new();
-    events.push_sub(time_key(VICTIM_GAP_NS), 0, 0);
-    events.push_sub(time_key(VICTIM_GAP_NS), 1, 1);
     let ant_first = ant_gaps.next_arrival_ns();
-    if ant_first <= horizon_ns {
-        events.push_sub(time_key(ant_first), 2, 2);
-    }
+    let mut next: [Option<u64>; TENANTS] = [
+        Some(time_key(VICTIM_GAP_NS)),
+        Some(time_key(VICTIM_GAP_NS)),
+        (ant_first <= horizon_ns).then(|| time_key(ant_first)),
+    ];
 
     let mut offered = [0u64; TENANTS];
     let mut accepted = [0u64; TENANTS];
@@ -554,7 +556,8 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
     let mut issued = [0u64; TENANTS];
     let mut frame = vec![0u8; REQUEST_SIZE];
     let mut seq = 0u64;
-    while let Some((key, tenant)) = events.pop() {
+    while let Some((key, tenant)) = (0..TENANTS).filter_map(|t| Some((next[t]?, t))).min() {
+        next[tenant] = None;
         let t = time_of_key(key);
         let lanes = TENANT_QUEUES[tenant];
         let q = lanes[(issued[tenant] as usize) % lanes.len()];
@@ -575,12 +578,12 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
         if tenant < 2 {
             if issued[tenant] < cfg.packets as u64 {
                 let tn = (issued[tenant] + 1) as f64 * VICTIM_GAP_NS;
-                events.push_sub(time_key(tn), tenant as u64, tenant);
+                next[tenant] = Some(time_key(tn));
             }
         } else {
             let tn = ant_gaps.next_arrival_ns();
             if tn <= horizon_ns {
-                events.push_sub(time_key(tn), 2, 2);
+                next[tenant] = Some(time_key(tn));
             }
         }
     }

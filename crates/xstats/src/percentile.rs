@@ -23,11 +23,11 @@ impl Summary {
     /// Non-finite samples are rejected because they would poison every
     /// moment; an empty (or all-non-finite) input yields `None`.
     pub fn from_samples<I: IntoIterator<Item = f64>>(samples: I) -> Option<Self> {
-        let mut sorted: Vec<f64> = samples.into_iter().filter(|v| v.is_finite()).collect();
+        let mut sorted: Vec<f64> = samples.into_iter().collect();
+        sort_finite(&mut sorted);
         if sorted.is_empty() {
             return None;
         }
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
         let n = sorted.len() as f64;
         let mean = sorted.iter().sum::<f64>() / n;
         let m2 = sorted.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
@@ -91,18 +91,7 @@ impl Summary {
     /// Linear-interpolation percentile, `p` in `[0, 100]`; `None` when
     /// `p` is non-finite or outside the range.
     pub(crate) fn try_percentile(&self, p: f64) -> Option<f64> {
-        if !(p.is_finite() && (0.0..=100.0).contains(&p)) {
-            return None;
-        }
-        let n = self.sorted.len();
-        if n == 1 {
-            return Some(self.sorted[0]);
-        }
-        let rank = p / 100.0 * (n - 1) as f64;
-        let lo = rank.floor() as usize;
-        let hi = rank.ceil() as usize;
-        let frac = rank - lo as f64;
-        Some(self.sorted[lo] + (self.sorted[hi] - self.sorted[lo]) * frac)
+        (p.is_finite() && (0.0..=100.0).contains(&p)).then(|| interpolate(&self.sorted, p))
     }
 
     /// The paper's standard report row: 75th, 90th, 95th, 99th percentiles
@@ -116,6 +105,45 @@ impl Summary {
             self.mean(),
         ]
     }
+}
+
+/// `Summary::from_samples(samples).map(|s| s.percentile(p))` for `p` in
+/// `[0, 100]`, computed in `samples`' own buffer instead of a new one:
+/// the non-finite samples are dropped and the rest sorted in place, as
+/// [`Summary`] keeps them. A caller that reuses one buffer per window
+/// pays no allocation.
+///
+/// # Panics
+///
+/// Panics when `p` is outside `[0, 100]` or not a number.
+pub fn percentile_in_place(samples: &mut Vec<f64>, p: f64) -> Option<f64> {
+    assert!(
+        (0.0..=100.0).contains(&p),
+        "percentile {p} outside [0, 100]"
+    );
+    sort_finite(samples);
+    (!samples.is_empty()).then(|| interpolate(samples, p))
+}
+
+/// Drops the non-finite samples and sorts the rest ascending. The sort
+/// is stable, so equal-comparing samples keep their input order.
+fn sort_finite(samples: &mut Vec<f64>) {
+    samples.retain(|v| v.is_finite());
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
+}
+
+/// The type-7 percentile of the non-empty ascending `sorted`, `p` in
+/// `[0, 100]`.
+fn interpolate(sorted: &[f64], p: f64) -> f64 {
+    let n = sorted.len();
+    if n == 1 {
+        return sorted[0];
+    }
+    let rank = p / 100.0 * (n - 1) as f64;
+    let lo = rank.floor() as usize;
+    let hi = rank.ceil() as usize;
+    let frac = rank - lo as f64;
+    sorted[lo] + (sorted[hi] - sorted[lo]) * frac
 }
 
 /// Relative speedup `(base - new) / base`, in percent — how the paper
@@ -231,6 +259,34 @@ mod tests {
         assert_eq!(s.try_percentile(100.1), None);
         assert_eq!(s.try_percentile(-0.1), None);
         assert_eq!(s.try_percentile(f64::NAN), None);
+    }
+
+    /// The in-place percentile is the summary's, bit for bit: same
+    /// finite filter, same stable sort, same interpolation.
+    #[test]
+    fn percentile_in_place_matches_the_summary_bitwise() {
+        let windows: [&[f64]; 6] = [
+            &[],
+            &[f64::NAN, f64::INFINITY],
+            &[42.0],
+            &[3.0, -0.0, 0.0, 3.0, f64::NAN, 1e-9, 7.5],
+            &[250.0, 120.5, 120.5, 998.25, f64::NEG_INFINITY, 133.0, 121.0],
+            &[0.1, 0.7, 0.2, 0.9, 0.3, 0.6, 0.4, 0.5, 0.8, 0.0, 1.0],
+        ];
+        for window in windows {
+            for p in [0.0, 0.5, 50.0, 99.0, 99.9, 100.0] {
+                let want = Summary::from_samples(window.iter().copied()).map(|s| s.percentile(p));
+                let mut buf = window.to_vec();
+                let got = percentile_in_place(&mut buf, p);
+                assert_eq!(
+                    got.map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "{window:?} at p = {p}"
+                );
+                assert!(buf.iter().all(|v| v.is_finite()));
+                assert!(buf.windows(2).all(|w| w[0] <= w[1]));
+            }
+        }
     }
 
     #[test]

@@ -64,10 +64,12 @@ smoke() {
 # engine's dispatch-rule test (a catch-up runs an epoch only for a busy
 # worker strictly behind the horizon, and its idle branch re-arms a ring
 # an outage left under-posted — a dispatch change that moves only the
-# epoch counters shows nowhere else), the engine's differential and prop
-# suites (serial vs parallel AND event-driven vs the reference
-# tick-stepper it keeps as its oracle, with fault plans whose outage
-# windows are guarded to fire), the real
+# epoch counters shows nowhere else), the open-loop client's event-queue
+# test (its per-class timer deques pop exactly what a (key, sub, seq)
+# min-queue pops, so retries and give-ups fire in the documented order),
+# the engine's differential and prop suites (serial vs parallel AND
+# event-driven vs the reference tick-stepper it keeps as its oracle, with
+# fault plans whose outage windows are guarded to fire), the real
 # applications' serial-vs-parallel suite (tests/determinism.rs, its
 # faulty NFV case pinned to the frames its RX stall spans), a
 # byte-level double-run diff of an engine-backed figure binary under
@@ -81,6 +83,8 @@ det() {
     cargo test -p llc-sim --lib -q hierarchy::tests::snoop_filter
     echo "==> determinism: engine dispatch rule (busy and strictly behind the horizon)"
     cargo test -p engine --lib -q catch_up_dispatches_only_for_a_busy_worker_strictly_behind_the_horizon
+    echo "==> determinism: open-loop client event queue (class deques vs a brute-force min-queue)"
+    cargo test -p kvs --lib -q event_queue_matches_a_brute_force_min_queue
     echo "==> determinism: differential suite (serial/parallel + reference/event-driven)"
     cargo test -p engine --test differential -q
     # Same suite single-threaded: harness scheduling must not matter.
@@ -155,7 +159,7 @@ docpaths() {
 # crate names should be `pub(crate)` instead.
 ratchet() {
     echo "==> ratchet: lint exemptions, library unsafe and library pub fn"
-    local max_allow=7 max_tma=1 max_unsafe=4 max_pub_fn=429 allows tma unsafes pub_fns
+    local max_allow=7 max_tma=1 max_unsafe=4 max_pub_fn=426 allows tma unsafes pub_fns
     # `git grep` exits 1 on no match; a count of 0 must not end the gate.
     allows="$({ git grep -o '#\[allow(' -- '*.rs' || true; } | wc -l)"
     tma="$({ git grep -o 'too_many_arguments' -- '*.rs' || true; } | wc -l)"
