@@ -10,8 +10,6 @@ use std::str::FromStr;
 
 use xstats::Summary;
 
-pub mod harness;
-
 /// The flags every binary accepts: `--smoke` (tiny scale, the one every
 /// golden snapshot is recorded at) and `--parallel` (engine workers on
 /// OS threads; bit-identical output).

@@ -172,4 +172,5 @@ golden_tests!(
     kvs_probe,
     skylake_nfv,
     calibrate,
+    ablations,
 );

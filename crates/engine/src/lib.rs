@@ -67,11 +67,9 @@
 //! which Fig. 8's warm-then-measure methodology depends on.
 
 pub(crate) mod drops;
-pub(crate) mod events;
 mod pool;
 
 pub use drops::{AdmitDrops, NicDrops};
-pub use events::{time_key, time_of_key};
 
 use llc_sim::epoch::{CoreMem, EpochShard, LlcOp};
 use llc_sim::machine::Machine;

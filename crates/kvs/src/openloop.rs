@@ -47,8 +47,8 @@ use crate::proto::{RequestGen, REQUEST_SIZE};
 use crate::server::{flow_for_queue, serve_packet, Served, ServedCounts, ServerDrops};
 use crate::store::KvStore;
 use engine::{
-    time_key, time_of_key, AdmissionPolicy, AdmitDrops, Ctx, Engine, EngineConfig, Execution, Hw,
-    QueueApp, Scheduler, Verdict, WorkerSpec,
+    AdmissionPolicy, AdmitDrops, Ctx, Engine, EngineConfig, Execution, Hw, QueueApp, Scheduler,
+    Verdict, WorkerSpec,
 };
 use llc_sim::machine::Machine;
 use rte::fault::FaultPlan;
@@ -333,44 +333,45 @@ fn timer_class(attempt: u32, backpressured: bool) -> usize {
 }
 
 /// The client's virtual-time event queue: the one promised arrival plus
-/// every armed retry timer, keyed on integer time ([`time_key`]).
+/// every armed retry timer, each at its time in ns.
 ///
-/// Events pop in ascending `(key, sub)` order, where `sub` is 0 for the
+/// Events pop in ascending `(t, sub)` order, where `sub` is 0 for the
 /// arrival and `1 + op` for op `op`'s timer: arrivals win ties, then
 /// timers fire in op order. At most one arrival is pending and each op
-/// has at most one armed timer, so `(key, sub)` is unique and no
-/// insertion sequence is needed to break ties.
+/// has at most one armed timer, so `(t, sub)` is unique and no
+/// insertion sequence is needed to break ties. Times are non-negative
+/// and finite, so `partial_cmp` orders them totally (−0.0 ties 0.0).
 ///
 /// Timers wait in one FIFO per backoff class ([`timer_class`]). A class
 /// arms at `t + b` with one backoff `b` and a client clock `t` that only
-/// moves forward, so its keys arrive in non-decreasing order and a push
-/// at the back keeps the FIFO sorted by `(key, op)`. Only two arming
-/// times that round to the same key can arrive in descending op order;
-/// such a timer is inserted at its sorted place. A pop compares the
+/// moves forward, so its times arrive in non-decreasing order and a push
+/// at the back keeps the FIFO sorted by `(t, op)`. Only two timers
+/// with equal times can arrive in descending op order; such a timer is
+/// inserted at its sorted place. A pop compares the
 /// arrival with the class heads, and a stale timer costs one
 /// `pop_front`.
 #[derive(Default)]
 struct EventQueue {
-    /// Key of the promised arrival.
-    arrival: Option<u64>,
-    /// Per backoff class: armed timers `(key, op)`, sorted.
-    classes: Vec<VecDeque<(u64, usize)>>,
+    /// Time of the promised arrival.
+    arrival: Option<f64>,
+    /// Per backoff class: armed timers `(t, op)`, sorted.
+    classes: Vec<VecDeque<(f64, usize)>>,
 }
 
 impl EventQueue {
-    /// Promises the next arrival at `key`.
-    fn promise_arrival(&mut self, key: u64) {
+    /// Promises the next arrival at `t` ns.
+    fn promise_arrival(&mut self, t: f64) {
         debug_assert!(self.arrival.is_none(), "one arrival is pending at most");
-        self.arrival = Some(key);
+        self.arrival = Some(t);
     }
 
-    /// Arms op `op`'s timer at `key` in backoff class `class`.
-    fn arm(&mut self, class: usize, key: u64, op: usize) {
+    /// Arms op `op`'s timer at `t` ns in backoff class `class`.
+    fn arm(&mut self, class: usize, t: f64, op: usize) {
         if class >= self.classes.len() {
             self.classes.resize_with(class + 1, VecDeque::new);
         }
         let fifo = &mut self.classes[class];
-        let timer = (key, op);
+        let timer = (t, op);
         if fifo.back().is_none_or(|&last| last < timer) {
             fifo.push_back(timer);
         } else {
@@ -379,27 +380,27 @@ impl EventQueue {
         }
     }
 
-    /// Pops the event with the least `(key, sub)`.
-    fn pop(&mut self) -> Option<(u64, ClientEvent)> {
-        let mut least = self.arrival.map(|key| ((key, 0), None));
+    /// Pops the event with the least `(t, sub)`.
+    fn pop(&mut self) -> Option<(f64, ClientEvent)> {
+        let mut least = self.arrival.map(|t| ((t, 0), None));
         for (class, fifo) in self.classes.iter().enumerate() {
-            if let Some(&(key, op)) = fifo.front() {
-                let at = (key, 1 + op as u64);
+            if let Some(&(t, op)) = fifo.front() {
+                let at = (t, 1 + op);
                 if least.is_none_or(|(best, _)| at < best) {
                     least = Some((at, Some(class)));
                 }
             }
         }
         match least? {
-            ((key, _), None) => {
+            ((t, _), None) => {
                 self.arrival = None;
-                Some((key, ClientEvent::Arrival))
+                Some((t, ClientEvent::Arrival))
             }
-            ((key, _), Some(class)) => {
+            ((t, _), Some(class)) => {
                 let (_, op) = self.classes[class]
                     .pop_front()
                     .expect("the least event is this class's head");
-                Some((key, ClientEvent::Retry(op)))
+                Some((t, ClientEvent::Retry(op)))
             }
         }
     }
@@ -500,11 +501,8 @@ impl Client {
         if backpressured {
             backoff *= 2.0;
         }
-        self.events.arm(
-            timer_class(attempt, backpressured),
-            time_key(t + backoff),
-            id,
-        );
+        self.events
+            .arm(timer_class(attempt, backpressured), t + backoff, id);
     }
 
     /// Matches drained server outcomes against the per-queue attempt
@@ -658,20 +656,18 @@ pub fn run_openloop_streaming(
         // consuming it; promise that arrival as an event. Each consumed
         // arrival re-promises the next, so exactly one Arrival event is
         // ever pending.
-        client
-            .events
-            .promise_arrival(time_key(arrivals.peek_next_ns()));
+        client.events.promise_arrival(arrivals.peek_next_ns());
     }
 
     // Event loop: one virtual-time queue interleaves the arrival
     // schedule with the retry timers in global time order (arrivals win
     // ties, then timers in op order).
-    while let Some((key, ev)) = client.events.pop() {
+    while let Some((t, ev)) = client.events.pop() {
         match ev {
             ClientEvent::Arrival => {
                 // New logical op.
                 let ta = arrivals.next_arrival_ns();
-                debug_assert_eq!(time_key(ta), key, "peek promised a different time");
+                debug_assert_eq!(ta, t, "peek promised a different time");
                 let q = issued % cores;
                 let req = gens[q].next_request();
                 let deadline = if cfg.deadline_ns.is_finite() {
@@ -691,9 +687,7 @@ pub fn run_openloop_streaming(
                 client.issue(&mut eng, &mut hw, cfg, issued, ta);
                 issued += 1;
                 if issued < cfg.logical_ops {
-                    client
-                        .events
-                        .promise_arrival(time_key(arrivals.peek_next_ns()));
+                    client.events.promise_arrival(arrivals.peek_next_ns());
                 }
             }
             ClientEvent::Retry(id) => {
@@ -703,23 +697,22 @@ pub fn run_openloop_streaming(
                 // engine up to the timer, so a response already served
                 // by now resolves the op before the client
                 // retransmits or gives up.
-                let te = time_of_key(key);
                 if client.unresolved(id).is_none() {
                     continue; // Stale timer.
                 }
-                eng.run_until(&mut hw, te);
+                eng.run_until(&mut hw, t);
                 drain_outcomes(&mut eng, &mut client, cores, sink);
                 let Some(op) = client.unresolved(id) else {
                     continue; // Resolved by the catch-up.
                 };
-                if op.attempts >= cfg.max_attempts || te >= op.deadline_ns {
+                if op.attempts >= cfg.max_attempts || t >= op.deadline_ns {
                     // Budget spent, or even an instant retry could no
                     // longer beat the deadline: stop amplifying
                     // overload.
                     op.resolved = true;
                     client.gave_up += 1;
                 } else {
-                    client.issue(&mut eng, &mut hw, cfg, id, te);
+                    client.issue(&mut eng, &mut hw, cfg, id, t);
                 }
             }
         }
@@ -902,52 +895,54 @@ mod tests {
     }
 
     /// The brute-force reference for [`EventQueue`]: every pending event
-    /// in one `Vec`, popped by least `(key, sub, seq)` — the order of a
+    /// in one `Vec`, popped by least `(t, sub, seq)` — the order of a
     /// binary heap keyed on insertion sequence as its last tie-break.
     /// Each entry keeps its class (`None` for the arrival) for the
     /// coverage counts.
     #[derive(Default)]
     struct Reference {
-        events: Vec<(u64, u64, u64, Option<usize>, ClientEvent)>,
+        events: Vec<(f64, usize, u64, Option<usize>, ClientEvent)>,
         seq: u64,
     }
 
     impl Reference {
-        fn push(&mut self, key: u64, class: Option<usize>, ev: ClientEvent) {
+        fn push(&mut self, t: f64, class: Option<usize>, ev: ClientEvent) {
             let sub = match ev {
                 ClientEvent::Arrival => 0,
-                ClientEvent::Retry(op) => 1 + op as u64,
+                ClientEvent::Retry(op) => 1 + op,
             };
-            self.events.push((key, sub, self.seq, class, ev));
+            self.events.push((t, sub, self.seq, class, ev));
             self.seq += 1;
         }
 
         /// Pops the least event and says whether another pending event
-        /// shares its key from a different class, and whether the tie
+        /// shares its time from a different class, and whether the tie
         /// involves the arrival.
-        fn pop(&mut self) -> Option<((u64, ClientEvent), bool, bool)> {
-            let i = (0..self.events.len()).min_by_key(|&i| {
-                let (key, sub, seq, ..) = self.events[i];
-                (key, sub, seq)
-            })?;
-            let (key, _, _, class, ev) = self.events.swap_remove(i);
-            let tied = self.events.iter().filter(|e| e.0 == key);
+        fn pop(&mut self) -> Option<((f64, ClientEvent), bool, bool)> {
+            let order = |i: usize| {
+                let (t, sub, seq, ..) = self.events[i];
+                (t, sub, seq)
+            };
+            let i = (0..self.events.len())
+                .min_by(|&a, &b| order(a).partial_cmp(&order(b)).expect("times are not NaN"))?;
+            let (t, _, _, class, ev) = self.events.swap_remove(i);
+            let tied = self.events.iter().filter(|e| e.0 == t);
             let cross_class = tied.clone().any(|e| e.3 != class);
             let with_arrival =
                 cross_class && (class.is_none() || tied.clone().any(|e| e.3.is_none()));
-            Some(((key, ev), cross_class, with_arrival))
+            Some(((t, ev), cross_class, with_arrival))
         }
     }
 
-    /// [`EventQueue`] pops exactly what a `(key, sub, seq)` min-queue
+    /// [`EventQueue`] pops exactly what a `(t, sub, seq)` min-queue
     /// pops, over seeded random runs that follow the client's rules:
     /// one pending arrival, at most one armed timer per op, and a clock
-    /// that moves forward to each popped key, every timer armed at
+    /// that moves forward to each popped time, every timer armed at
     /// `now + backoff[class]`. Backoffs repeat across the 6 to 9
-    /// classes, so keys tie across classes; arrivals are promised at
-    /// timer keys, so an arrival ties a timer; and several ops armed in
-    /// one class before the clock moves share a key in random op order,
-    /// so a class takes pushes below its back.
+    /// classes, so times tie across classes; arrivals are promised at
+    /// timer times, so an arrival ties a timer; and several ops armed
+    /// in one class before the clock moves share a time in random op
+    /// order, so a class takes pushes below its back.
     #[test]
     fn event_queue_matches_a_brute_force_min_queue() {
         use trafficgen::rng::Rng64;
@@ -956,20 +951,23 @@ mod tests {
         for seed in 0..300 {
             let mut rng = Rng64::seed_from_u64(seed);
             let classes = rng.gen_range(6..10usize);
-            let backoffs: Vec<u64> = (0..classes).map(|_| rng.gen_range(1..5u64) * 10).collect();
+            let backoffs: Vec<f64> = (0..classes)
+                .map(|_| rng.gen_range(1..5u64) as f64 * 10.0)
+                .collect();
             let mut queue = EventQueue::default();
             let mut reference = Reference::default();
             let mut armed = [false; OPS];
             let mut arrival = false;
-            let mut now = 0u64;
+            let mut now = 0.0;
             for step in 0..600 {
                 let draining = step >= 500;
                 match rng.gen_range(0..5u32) {
                     0 if !arrival && !draining => {
-                        let key =
-                            now + backoffs[rng.gen_range(0..classes)] + rng.gen_range(0..2u64);
-                        queue.promise_arrival(key);
-                        reference.push(key, None, ClientEvent::Arrival);
+                        let t = now
+                            + backoffs[rng.gen_range(0..classes)]
+                            + rng.gen_range(0..2u64) as f64;
+                        queue.promise_arrival(t);
+                        reference.push(t, None, ClientEvent::Arrival);
                         arrival = true;
                     }
                     1 | 2 if !draining => {
@@ -978,17 +976,17 @@ mod tests {
                             continue;
                         }
                         let class = rng.gen_range(0..classes);
-                        let key = now + backoffs[class];
+                        let t = now + backoffs[class];
                         if queue
                             .classes
                             .get(class)
                             .and_then(VecDeque::back)
-                            .is_some_and(|&back| (key, op) < back)
+                            .is_some_and(|&back| (t, op) < back)
                         {
                             below_back += 1;
                         }
-                        queue.arm(class, key, op);
-                        reference.push(key, Some(class), ClientEvent::Retry(op));
+                        queue.arm(class, t, op);
+                        reference.push(t, Some(class), ClientEvent::Retry(op));
                         armed[op] = true;
                     }
                     _ => {
@@ -1013,7 +1011,7 @@ mod tests {
             }
             assert_eq!(queue.pop(), None, "seed {seed}: both queues empty");
         }
-        assert!(cross_class > 0, "no key tied across classes");
+        assert!(cross_class > 0, "no time tied across classes");
         assert!(with_arrival > 0, "no arrival tied a timer");
         assert!(below_back > 0, "no push landed below its class's back");
     }

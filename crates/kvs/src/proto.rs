@@ -41,6 +41,10 @@ pub(crate) const KEY_OFF: usize = OP_OFF + 2;
 pub(crate) const DEADLINE_OFF: usize = KEY_OFF + 4;
 /// Offset of the (SET) value.
 pub(crate) const VALUE_OFF: usize = DEADLINE_OFF + 4;
+const _: () = assert!(
+    VALUE_OFF + 64 <= REQUEST_SIZE,
+    "a SET's 64 B value fits the frame"
+);
 /// Granularity of the on-wire deadline field, in nanoseconds.
 pub(crate) const DEADLINE_TICK_NS: f64 = 16.0;
 
@@ -336,12 +340,6 @@ mod tests {
         let mut frame = vec![0u8; REQUEST_SIZE];
         frame[OP_OFF] = 9;
         assert!(read_request(&frame).is_none());
-    }
-
-    #[test]
-    #[allow(clippy::assertions_on_constants)] // A protocol invariant, kept visible.
-    fn set_value_fits_128b_frame() {
-        assert!(VALUE_OFF + 64 <= REQUEST_SIZE);
     }
 
     #[test]

@@ -72,7 +72,9 @@ pub enum DropCause {
     NoRoute,
     /// A flow table was full and could not admit the flow.
     TableExhausted,
-    /// Deliberate policy drop (filters, DPI verdicts).
+    /// Deliberate policy drop (a filter's verdict). No in-tree element
+    /// issues it; it stays with `DropStats::policy`, which the `nfv_chain`
+    /// digest of llcbench hashes.
     Policy,
 }
 

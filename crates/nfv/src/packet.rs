@@ -19,6 +19,7 @@ pub(crate) const IPV4_LEN: usize = 20;
 pub(crate) const TCP_LEN: usize = 20;
 /// Total L2-L4 header prefix.
 pub const HDR_LEN: usize = ETH_LEN + IPV4_LEN + TCP_LEN;
+const _: () = assert!(HDR_LEN <= 64, "CacheDirector places exactly this window");
 /// Payload offset of the timestamp (whole nanoseconds, u32 — enough for
 /// runs of up to ~4.3 simulated seconds, and small enough that the tag
 /// fits the paper's 64 B minimum frames).
@@ -213,12 +214,6 @@ mod tests {
         let (ts, seq) = read_payload_tag(&m, r.pa(0));
         assert_eq!(ts, 123.0);
         assert_eq!(seq, 77);
-    }
-
-    #[test]
-    #[allow(clippy::assertions_on_constants)] // A paper invariant, kept visible.
-    fn header_fits_one_cache_line() {
-        assert!(HDR_LEN <= 64, "CacheDirector places exactly this window");
     }
 
     #[test]

@@ -183,7 +183,6 @@ pub struct FlowDirector {
     queues: usize,
     table: HashMap<FlowTuple, FdirAction, BuildHasherDefault<FixedHasher>>,
     next_rr: usize,
-    auto_insert: bool,
 }
 
 impl FlowDirector {
@@ -199,7 +198,6 @@ impl FlowDirector {
             queues,
             table: HashMap::default(),
             next_rr: 0,
-            auto_insert: true,
         }
     }
 
@@ -220,26 +218,20 @@ impl FlowDirector {
         self.table.contains_key(flow)
     }
 
-    /// The action for `flow`; auto-inserting mode assigns new flows to
-    /// queues round-robin (perfectly balanced across the flow population).
+    /// The action for `flow`; a new flow is assigned a queue round-robin
+    /// (perfectly balanced across the flow population) and its rule
+    /// installed.
     pub fn action_for(&mut self, flow: &FlowTuple) -> FdirAction {
         if let Some(a) = self.table.get(flow) {
             return *a;
         }
-        if self.auto_insert {
-            let a = FdirAction {
-                queue: self.next_rr,
-                mark: None,
-            };
-            self.next_rr = (self.next_rr + 1) % self.queues;
-            self.table.insert(*flow, a);
-            a
-        } else {
-            FdirAction {
-                queue: 0,
-                mark: None,
-            }
-        }
+        let a = FdirAction {
+            queue: self.next_rr,
+            mark: None,
+        };
+        self.next_rr = (self.next_rr + 1) % self.queues;
+        self.table.insert(*flow, a);
+        a
     }
 }
 
@@ -397,15 +389,6 @@ mod tests {
         assert!(!fd.has_rule(&g));
         fd.action_for(&g);
         assert!(fd.has_rule(&g), "auto-insertion installs a rule");
-    }
-
-    #[test]
-    fn fdir_static_mode_defaults_to_queue0() {
-        let mut fd = FlowDirector::new(4);
-        fd.auto_insert = false;
-        let a = fd.action_for(&FlowTuple::tcp(7, 7, 7, 7));
-        assert_eq!(a.queue, 0);
-        assert!(fd.table.is_empty());
     }
 
     #[test]

@@ -57,8 +57,7 @@
 use crate::apps::{PhasedGaps, TenantApp, TenantKind};
 use crate::controller::{ControllerConfig, IsolationController};
 use engine::{
-    time_key, time_of_key, AdmissionPolicy, Engine, EngineConfig, Execution, Hw, MergeCtx,
-    Scheduler, WorkerSpec,
+    AdmissionPolicy, Engine, EngineConfig, Execution, Hw, MergeCtx, Scheduler, WorkerSpec,
 };
 use kvs::proto::{RequestGen, REQUEST_SIZE};
 use kvs::server::flow_for_queue;
@@ -532,9 +531,8 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
         ),
     );
 
-    // Arrival loop: each tenant has one pending arrival, keyed on integer
-    // time; the least `(key, tenant)` goes next, so same-time arrivals
-    // go in tenant order.
+    // Arrival loop: each tenant has one pending arrival time; the least
+    // `(t, tenant)` goes next, so same-time arrivals go in tenant order.
     let horizon_ns = cfg.packets as f64 * VICTIM_GAP_NS;
     let mut ant_gaps = PhasedGaps::new(
         PhaseSchedule::cycling(vec![
@@ -544,10 +542,10 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
         vec![ANT_QUIET_GAP_NS, ANT_STORM_GAP_NS],
     );
     let ant_first = ant_gaps.next_arrival_ns();
-    let mut next: [Option<u64>; TENANTS] = [
-        Some(time_key(VICTIM_GAP_NS)),
-        Some(time_key(VICTIM_GAP_NS)),
-        (ant_first <= horizon_ns).then(|| time_key(ant_first)),
+    let mut next: [Option<f64>; TENANTS] = [
+        Some(VICTIM_GAP_NS),
+        Some(VICTIM_GAP_NS),
+        (ant_first <= horizon_ns).then_some(ant_first),
     ];
 
     let mut offered = [0u64; TENANTS];
@@ -556,9 +554,11 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
     let mut issued = [0u64; TENANTS];
     let mut frame = vec![0u8; REQUEST_SIZE];
     let mut seq = 0u64;
-    while let Some((key, tenant)) = (0..TENANTS).filter_map(|t| Some((next[t]?, t))).min() {
+    while let Some((t, tenant)) = (0..TENANTS)
+        .filter_map(|i| Some((next[i]?, i)))
+        .min_by(|a, b| a.partial_cmp(b).expect("arrival times are not NaN"))
+    {
         next[tenant] = None;
-        let t = time_of_key(key);
         let lanes = TENANT_QUEUES[tenant];
         let q = lanes[(issued[tenant] as usize) % lanes.len()];
         nfv::packet::encode_frame(&mut frame, &flows[q], REQUEST_SIZE, t, seq);
@@ -578,12 +578,12 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
         if tenant < 2 {
             if issued[tenant] < cfg.packets as u64 {
                 let tn = (issued[tenant] + 1) as f64 * VICTIM_GAP_NS;
-                next[tenant] = Some(time_key(tn));
+                next[tenant] = Some(tn);
             }
         } else {
             let tn = ant_gaps.next_arrival_ns();
             if tn <= horizon_ns {
-                next[tenant] = Some(time_key(tn));
+                next[tenant] = Some(tn);
             }
         }
     }

@@ -29,3 +29,4 @@ echo "================ Multi-tenant SLO defense ================"; $BIN fig_tena
 echo "================ Scale study (million-key KVS) ================"; $BIN fig_scale_kvs 1 1000000 21 $EXTRA
 echo "================ §6 Skylake NFV ================"; $BIN skylake_nfv 5 120000 $EXTRA
 echo "================ §8 pipelined compromise ================"; $BIN ext_pipeline 1 60000 $EXTRA
+echo "================ Design ablations (DESIGN.md §6) ================"; $BIN ablations 1 40000 $EXTRA

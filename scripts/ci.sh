@@ -4,10 +4,10 @@
 #
 #   scripts/ci.sh         # fmt + doc paths + lint ratchet + clippy +
 #                         # llcbench check + tests + determinism
-#   scripts/ci.sh full    # ...plus release build, bench-harness check,
-#                         # a --smoke run of every figure binary
-#                         # (serial AND --parallel), and the llcbench
-#                         # smoke suite with its determinism gate
+#   scripts/ci.sh full    # ...plus release build, a --smoke run of
+#                         # every figure binary (serial AND --parallel),
+#                         # and the llcbench smoke suite with its
+#                         # determinism gate
 #   scripts/ci.sh smoke   # only the figure-binary smoke runs
 #   scripts/ci.sh det     # only the determinism gate
 set -euo pipefail
@@ -19,14 +19,9 @@ cd "$(dirname "$0")/.."
 smoke() {
     echo "==> figure-binary smoke runs (--smoke)"
     cargo build --release -q -p bench
-    local bins=(
-        table01_cachespec fig04_hash fig05_latency fig06_speedup
-        fig07_ops fig08_kvs fig12_lowrate fig13_forward fig14_chain
-        fig15_knee fig_knee_kvs fig16_table4_skylake fig17_isolation
-        fig_tenants fig_scale_kvs ext_pipeline headroom_dist kvs_probe
-        skylake_nfv calibrate
-    )
-    for bin in "${bins[@]}"; do
+    local src bin
+    for src in crates/bench/src/bin/*.rs; do
+        bin="$(basename "${src}" .rs)"
         echo "    -> ${bin}"
         "./target/release/${bin}" --smoke > /dev/null
         "./target/release/${bin}" --smoke --parallel > /dev/null
@@ -159,7 +154,7 @@ docpaths() {
 # crate names should be `pub(crate)` instead.
 ratchet() {
     echo "==> ratchet: lint exemptions, library unsafe and library pub fn"
-    local max_allow=7 max_tma=1 max_unsafe=4 max_pub_fn=426 allows tma unsafes pub_fns
+    local max_allow=4 max_tma=1 max_unsafe=4 max_pub_fn=414 allows tma unsafes pub_fns
     # `git grep` exits 1 on no match; a count of 0 must not end the gate.
     allows="$({ git grep -o '#\[allow(' -- '*.rs' || true; } | wc -l)"
     tma="$({ git grep -o 'too_many_arguments' -- '*.rs' || true; } | wc -l)"
@@ -207,9 +202,6 @@ det
 if [[ "${1:-}" == "full" ]]; then
     echo "==> release build"
     cargo build --release -q
-    echo "==> bench harness compiles (not run)"
-    cargo clippy --workspace --all-targets --features bench-harness -q -- -D warnings
-    cargo bench -p bench --features bench-harness --no-run -q
     smoke
     # llcbench is its own package (llcbench/Cargo.toml), outside the
     # workspace: its smoke suite runs every workload at --smoke sizes

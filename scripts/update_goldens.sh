@@ -14,14 +14,8 @@ cd "$(dirname "$0")/.."
 cargo build --release -q -p bench
 mkdir -p crates/bench/tests/golden
 
-bins=(
-    table01_cachespec fig04_hash fig05_latency fig06_speedup
-    fig07_ops fig08_kvs fig12_lowrate fig13_forward fig14_chain
-    fig15_knee fig_knee_kvs fig16_table4_skylake fig17_isolation
-    fig_tenants fig_scale_kvs ext_pipeline headroom_dist kvs_probe
-    skylake_nfv calibrate
-)
-for bin in "${bins[@]}"; do
+for src in crates/bench/src/bin/*.rs; do
+    bin="$(basename "${src}" .rs)"
     echo "-> ${bin}"
     "./target/release/${bin}" --smoke > "crates/bench/tests/golden/${bin}.txt"
 done
