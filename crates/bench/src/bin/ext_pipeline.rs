@@ -11,7 +11,7 @@ use nfv::pipeline::{run_pipeline, PipelineConfig, PipelineHeadroom};
 use xstats::report::{f, Table};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = bench::Scale::from_args(1, 60_000);
+    let scale = bench::Scale::from_args(&["packets"], 1, 60_000);
     println!(
         "§8 extension — two-stage pipeline (cores 0 and 2), {} packets @ 2 Mpps\n",
         scale.packets

@@ -11,7 +11,7 @@ use llc_sim::machine::{Machine, MachineConfig};
 use slice_aware::reverse::{reconstruct_hash, verify_hash};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = bench::Scale::from_args(1, 512);
+    let scale = bench::Scale::from_args(&["packets"], 1, 512);
     // A naturally aligned 256 MB region covers physical bits 6..=27.
     let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(1 << 30));
     let region = m.mem_mut().alloc(256 << 20, 256 << 20)?;

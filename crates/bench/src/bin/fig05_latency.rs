@@ -10,7 +10,7 @@ use slice_aware::latency::profile_access_times;
 use xstats::report::{f, Table};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = bench::Scale::from_args(50, 0);
+    let scale = bench::Scale::from_args(&["runs"], 50, 0);
     let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(512 << 20));
     let region = m.mem_mut().alloc(256 << 20, 1 << 20)?;
     let prof = profile_access_times(&mut m, 0, region, scale.runs);

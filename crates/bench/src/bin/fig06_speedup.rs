@@ -15,7 +15,7 @@ use xstats::report::{f, Table};
 const BUF_BYTES: usize = 1_441_792;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = bench::Scale::from_args(20, 10_000);
+    let scale = bench::Scale::from_args(&["runs", "packets"], 20, 10_000);
     let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(1 << 30));
     let region = m.mem_mut().alloc(512 << 20, 1 << 20)?;
     let mut alloc = SliceAllocator::new(region, m.slice_oracle());

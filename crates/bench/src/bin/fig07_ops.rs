@@ -40,7 +40,7 @@ fn measure(m: &mut Machine, bufs: &[SliceBuffer], ops: usize, kind: AccessKind) 
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = bench::Scale::from_args(1, 20_000);
+    let scale = bench::Scale::from_args(&["packets"], 1, 20_000);
     println!(
         "Fig. 7 — aggregate MOPS, 8 cores, {} random ops/core per point\n",
         scale.packets

@@ -6,7 +6,7 @@
 //! here is 2^21 (128 MB — still 6.4x the LLC, preserving the hit-rate
 //! structure); pass a third argument `24` to run the full-size store.
 //!
-//! Usage: `fig08_kvs [runs] [packets] [log2_keys] [--smoke] [--parallel]
+//! Usage: `fig08_kvs [packets] [log2_keys] [--smoke] [--parallel]
 //! [--cores=N] [--zipf=THETA] [--migrate=EPOCH] [--churn[=EPOCH]]`.
 //! Each measured point prints its cycles per request on stderr.
 
@@ -333,7 +333,7 @@ fn run_churn_study(
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cli = bench::Cli::from_env(
-        &["runs", "packets", "log2_keys"],
+        &["packets", "log2_keys"],
         &[
             "--cores=N",
             "--zipf=THETA",

@@ -27,7 +27,7 @@ fn percentile_rows(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = Scale::from_args(10, 5000);
+    let scale = Scale::from_args(&["runs", "packets"], 10, 5000);
     println!(
         "Fig. 12 — 64 B @ 1000 pps, {} packets, median of {} runs (DuT latency, ns)\n",
         scale.packets, scale.runs

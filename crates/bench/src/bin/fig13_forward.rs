@@ -19,7 +19,7 @@ fn one(headroom: HeadroomMode, run: u64, scale: &Scale) -> Result<RunResult, Set
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = Scale::from_args(10, 150_000);
+    let scale = Scale::from_args(&["runs", "packets"], 10, 150_000);
     println!(
         "Fig. 13 — forwarding, campus mix @ 100 Gbps, RSS, 8 cores; median of {} runs x {} pkts\n",
         scale.runs, scale.packets

@@ -28,7 +28,7 @@ fn one(headroom: HeadroomMode, run: u64, scale: &Scale) -> Result<RunResult, Set
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = Scale::from_args(10, 150_000);
+    let scale = Scale::from_args(&["runs", "packets"], 10, 150_000);
     println!(
         "Figs. 1 & 14 — Router-NAPT-LB, campus mix @ 100 Gbps, FlowDirector+offload, \
          8 cores; median of {} runs x {} pkts\n",

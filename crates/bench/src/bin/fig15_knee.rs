@@ -53,7 +53,7 @@ fn sweep(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = Scale::from_args(1, 60_000);
+    let scale = Scale::from_args(&["packets"], 1, 60_000);
     println!(
         "Fig. 15 — p99 latency (incl. loopback) vs achieved throughput, {} pkts/point\n",
         scale.packets

@@ -11,7 +11,7 @@ use slice_aware::placement::PlacementPolicy;
 use xstats::report::{f, Table};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = bench::Scale::from_args(10, 0);
+    let scale = bench::Scale::from_args(&["runs"], 10, 0);
     let mut m = Machine::new(MachineConfig::skylake_gold_6134().with_dram_capacity(1 << 30));
     let region = m.mem_mut().alloc(512 << 20, 1 << 20)?;
 

@@ -59,7 +59,7 @@ fn run_scenario(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = bench::Scale::from_args(1, 40_000);
+    let scale = bench::Scale::from_args(&["packets"], 1, 40_000);
     let scenarios = [
         ("NoCAT", IsolationScenario::NoCat),
         ("2W Isolated", IsolationScenario::WayIsolated { ways: 2 }),

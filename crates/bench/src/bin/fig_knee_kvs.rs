@@ -366,7 +366,7 @@ fn run_chaos(ops: usize, execution: Execution) {
 }
 
 fn main() {
-    let cli = bench::Cli::from_env(&["runs", "packets"], &["--chaos"]);
+    let cli = bench::Cli::from_env(&["packets"], &["--chaos"]);
     let scale = cli.scale(1, 30_000);
     let execution = scale.execution(CORES);
     // Chaos needs a longer horizon than the sweep's per-point budget so

@@ -27,7 +27,7 @@
 //!    vs. `Normal`, sharing one [`trafficgen::ZipfConstants`] setup
 //!    across both placements.
 //!
-//! Usage: `fig_scale_kvs [runs] [packets] [log2_keys] [--smoke]
+//! Usage: `fig_scale_kvs [packets] [log2_keys] [--smoke]
 //! [--parallel] [--cores=N] [--rate=OPS_PER_S]`, where `packets` is the
 //! ops per row. Default full scale is 2^21 keys x 10^6 ops; `--smoke`
 //! shrinks to 2^14 x 2000 for CI. Output is bit-identical serial vs
@@ -510,7 +510,7 @@ fn large_section(n_large: usize, value_size: usize, draws: usize) {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cli = bench::Cli::from_env(
-        &["runs", "packets", "log2_keys"],
+        &["packets", "log2_keys"],
         &["--cores=N", "--rate=OPS_PER_S"],
     );
     let scale = cli.scale(1, 1_000_000);

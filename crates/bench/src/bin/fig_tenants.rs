@@ -15,7 +15,7 @@
 //!   the even split and re-partitioning CAT and DDIO ways from CBo
 //!   counters and windowed p99s.
 //!
-//! Usage: `fig_tenants [runs] [packets] [--smoke] [--parallel]`. Output
+//! Usage: `fig_tenants [packets] [--smoke] [--parallel]`. Output
 //! is bit-identical serial vs parallel (golden-pinned).
 
 use bench::{eprint_sched_totals, Scale};
@@ -24,7 +24,7 @@ use xstats::report::{f, Table};
 use xstats::violation_minutes;
 
 fn main() {
-    let scale = Scale::from_args(1, 20_000);
+    let scale = Scale::from_args(&["packets"], 1, 20_000);
     // The storm schedule needs ≥ 3 ms of simulated time (the first
     // storm begins at 1.0 ms); the generic 2k-packet smoke cap would
     // end the run before the chaos starts.

@@ -12,7 +12,7 @@ use rte::mempool::MbufPool;
 use xstats::{Histogram, Summary};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = bench::Scale::from_args(1, 16_384);
+    let scale = bench::Scale::from_args(&["packets"], 1, 16_384);
     let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(1 << 30));
     let pool = MbufPool::create(&mut m, scale.packets as u32, CACHEDIRECTOR_HEADROOM, 2048)?;
     let cd = CacheDirector::install(&mut m, &pool, 1, 0);

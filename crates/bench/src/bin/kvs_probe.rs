@@ -2,7 +2,7 @@
 //! value placement under Zipf keys. Used to attribute where Fig. 8's
 //! improvement comes from; not one of the paper's figures.
 //!
-//! Usage: `kvs_probe [runs] [packets] [log2_keys] [--smoke] [--parallel]`,
+//! Usage: `kvs_probe [packets] [log2_keys] [--smoke] [--parallel]`,
 //! where `packets` is the timed GETs per placement.
 
 use kvs::store::{KvStore, Placement};
@@ -37,7 +37,7 @@ fn run(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let cli = bench::Cli::from_env(&["runs", "packets", "log2_keys"], &[]);
+    let cli = bench::Cli::from_env(&["packets", "log2_keys"], &[]);
     let scale = cli.scale(1, 100_000);
     let log2_n = cli.log2_keys();
     let n = 1usize << log2_n;

@@ -40,7 +40,7 @@ fn one(headroom: HeadroomMode, run: u64, scale: &Scale) -> Result<RunResult, Set
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = Scale::from_args(5, 120_000);
+    let scale = Scale::from_args(&["runs", "packets"], 5, 120_000);
     println!(
         "§6 — Router-NAPT-LB @ 100 Gbps on Skylake (Xeon Gold 6134); median of {} runs x {} pkts\n",
         scale.runs, scale.packets

@@ -23,6 +23,7 @@ fn row(t: &mut Table, name: &str, g: llc_sim::machine::CacheGeometry, index_hi: 
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    bench::Cli::from_env(&[], &[]);
     for cfg in [
         MachineConfig::haswell_e5_2667_v3(),
         MachineConfig::skylake_gold_6134(),

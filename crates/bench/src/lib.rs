@@ -173,7 +173,8 @@ impl Cli {
 }
 
 /// Experiment scale, from the command line:
-/// `<binary> [runs] [packets] [--smoke] [--parallel]`.
+/// `<binary> [runs] [packets] [--smoke] [--parallel]`, where a binary
+/// declares only the positionals it reads.
 ///
 /// Every binary has defaults sized to finish in seconds; passing larger
 /// values tightens the statistics toward the paper's 50-run protocol.
@@ -198,12 +199,16 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// The scale of a binary whose command line is just
-    /// `[runs] [packets] [--smoke] [--parallel]`, with the given
-    /// defaults (see [`Cli::scale`]); exits with code 2 on anything
-    /// else.
-    pub fn from_args(default_runs: usize, default_packets: usize) -> Self {
-        Cli::from_env(&["runs", "packets"], &[]).scale(default_runs, default_packets)
+    /// The scale of a binary whose command line is just `positionals`
+    /// (those of `runs` and `packets` it reads, in that order) plus
+    /// `[--smoke] [--parallel]`, with the given defaults (see
+    /// [`Cli::scale`]); exits with code 2 on anything else.
+    pub fn from_args(
+        positionals: &'static [&'static str],
+        default_runs: usize,
+        default_packets: usize,
+    ) -> Self {
+        Cli::from_env(positionals, &[]).scale(default_runs, default_packets)
     }
 
     /// The execution mode this scale selects for an engine with

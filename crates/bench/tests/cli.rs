@@ -44,18 +44,76 @@ const FIG08_KVS: &str = env!("CARGO_BIN_EXE_fig08_kvs");
 const FIG_SCALE_KVS: &str = env!("CARGO_BIN_EXE_fig_scale_kvs");
 
 #[test]
-fn log2_keys_is_the_third_positional_after_smoke() {
+fn log2_keys_is_the_second_positional_after_smoke() {
     // Flags do not take positional slots: `100` is `packets`.
-    let out = stdout_of(KVS_PROBE, &["--smoke", "1", "100", "12"]);
+    let out = stdout_of(KVS_PROBE, &["--smoke", "100", "12"]);
     assert!(out.starts_with("store: 2^12 values"), "{out}");
 }
 
 #[test]
-fn log2_keys_is_the_third_positional_between_flags() {
+fn log2_keys_is_the_second_positional_between_flags() {
     // A positional after a flag still counts: `12` beats the smoke
     // default of 14.
-    let out = stdout_of(KVS_PROBE, &["1", "100", "--smoke", "12"]);
+    let out = stdout_of(KVS_PROBE, &["100", "--smoke", "12"]);
     assert!(out.starts_with("store: 2^12 values"), "{out}");
+}
+
+/// Every figure binary with the positionals it declares, in order.
+/// Each one is read: a binary declares only what it uses.
+const DECLARED: &[(&str, &[&str])] = &[
+    ("ablations", &["packets"]),
+    (
+        "calibrate",
+        &["packets", "framework_cycles", "flow_skew", "nic_cap"],
+    ),
+    ("ext_pipeline", &["packets"]),
+    ("fig04_hash", &["packets"]),
+    ("fig05_latency", &["runs"]),
+    ("fig06_speedup", &["runs", "packets"]),
+    ("fig07_ops", &["packets"]),
+    ("fig08_kvs", &["packets", "log2_keys"]),
+    ("fig12_lowrate", &["runs", "packets"]),
+    ("fig13_forward", &["runs", "packets"]),
+    ("fig14_chain", &["runs", "packets"]),
+    ("fig15_knee", &["packets"]),
+    ("fig16_table4_skylake", &["runs"]),
+    ("fig17_isolation", &["packets"]),
+    ("fig_knee_kvs", &["packets"]),
+    ("fig_scale_kvs", &["packets", "log2_keys"]),
+    ("fig_tenants", &["packets"]),
+    ("headroom_dist", &["packets"]),
+    ("kvs_probe", &["packets", "log2_keys"]),
+    ("skylake_nfv", &["runs", "packets"]),
+    ("table01_cachespec", &[]),
+];
+
+#[test]
+fn one_positional_more_than_declared_exits_2_for_every_figure_binary() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src/bin");
+    let mut bins: Vec<String> = std::fs::read_dir(dir)
+        .expect("the figure sources are listable")
+        .map(|e| {
+            let path = e.expect("a readable entry").path();
+            let stem = path.file_stem().expect("a file name");
+            stem.to_string_lossy().into_owned()
+        })
+        .collect();
+    bins.sort();
+    let listed: Vec<&str> = DECLARED.iter().map(|&(name, _)| name).collect();
+    assert_eq!(bins, listed, "one row per figure binary, in name order");
+    // Cargo builds every binary of the package beside this one.
+    let dir = std::path::Path::new(KVS_PROBE).with_file_name("");
+    for &(name, positionals) in DECLARED {
+        let exe = dir.join(format!("{name}{}", std::env::consts::EXE_SUFFIX));
+        let exe = exe.to_str().expect("a UTF-8 path");
+        let mut args = vec!["--smoke"];
+        args.extend(std::iter::repeat_n("1", positionals.len() + 1));
+        // The usage line names exactly the declared positionals.
+        let usage: String = positionals.iter().map(|p| format!(" [{p}]")).collect();
+        let expected =
+            format!("unexpected positional `1`\nusage: {name}{usage} [--smoke] [--parallel]");
+        assert_rejected(exe, &args, &expected);
+    }
 }
 
 #[test]

@@ -3,9 +3,9 @@
 //! Every application on the engine used to grow its own copy of these
 //! counters (`nfv::runtime::DropStats`, `kvs::server::ServerDrops`);
 //! this is the common core they now embed. The engine fills one
-//! [`NicDrops`] per RX queue and owns the conservation invariant
-//! `offered == delivered + Σ dropped[cause]`; applications only add
-//! their software-level causes on top.
+//! [`NicDrops`] and one [`AdmitDrops`] per RX queue, inside the queue's
+//! [`crate::QueueLedger`], which owns the conservation identity;
+//! applications only add their software-level causes on top.
 
 /// Per-cause NIC/driver drop counters for one queue (or the aggregate
 /// over all queues).
@@ -56,15 +56,6 @@ impl NicDrops {
         self.ready_overrun += other.ready_overrun;
         self.tx_stall += other.tx_stall;
     }
-
-    /// The element-wise sum of a set of per-queue ledgers.
-    pub(crate) fn sum<'a, I: IntoIterator<Item = &'a NicDrops>>(iter: I) -> NicDrops {
-        let mut out = NicDrops::default();
-        for d in iter {
-            out.merge(d);
-        }
-        out
-    }
 }
 
 /// Per-cause admission-control rejections for one queue (or the
@@ -93,15 +84,6 @@ impl AdmitDrops {
     pub(crate) fn merge(&mut self, other: &AdmitDrops) {
         self.depth_shed += other.depth_shed;
         self.deadline_shed += other.deadline_shed;
-    }
-
-    /// The element-wise sum of a set of per-queue ledgers.
-    pub(crate) fn sum<'a, I: IntoIterator<Item = &'a AdmitDrops>>(iter: I) -> AdmitDrops {
-        let mut out = AdmitDrops::default();
-        for d in iter {
-            out.merge(d);
-        }
-        out
     }
 }
 
@@ -164,7 +146,8 @@ mod tests {
             nodesc: 4,
             ..NicDrops::default()
         };
-        let s = NicDrops::sum([&a, &b]);
+        let mut s = a;
+        s.merge(&b);
         assert_eq!(s.crc, 5);
         assert_eq!(s.nodesc, 4);
         assert_eq!(s.tx_stall, 1);
@@ -182,7 +165,8 @@ mod tests {
             deadline_shed: 0,
         };
         assert_eq!(a.total(), 5);
-        let s = AdmitDrops::sum([&a, &b]);
+        let mut s = a;
+        s.merge(&b);
         assert_eq!(s.depth_shed, 4);
         assert_eq!(s.deadline_shed, 2);
         let disp = s.to_string();

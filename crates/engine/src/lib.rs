@@ -44,11 +44,11 @@
 //!   worker-ordered merge, never at a thread-scheduling-dependent
 //!   moment. The differential test suite (`tests/differential.rs`)
 //!   keeps that claim honest.
-//! * **Drop accounting.** Per-queue [`NicDrops`] and [`AdmitDrops`]
-//!   ledgers plus a per-queue count of application drops. The engine
-//!   owns the conservation invariant `offered + carried == delivered +
-//!   Σ nic[cause] + Σ admit[cause] + app + in_flight` and asserts it
-//!   (globally and per queue) in [`Engine::finish`], cross-checking its
+//! * **Drop accounting.** One live [`QueueLedger`] per RX queue: its
+//!   [`NicDrops`], [`AdmitDrops`] and application drops beside the
+//!   offered, carried and delivered counts. The engine owns the
+//!   conservation invariant [`QueueLedger::balances`] and asserts it
+//!   (per queue and overall) in [`Engine::finish`], cross-checking its
 //!   classification against the port's own counters.
 //! * **Admission control & backpressure.** A pluggable
 //!   [`AdmissionPolicy`] sheds frames at the driver's ingress — before
@@ -405,14 +405,14 @@ pub struct MergeCtx<'a> {
     /// because the hook runs on the coordinator in both execution modes
     /// the result stays bit-identical serial vs. parallel.
     pub m: &'a mut Machine,
-    app_drops: &'a mut [u64],
+    ledger: &'a mut [QueueLedger],
 }
 
 impl MergeCtx<'_> {
     /// Recycles `mbuf` and counts one application drop on `queue`.
     pub fn drop_packet(&mut self, queue: usize, mbuf: u32) {
         self.pool.put(mbuf);
-        self.app_drops[queue] += 1;
+        self.ledger[queue].app_drops += 1;
     }
 }
 
@@ -422,22 +422,11 @@ impl MergeCtx<'_> {
 /// which keeps [`Engine::drain`] honest.
 pub(crate) type EpochHook<A> = Box<dyn FnMut(&mut [A], &mut MergeCtx<'_>) -> usize>;
 
-/// A periodic control-plane hook ([`Engine::set_control_hook`]): the
-/// coordinator fires it at every multiple of the control period that a
-/// [`Engine::run_until`] horizon crosses, after catching simulated time
-/// up to exactly that boundary. The third argument is the boundary time
-/// (ns). Unlike the epoch hook — which runs whenever the *scheduler*
-/// decides an epoch is due, a cadence that legitimately differs between
-/// [`Scheduler::EventDriven`] and [`Scheduler::ReferenceTick`] — the
-/// control hook's firing times are a pure function of the horizon
-/// sequence, so a controller's decisions stay bit-identical across both
-/// schedulers and both execution modes. Hooks may run timed work
-/// against `MergeCtx::m`; the cycles are folded into the owning
-/// workers' free-at times exactly like epoch-hook time.
-pub(crate) type ControlHook<A> = Box<dyn FnMut(&mut [A], &mut MergeCtx<'_>, f64)>;
-
-/// Per-queue slice of the final [`EngineReport`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One RX queue's ledger, kept live by the engine and reported per
+/// queue in [`EngineReport::per_queue`]. A caller that groups queues
+/// (e.g. one group per tenant) sums their ledgers with
+/// [`QueueLedger::sum`]; the sum satisfies the same identity.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueLedger {
     /// Frames the load generator offered that steered to this queue.
     pub offered: u64,
@@ -455,10 +444,39 @@ pub struct QueueLedger {
     pub in_flight: u64,
 }
 
-/// What a finished engine run reports. Aggregates satisfy
-/// `offered + carried == delivered + nic.total() + admit.total() +
-/// app_drops + in_flight`, and each [`QueueLedger`] satisfies the same
-/// per queue (both asserted in [`Engine::finish`]).
+impl QueueLedger {
+    /// The element-wise sum of `ledgers`.
+    pub fn sum<'a>(ledgers: impl IntoIterator<Item = &'a QueueLedger>) -> QueueLedger {
+        let mut s = QueueLedger::default();
+        for l in ledgers {
+            s.offered += l.offered;
+            s.carried += l.carried;
+            s.delivered += l.delivered;
+            s.nic.merge(&l.nic);
+            s.admit.merge(&l.admit);
+            s.app_drops += l.app_drops;
+            s.in_flight += l.in_flight;
+        }
+        s
+    }
+
+    /// The conservation identity: every frame offered or carried in was
+    /// delivered, dropped (by the NIC, the admission filter or the app)
+    /// or is still in flight — `offered + carried == delivered +
+    /// nic.total() + admit.total() + app_drops + in_flight`.
+    pub fn balances(&self) -> bool {
+        self.offered + self.carried
+            == self.delivered
+                + self.nic.total()
+                + self.admit.total()
+                + self.app_drops
+                + self.in_flight
+    }
+}
+
+/// What a finished engine run reports. The aggregate fields are the
+/// [`QueueLedger::sum`] of `per_queue`, and each ledger, like the sum,
+/// [balances](QueueLedger::balances) (asserted in [`Engine::finish`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineReport {
     /// Frames offered.
@@ -477,13 +495,6 @@ pub struct EngineReport {
     pub in_flight: u64,
     /// The per-queue breakdown; sums to the aggregate fields above.
     pub per_queue: Vec<QueueLedger>,
-    /// Per-group ledgers when [`Engine::set_queue_groups`] partitioned
-    /// the queues (e.g. one group per tenant): entry `g` sums the
-    /// ledgers of every queue mapped to group `g`, each satisfying the
-    /// same conservation identity (asserted in [`Engine::finish`]), and
-    /// the groups together partition the aggregate. Empty when no
-    /// grouping was installed.
-    pub per_group: Vec<QueueLedger>,
     /// Simulated run duration: the latest worker free-at time, ≥ 1 ns.
     pub duration_ns: f64,
     /// The last offered frame's arrival time.
@@ -683,15 +694,6 @@ fn run_task<A: QueueApp>(mut t: WorkerTask<'_, A>) -> TaskOutcome {
 pub struct Engine<A: QueueApp> {
     apps: Vec<A>,
     epoch_hook: Option<EpochHook<A>>,
-    /// Periodic control-plane hook plus its period and next boundary
-    /// (ns). `next_control_ns` only ever advances by whole periods, so
-    /// the firing schedule is scheduler-independent.
-    control_hook: Option<ControlHook<A>>,
-    control_period_ns: f64,
-    next_control_ns: f64,
-    /// Queue → report-group map ([`Engine::set_queue_groups`]); empty
-    /// when ungrouped.
-    queue_groups: Vec<usize>,
     cfg: EngineConfig,
     /// Persistent threads for [`Execution::Parallel`], spawned lazily
     /// at the first multi-worker epoch (never in serial mode).
@@ -702,20 +704,14 @@ pub struct Engine<A: QueueApp> {
     /// outcomes in the same order; cleared and refilled every epoch.
     active: Vec<usize>,
     outcomes: Vec<TaskOutcome>,
-    /// Each worker's core clock before a coordinator hook ran.
+    /// Each worker's core clock before the epoch hook ran.
     hook_clocks: Vec<u64>,
     sched: SchedStats,
     free_ns: Vec<f64>,
     ns_per_cycle: f64,
     faults: FaultState,
-    nic: Vec<NicDrops>,
-    admit: Vec<AdmitDrops>,
-    app_drops: Vec<u64>,
-    offered_q: Vec<u64>,
-    delivered_q: Vec<u64>,
-    carried: Vec<u64>,
-    offered: u64,
-    delivered: u64,
+    /// One ledger per port queue; `in_flight` is filled at finish.
+    ledger: Vec<QueueLedger>,
     offered_wire_bits: u64,
     tx_wire_bits: u64,
     last_arrival_ns: f64,
@@ -764,7 +760,12 @@ impl<A: QueueApp> Engine<A> {
             polled.iter().all(|&p| p),
             "every port queue needs a polling worker"
         );
-        let carried: Vec<u64> = (0..queues).map(|q| hw.port.ready_count(q) as u64).collect();
+        let ledger = (0..queues)
+            .map(|q| QueueLedger {
+                carried: hw.port.ready_count(q) as u64,
+                ..QueueLedger::default()
+            })
+            .collect();
         let ns_per_cycle = 1.0 / hw.m.config().freq_ghz;
         let base_stats = hw.port.stats();
         let workers = cfg.workers.len();
@@ -773,24 +774,13 @@ impl<A: QueueApp> Engine<A> {
             free_ns: vec![0.0; cfg.workers.len()],
             ns_per_cycle,
             faults: FaultState::new(cfg.faults.clone()),
-            nic: vec![NicDrops::default(); queues],
-            admit: vec![AdmitDrops::default(); queues],
-            app_drops: vec![0; queues],
-            offered_q: vec![0; queues],
-            delivered_q: vec![0; queues],
-            carried,
-            offered: 0,
-            delivered: 0,
+            ledger,
             offered_wire_bits: 0,
             tx_wire_bits: 0,
             last_arrival_ns: 0.0,
             base_stats,
             apps,
             epoch_hook: None,
-            control_hook: None,
-            control_period_ns: 0.0,
-            next_control_ns: f64::INFINITY,
-            queue_groups: Vec::new(),
             cfg,
             thread_pool: None,
             bufs: (0..workers).map(|_| PollBufs::default()).collect(),
@@ -812,49 +802,6 @@ impl<A: QueueApp> Engine<A> {
     /// merge (see [`EpochHook`]).
     pub fn set_epoch_hook(&mut self, hook: EpochHook<A>) {
         self.epoch_hook = Some(hook);
-    }
-
-    /// Installs a periodic control-plane hook (see [`ControlHook`]),
-    /// fired at every multiple of `period_ns` a [`Engine::run_until`]
-    /// horizon crosses — the first boundary is `period_ns` itself.
-    /// [`Engine::step`]/[`Engine::drain`] do not advance the boundary
-    /// clock; a harness that wants control decisions over the drain
-    /// tail must `run_until` past it first.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `period_ns` is not positive and finite.
-    pub fn set_control_hook(&mut self, period_ns: f64, hook: ControlHook<A>) {
-        assert!(
-            period_ns.is_finite() && period_ns > 0.0,
-            "control period must be positive and finite"
-        );
-        self.control_hook = Some(hook);
-        self.control_period_ns = period_ns;
-        self.next_control_ns = period_ns;
-    }
-
-    /// Partitions the port's queues into report groups: `groups[q]` is
-    /// the group of queue `q` (group ids must be dense, `0..max+1`).
-    /// [`Engine::finish`] then emits one summed [`QueueLedger`] per
-    /// group in [`EngineReport::per_group`] and asserts the
-    /// conservation identity for each — the per-tenant double-entry
-    /// ledgers of the multi-tenant studies.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `groups` does not cover every queue exactly once or
-    /// the group ids are not dense.
-    pub fn set_queue_groups(&mut self, groups: Vec<usize>) {
-        assert_eq!(groups.len(), self.nic.len(), "one group id per port queue");
-        let n = groups.iter().max().map_or(0, |&g| g + 1);
-        for g in 0..n {
-            assert!(
-                groups.contains(&g),
-                "group ids must be dense: {g} of {n} unused"
-            );
-        }
-        self.queue_groups = groups;
     }
 
     /// Worker `w`'s application (mutation between polls).
@@ -896,12 +843,12 @@ impl<A: QueueApp> Engine<A> {
 
     /// Frames offered so far.
     pub fn offered(&self) -> u64 {
-        self.offered
+        self.ledger.iter().map(|l| l.offered).sum()
     }
 
     /// Frames transmitted so far.
     pub fn delivered(&self) -> u64 {
-        self.delivered
+        self.ledger.iter().map(|l| l.delivered).sum()
     }
 
     /// Offers one frame at `t_ns`: routes it, draws its faults (with
@@ -946,8 +893,7 @@ impl<A: QueueApp> Engine<A> {
         // An arrival is processed synchronously at its own virtual time
         // and counts as one event.
         self.sched.events_processed += 1;
-        self.offered += 1;
-        self.offered_q[q] += 1;
+        self.ledger[q].offered += 1;
         self.offered_wire_bits += trafficgen::arrival::wire_bits(frame.len() as u16);
         self.last_arrival_ns = self.last_arrival_ns.max(t_ns);
         // The admission filter sits in the driver's ingress path: after
@@ -959,9 +905,10 @@ impl<A: QueueApp> Engine<A> {
         if !wire_lost {
             let backlog = hw.port.ready_count(q);
             if let Some(cause) = self.cfg.admission.reject(backlog, t_ns, deadline_ns) {
+                let a = &mut self.ledger[q].admit;
                 match cause {
-                    ShedCause::QueueDepth => self.admit[q].depth_shed += 1,
-                    ShedCause::Deadline => self.admit[q].deadline_shed += 1,
+                    ShedCause::QueueDepth => a.depth_shed += 1,
+                    ShedCause::Deadline => a.deadline_shed += 1,
                 }
                 return Err(Rejection::Shed(cause));
             }
@@ -969,7 +916,7 @@ impl<A: QueueApp> Engine<A> {
         match hw.port.deliver_routed(hw.m, frame, q, mark, t_ns, fault) {
             Ok(()) => Ok(q),
             Err(reason) => {
-                let n = &mut self.nic[q];
+                let n = &mut self.ledger[q].nic;
                 match reason {
                     DropReason::NoDescriptor => {
                         // The NIC only sees the ring; the engine knows
@@ -1022,21 +969,19 @@ impl<A: QueueApp> Engine<A> {
     /// [`EngineReport`] is bit-identical either way (only
     /// [`EngineReport::sched`] differs) —
     /// `crates/engine/tests/differential.rs` and `prop.rs` pin this.
-    /// With a control hook installed ([`Engine::set_control_hook`]) the
-    /// horizon is segmented at control boundaries: catch up to each
-    /// crossed multiple of the period, fire the hook there, and only
-    /// then continue — so the controller observes the machine at exact,
-    /// scheduler-independent virtual times.
+    /// A control plane that must observe the machine at exact virtual
+    /// times calls `run_until` up to each of its boundaries and acts
+    /// between the calls (through [`Engine::app_mut`] and `Hw::m`).
     pub fn run_until(&mut self, hw: &mut Hw<'_>, until_ns: f64) {
-        if self.control_hook.is_some() {
-            while self.next_control_ns <= until_ns {
-                let boundary = self.next_control_ns;
-                self.catch_up(hw, boundary);
-                self.fire_control(hw, boundary);
-                self.next_control_ns += self.control_period_ns;
+        if self.epoch_due(hw, until_ns) {
+            self.run_epoch(hw, until_ns, false);
+        } else {
+            for w in 0..self.cfg.workers.len() {
+                if self.free_ns[w] < until_ns {
+                    self.idle_to(hw, w, until_ns);
+                }
             }
         }
-        self.catch_up(hw, until_ns);
     }
 
     /// The dispatch rule: whether an epoch is due before horizon `h`.
@@ -1048,58 +993,6 @@ impl<A: QueueApp> Engine<A> {
     fn epoch_due(&self, hw: &Hw<'_>, h: f64) -> bool {
         self.cfg.scheduler == Scheduler::ReferenceTick
             || (0..self.cfg.workers.len()).any(|w| self.free_ns[w] < h && self.worker_busy(hw, w))
-    }
-
-    /// Scheduler-dispatched catch-up to horizon `h` (the whole of
-    /// `run_until` when no control hook is installed): an epoch when
-    /// one is due ([`Engine::epoch_due`]), else the idle branch alone.
-    fn catch_up(&mut self, hw: &mut Hw<'_>, h: f64) {
-        if self.epoch_due(hw, h) {
-            self.run_epoch(hw, h, false);
-        } else {
-            for w in 0..self.cfg.workers.len() {
-                if self.free_ns[w] < h {
-                    self.idle_to(hw, w, h);
-                }
-            }
-        }
-    }
-
-    /// Fires the control hook at boundary time `t`.
-    fn fire_control(&mut self, hw: &mut Hw<'_>, t: f64) {
-        let Some(mut hook) = self.control_hook.take() else {
-            return;
-        };
-        self.run_hook(hw, |apps, mc| hook(apps, mc, t));
-        self.control_hook = Some(hook);
-    }
-
-    /// Runs a coordinator hook (epoch or control) on the merged
-    /// machine. Timed work the hook performs on a worker's core (e.g. a
-    /// batched migration) occupies that core: the hook's clock delta on
-    /// each core lands on the owning worker's free-at time, so its next
-    /// poll starts after the batch.
-    fn run_hook<R>(
-        &mut self,
-        hw: &mut Hw<'_>,
-        hook: impl FnOnce(&mut [A], &mut MergeCtx<'_>) -> R,
-    ) -> R {
-        self.hook_clocks.clear();
-        self.hook_clocks
-            .extend(self.cfg.workers.iter().map(|s| hw.m.now(s.core)));
-        let mut mc = MergeCtx {
-            pool: hw.pool,
-            m: hw.m,
-            app_drops: &mut self.app_drops,
-        };
-        let out = hook(&mut self.apps, &mut mc);
-        for (w, &start) in self.hook_clocks.iter().enumerate() {
-            let delta = hw.m.now(self.cfg.workers[w].core) - start;
-            if delta > 0 {
-                self.free_ns[w] += delta as f64 * self.ns_per_cycle;
-            }
-        }
-        out
     }
 
     /// One poll round over every worker with pending work, then a clock
@@ -1270,18 +1163,18 @@ impl<A: QueueApp> Engine<A> {
                         hw.pool.put(mb);
                     }
                     freed_at = p.freed;
-                    self.app_drops[aq] += p.dropped;
+                    let l = &mut self.ledger[aq];
+                    l.app_drops += p.dropped;
                     let tx = &b.tx[tx_at..p.tx];
                     tx_at = p.tx;
                     if p.tx_stalled {
                         for d in tx {
                             hw.pool.put(d.mbuf);
                         }
-                        self.nic[aq].tx_stall += tx.len() as u64;
+                        l.nic.tx_stall += tx.len() as u64;
                     } else if !tx.is_empty() {
                         hw.port.tx_commit(hw.pool, tx);
-                        self.delivered += tx.len() as u64;
-                        self.delivered_q[aq] += tx.len() as u64;
+                        l.delivered += tx.len() as u64;
                         for d in tx {
                             self.tx_wire_bits += trafficgen::arrival::wire_bits(d.len);
                         }
@@ -1309,13 +1202,30 @@ impl<A: QueueApp> Engine<A> {
                 self.idle_to(hw, w, horizon_ns);
             }
         }
-        // 4. Cross-worker handoff, with the machine fully merged. Hooks
-        // at workless epochs are no-ops (DESIGN §3f), so the hook's
-        // clock fold never moves a clock when nothing happened — the
-        // schedulers' epochs-with-work coincide and stay bit-identical.
-        if let Some(mut hook) = self.epoch_hook.take() {
-            moved += self.run_hook(hw, &mut hook);
-            self.epoch_hook = Some(hook);
+        // 4. Cross-worker handoff, with the machine fully merged. Timed
+        // work the hook performs on a worker's core (e.g. a batched
+        // migration) occupies that core: the hook's clock delta on each
+        // core lands on the owning worker's free-at time, so its next
+        // poll starts after the batch. Hooks at workless epochs are
+        // no-ops (DESIGN §3f), so the fold never moves a clock when
+        // nothing happened — the schedulers' epochs-with-work coincide
+        // and stay bit-identical.
+        if let Some(hook) = self.epoch_hook.as_mut() {
+            self.hook_clocks.clear();
+            self.hook_clocks
+                .extend(self.cfg.workers.iter().map(|s| hw.m.now(s.core)));
+            let mut mc = MergeCtx {
+                pool: hw.pool,
+                m: hw.m,
+                ledger: &mut self.ledger,
+            };
+            moved += hook(&mut self.apps, &mut mc);
+            for (w, &start) in self.hook_clocks.iter().enumerate() {
+                let delta = hw.m.now(self.cfg.workers[w].core) - start;
+                if delta > 0 {
+                    self.free_ns[w] += delta as f64 * self.ns_per_cycle;
+                }
+            }
         }
         moved
     }
@@ -1325,84 +1235,20 @@ impl<A: QueueApp> Engine<A> {
     /// returns the report plus the per-worker applications. Does *not*
     /// drain — open-loop callers should [`Engine::drain`] first;
     /// closed-loop callers end with requests legitimately in flight.
-    pub fn finish(self, hw: &mut Hw<'_>) -> (EngineReport, Vec<A>) {
+    pub fn finish(mut self, hw: &mut Hw<'_>) -> (EngineReport, Vec<A>) {
         hw.pool.set_outage(false);
-        let queues = self.nic.len();
-        let per_queue: Vec<QueueLedger> = (0..queues)
-            .map(|q| QueueLedger {
-                offered: self.offered_q[q],
-                carried: self.carried[q],
-                delivered: self.delivered_q[q],
-                nic: self.nic[q],
-                admit: self.admit[q],
-                app_drops: self.app_drops[q],
-                in_flight: hw.port.ready_count(q) as u64,
-            })
-            .collect();
-        for (q, l) in per_queue.iter().enumerate() {
-            assert_eq!(
-                l.offered + l.carried,
-                l.delivered + l.nic.total() + l.admit.total() + l.app_drops + l.in_flight,
-                "queue {q} conservation: offered {} + carried {} != delivered {} \
-                 + nic [{}] + admit [{}] + app {} + in_flight {}",
-                l.offered,
-                l.carried,
-                l.delivered,
-                l.nic,
-                l.admit,
-                l.app_drops,
-                l.in_flight
-            );
+        for (q, l) in self.ledger.iter_mut().enumerate() {
+            l.in_flight = hw.port.ready_count(q) as u64;
+            assert!(l.balances(), "queue {q} conservation violated: {l:?}");
         }
-        // Group ledgers: sum the per-queue ledgers of each report group
-        // and assert the same double-entry identity per group. With the
-        // per-queue identities already proven, the group sums inherit
-        // conservation by construction — the assert documents (and pins)
-        // that the groups *partition* the aggregate rather than sample it.
-        let per_group: Vec<QueueLedger> = if self.queue_groups.is_empty() {
-            Vec::new()
-        } else {
-            let n = self.queue_groups.iter().max().unwrap() + 1;
-            (0..n)
-                .map(|g| {
-                    let qs = || (0..queues).filter(|&q| self.queue_groups[q] == g);
-                    QueueLedger {
-                        offered: qs().map(|q| per_queue[q].offered).sum(),
-                        carried: qs().map(|q| per_queue[q].carried).sum(),
-                        delivered: qs().map(|q| per_queue[q].delivered).sum(),
-                        nic: NicDrops::sum(qs().map(|q| &per_queue[q].nic)),
-                        admit: AdmitDrops::sum(qs().map(|q| &per_queue[q].admit)),
-                        app_drops: qs().map(|q| per_queue[q].app_drops).sum(),
-                        in_flight: qs().map(|q| per_queue[q].in_flight).sum(),
-                    }
-                })
-                .collect()
-        };
-        for (g, l) in per_group.iter().enumerate() {
-            assert_eq!(
-                l.offered + l.carried,
-                l.delivered + l.nic.total() + l.admit.total() + l.app_drops + l.in_flight,
-                "group {g} conservation"
-            );
-        }
-        let nic = NicDrops::sum(per_queue.iter().map(|l| &l.nic));
-        let admit = AdmitDrops::sum(per_queue.iter().map(|l| &l.admit));
-        let app_drops: u64 = per_queue.iter().map(|l| l.app_drops).sum();
-        let in_flight: u64 = per_queue.iter().map(|l| l.in_flight).sum();
-        let carried: u64 = self.carried.iter().sum();
-        assert_eq!(
-            self.offered + carried,
-            self.delivered + nic.total() + admit.total() + app_drops + in_flight,
-            "conservation violated: offered {} + carried {carried} != delivered {} \
-             + nic [{nic}] + admit [{admit}] + app {app_drops} + in_flight {in_flight}",
-            self.offered,
-            self.delivered,
-        );
+        let total = QueueLedger::sum(&self.ledger);
+        assert!(total.balances(), "conservation violated: {total:?}");
         // Cross-check the engine's classification against the NIC's own
         // counters (deltas over this run).
+        let nic = total.nic;
         let s = hw.port.stats();
         let b = self.base_stats;
-        assert_eq!(self.delivered, s.tx_pkts - b.tx_pkts, "tx accounting");
+        assert_eq!(total.delivered, s.tx_pkts - b.tx_pkts, "tx accounting");
         assert_eq!(
             nic.nodesc + nic.pool_starved,
             s.rx_nodesc - b.rx_nodesc,
@@ -1418,20 +1264,19 @@ impl<A: QueueApp> Engine<A> {
             "ready-overrun accounting"
         );
         let report = EngineReport {
-            offered: self.offered,
-            carried,
-            delivered: self.delivered,
+            offered: total.offered,
+            carried: total.carried,
+            delivered: total.delivered,
             nic,
-            admit,
-            app_drops,
-            in_flight,
-            per_queue,
-            per_group,
+            admit: total.admit,
+            app_drops: total.app_drops,
+            in_flight: total.in_flight,
             duration_ns: self.now_ns().max(1.0),
             last_arrival_ns: self.last_arrival_ns,
             offered_wire_bits: self.offered_wire_bits,
             tx_wire_bits: self.tx_wire_bits,
             sched: self.sched,
+            per_queue: self.ledger,
         };
         self.sched.add_to_totals();
         (report, self.apps)
@@ -1559,130 +1404,13 @@ mod tests {
         assert_eq!(rep.offered, rep.delivered + rep.nic.total() + rep.app_drops);
     }
 
-    /// Offers a steady trickle with a 1 µs control hook installed and
-    /// returns (boundary times seen, report).
-    fn run_with_control(scheduler: Scheduler, execution: Execution) -> (Vec<f64>, EngineReport) {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let (mut m, mut pool, mut port) = setup(2, 32);
-        let mut policy = rte::nic::FixedHeadroom(128);
-        let mut hw = Hw {
-            m: &mut m,
-            port: &mut port,
-            pool: &mut pool,
-            policy: &mut policy,
-        };
-        let mut eng = Engine::new(
-            echo_apps(300, 2),
-            EngineConfig {
-                workers: WorkerSpec::run_to_completion(2),
-                queue_depth: 32,
-                burst: 8,
-                faults: FaultPlan::none(),
-                execution,
-                admission: AdmissionPolicy::AcceptAll,
-                scheduler,
-            },
-            &mut hw,
-        );
-        let seen = Rc::new(RefCell::new(Vec::new()));
-        let log = Rc::clone(&seen);
-        eng.set_control_hook(
-            1_000.0,
-            Box::new(move |apps, _mc, t| {
-                assert_eq!(apps.len(), 2);
-                log.borrow_mut().push(t);
-            }),
-        );
-        for i in 0..40u32 {
-            // Irregular gaps so horizons cross boundaries mid-stride.
-            let t = i as f64 * 137.0;
-            let _ = eng.offer(&mut hw, &flow(i), &[0u8; 64], t);
-        }
-        eng.run_until(&mut hw, 6_500.0);
-        eng.drain(&mut hw);
-        let (rep, _) = eng.finish(&mut hw);
-        (Rc::try_unwrap(seen).unwrap().into_inner(), rep)
-    }
-
-    #[test]
-    fn control_hook_fires_at_exact_boundaries_under_both_schedulers() {
-        // 40 arrivals spread to ~5.3 µs, final horizon 6.5 µs: every
-        // multiple of the 1 µs period up to 6 µs must fire, exactly
-        // once, at exactly the boundary time — independent of which
-        // scheduler dispatched the epochs in between.
-        let (ref_times, ref_rep) = run_with_control(Scheduler::ReferenceTick, Execution::Serial);
-        assert_eq!(
-            ref_times,
-            vec![1_000.0, 2_000.0, 3_000.0, 4_000.0, 5_000.0, 6_000.0]
-        );
-        for scheduler in [Scheduler::EventDriven, Scheduler::ReferenceTick] {
-            for execution in [Execution::Serial, Execution::Parallel { threads: 2 }] {
-                let (times, rep) = run_with_control(scheduler, execution);
-                assert_eq!(times, ref_times, "{scheduler:?}/{execution:?} boundaries");
-                // Everything but the scheduler counters is bit-identical.
-                assert_eq!(rep.per_queue, ref_rep.per_queue);
-                assert_eq!(rep.duration_ns, ref_rep.duration_ns);
-                assert_eq!(rep.delivered, ref_rep.delivered);
-            }
-        }
-    }
-
-    #[test]
-    fn control_hook_timed_work_lands_in_busy_time() {
-        // A hook that burns cycles on a worker's core must push that
-        // worker's free-at time (and so the run duration) forward, the
-        // same accounting as epoch-hook time.
-        let run = |burn: u64| {
-            let (mut m, mut pool, mut port) = setup(1, 32);
-            let mut policy = rte::nic::FixedHeadroom(128);
-            let mut hw = Hw {
-                m: &mut m,
-                port: &mut port,
-                pool: &mut pool,
-                policy: &mut policy,
-            };
-            let mut eng = Engine::new(
-                echo_apps(300, 1),
-                EngineConfig {
-                    workers: WorkerSpec::run_to_completion(1),
-                    queue_depth: 32,
-                    burst: 8,
-                    faults: FaultPlan::none(),
-                    execution: Execution::Serial,
-                    admission: AdmissionPolicy::AcceptAll,
-                    scheduler: Scheduler::default(),
-                },
-                &mut hw,
-            );
-            eng.set_control_hook(
-                500.0,
-                Box::new(move |_apps, mc, _t| {
-                    mc.m.advance(0, burn);
-                }),
-            );
-            for i in 0..10u32 {
-                let _ = eng.offer(&mut hw, &flow(i), &[0u8; 64], i as f64 * 100.0);
-            }
-            eng.run_until(&mut hw, 2_000.0);
-            eng.drain(&mut hw);
-            eng.finish(&mut hw).0.duration_ns
-        };
-        let idle_hook = run(0);
-        let busy_hook = run(50_000);
-        assert!(
-            busy_hook > idle_hook,
-            "hook cycles must extend busy time: {busy_hook} vs {idle_hook}"
-        );
-    }
-
-    /// The event-driven dispatch rule: a catch-up runs an epoch only
+    /// The event-driven dispatch rule: `run_until` runs an epoch only
     /// when a busy worker is free *strictly* before the horizon.
     /// Otherwise it runs the idle branch alone — no epoch, no hook
     /// call — and that branch still re-arms a ring an outage left
     /// under-posted.
     #[test]
-    fn catch_up_dispatches_only_for_a_busy_worker_strictly_behind_the_horizon() {
+    fn run_until_dispatches_only_for_a_busy_worker_strictly_behind_the_horizon() {
         use std::cell::Cell;
         use std::rc::Rc;
         let (mut m, mut pool, mut port) = setup(1, 64);
@@ -1742,7 +1470,11 @@ mod tests {
         let before = dispatched(&eng);
         eng.run_until(&mut hw, 2e6);
         assert_eq!(hw.port.posted_count(0), 64, "the idle branch re-arms");
-        assert_eq!(dispatched(&eng), before, "idle catch-up dispatches nothing");
+        assert_eq!(
+            dispatched(&eng),
+            before,
+            "idle run_until dispatches nothing"
+        );
         assert_eq!(eng.now_ns(), 2e6);
         // `step` follows the same rule: nothing is due, so it moves
         // nothing, and it and `drain` dispatch no epoch and call no hook.
@@ -1750,63 +1482,6 @@ mod tests {
         eng.drain(&mut hw);
         assert_eq!(dispatched(&eng), before, "idle step dispatches nothing");
         assert_eq!(eng.now_ns(), 2e6);
-    }
-
-    #[test]
-    fn queue_groups_partition_the_aggregate() {
-        let (mut m, mut pool, mut port) = setup(4, 32);
-        let mut policy = rte::nic::FixedHeadroom(128);
-        let mut hw = Hw {
-            m: &mut m,
-            port: &mut port,
-            pool: &mut pool,
-            policy: &mut policy,
-        };
-        let mut eng = Engine::new(
-            echo_apps(300, 4),
-            EngineConfig {
-                workers: WorkerSpec::run_to_completion(4),
-                queue_depth: 32,
-                burst: 8,
-                faults: FaultPlan::none(),
-                execution: Execution::Serial,
-                admission: AdmissionPolicy::AcceptAll,
-                scheduler: Scheduler::default(),
-            },
-            &mut hw,
-        );
-        eng.set_queue_groups(vec![0, 0, 1, 1]);
-        for i in 0..400u32 {
-            let _ = eng.offer(&mut hw, &flow(i), &[0u8; 64], i as f64 * 20.0);
-        }
-        eng.drain(&mut hw);
-        let (rep, _) = eng.finish(&mut hw);
-        assert_eq!(rep.per_group.len(), 2);
-        for (field, agg) in [
-            (
-                rep.per_group.iter().map(|g| g.offered).sum::<u64>(),
-                rep.offered,
-            ),
-            (
-                rep.per_group.iter().map(|g| g.delivered).sum::<u64>(),
-                rep.delivered,
-            ),
-            (
-                rep.per_group.iter().map(|g| g.in_flight).sum::<u64>(),
-                rep.in_flight,
-            ),
-        ] {
-            assert_eq!(field, agg, "groups must partition the aggregate");
-        }
-        assert_eq!(
-            rep.per_group.iter().map(|g| g.nic.total()).sum::<u64>(),
-            rep.nic.total()
-        );
-        // Group 0 == queues {0,1}, group 1 == queues {2,3}.
-        assert_eq!(
-            rep.per_group[0].offered,
-            rep.per_queue[0].offered + rep.per_queue[1].offered
-        );
     }
 
     /// Drives the same hopeless 20 Mpps overload as

@@ -12,9 +12,7 @@
 //! (NFV chain, pipelined chain, KVS) get the same treatment in the
 //! workspace-level `tests/determinism.rs`.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 use engine::{
     AdmissionPolicy, Ctx, Engine, EngineConfig, EngineReport, Execution, Hw, MergeCtx, QueueApp,
@@ -554,17 +552,20 @@ fn stateful_economics_hook_is_bit_identical_across_modes_and_schedulers() {
 /// Lines in the table [`ControlledApp`] reads: 4 MiB, which fits the
 /// LLC under a full CAT mask but not under a two-way one.
 const TABLE_LINES: u32 = 1 << 16;
+/// Workers (and queues) of [`run_controlled`].
+const WORKERS: usize = 4;
 
 /// An app shaped like the engine's two control-plane users. It serves
 /// packets with table reads whose LLC fills obey the core's CAT mask
-/// (set by the control hook, as `tenancy` does), and runs work items
-/// the hook pushes into its backlog, logging when each one completes.
+/// (set by the control step, as `tenancy` does), and runs work items
+/// the control step pushes into its backlog, logging when each one
+/// completes.
 struct ControlledApp {
     table: Region,
     rng: Rng64,
-    /// Packets served since the hook last drained this app.
+    /// Packets served since the control step last drained this app.
     served: u64,
-    /// Work items the hook pushed, waiting for `pump`.
+    /// Work items the control step pushed, waiting for `pump`.
     backlog: VecDeque<u64>,
     /// (item, completion time) per pumped item. The test drains it
     /// after every bare catch-up, as `kvs::openloop` drains outcomes.
@@ -604,10 +605,10 @@ impl QueueApp for ControlledApp {
 }
 
 /// Everything a controlled run observes: the report minus the
-/// scheduler counters, what the hook saw at each boundary (time, served
-/// count per app), the completions drained after each bare catch-up
-/// (offer index, worker, item, time), and each app's final
-/// `(served, backlog, done)`.
+/// scheduler counters, what the control step saw at each boundary
+/// (time, served count per app), the completions drained after each
+/// bare catch-up (offer index, worker, item, time), and each app's
+/// final `(served, backlog, done)`.
 type ControlledRun = (
     EngineReport,
     Vec<(f64, Vec<u64>)>,
@@ -615,21 +616,58 @@ type ControlledRun = (
     Vec<(u64, Vec<u64>, Vec<(u64, f64)>)>,
 );
 
-/// Drives the engine the way its control-plane front-ends do. A 2 µs
-/// control hook — like `tenancy`'s isolation controller — drains each
-/// app's served count, narrows that core's CAT mask to two ways when
-/// the count reached 2 (else restores it), pushes one follow-up item
-/// per served packet into the app's backlog and charges cycles on one
-/// worker core. Between arrivals the test makes bare
-/// [`Engine::run_until`] calls at retry-timer times and drains
-/// completions, as `kvs::openloop` does.
+/// The caller-driven control plane of [`run_controlled`], run every
+/// 2 µs of virtual time like `tenancy`'s isolation controller.
+struct Control {
+    /// The next boundary (ns).
+    next_ns: f64,
+    full_mask: u64,
+    next_item: u64,
+    /// (boundary, served count per app) at every boundary.
+    log: Vec<(f64, Vec<u64>)>,
+}
+
+impl Control {
+    const PERIOD_NS: f64 = 2_000.0;
+
+    /// Runs the engine to every boundary up to `t` and acts at each:
+    /// drains each app's served count, narrows that core's CAT mask to
+    /// two ways when the count reached 2 (else restores it), and pushes
+    /// one follow-up item per served packet into the app's backlog.
+    fn cross(&mut self, eng: &mut Engine<ControlledApp>, hw: &mut Hw<'_>, t: f64) {
+        while self.next_ns <= t {
+            eng.run_until(hw, self.next_ns);
+            let mut window = Vec::new();
+            for w in 0..WORKERS {
+                let app = eng.app_mut(w);
+                let served = std::mem::take(&mut app.served);
+                app.backlog.extend(self.next_item..self.next_item + served);
+                self.next_item += served;
+                // Worker w runs on core w (run to completion).
+                hw.m.set_cat_mask(w, if served >= 2 { 0b11 } else { self.full_mask });
+                window.push(served);
+            }
+            self.log.push((self.next_ns, window));
+            self.next_ns += Self::PERIOD_NS;
+        }
+    }
+}
+
+/// Drives the engine the way its control-plane front-ends do: before
+/// every arrival, [`Control::cross`] runs the engine to each control
+/// boundary the arrival passes and acts there, as `tenancy` does, and
+/// between arrivals the test makes bare [`Engine::run_until`] calls at
+/// retry-timer times and drains completions, as `kvs::openloop` does.
 fn run_controlled(execution: Execution, scheduler: Scheduler) -> ControlledRun {
-    const WORKERS: usize = 4;
     const DEPTH: usize = 32;
-    const CONTROL_NS: f64 = 2_000.0;
     let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(64 << 20));
     let table = m.mem_mut().alloc(TABLE_LINES as usize * 64, 4096).unwrap();
-    let full_mask = (1u64 << m.config().llc_slice.ways) - 1;
+    let mut control = Control {
+        next_ns: Control::PERIOD_NS,
+        full_mask: (1u64 << m.config().llc_slice.ways) - 1,
+        next_item: 0,
+        log: Vec::new(),
+    };
     let mut pool = MbufPool::create(&mut m, (4 * WORKERS * DEPTH) as u32, 128, 2048).unwrap();
     let mut port = Port::new(0, Steering::Rss(Rss::new(WORKERS)), DEPTH);
     let mut policy = FixedHeadroom(128);
@@ -658,28 +696,6 @@ fn run_controlled(execution: Execution, scheduler: Scheduler) -> ControlledRun {
         scheduler,
     };
     let mut eng = Engine::new(apps, cfg, &mut hw);
-    let hook_log = Rc::new(RefCell::new(Vec::new()));
-    let log = Rc::clone(&hook_log);
-    let mut next_item = 0u64;
-    eng.set_control_hook(
-        CONTROL_NS,
-        Box::new(
-            move |apps: &mut [ControlledApp], mc: &mut MergeCtx<'_>, t: f64| {
-                let mut window = Vec::new();
-                for (w, app) in apps.iter_mut().enumerate() {
-                    // Worker w runs on core w (run to completion).
-                    let served = std::mem::take(&mut app.served);
-                    mc.m.set_cat_mask(w, if served >= 2 { 0b11 } else { full_mask });
-                    app.backlog.extend(next_item..next_item + served);
-                    next_item += served;
-                    window.push(served);
-                }
-                let core = (t / CONTROL_NS) as usize % WORKERS;
-                mc.m.advance(core, 400);
-                log.borrow_mut().push((t, window));
-            },
-        ),
-    );
     let mut rng = Rng64::seed_from_u64(0xc0de_0b5e);
     let mut frame = vec![0u8; 128];
     let mut drained = Vec::new();
@@ -693,11 +709,13 @@ fn run_controlled(execution: Execution, scheduler: Scheduler) -> ControlledRun {
             443,
         );
         frame[0] = i as u8;
+        control.cross(&mut eng, &mut hw, t);
         let _ = eng.offer(&mut hw, &f, &frame, t);
         t_next = t + rng.gen_range(2u32..800) as f64;
         if rng.gen_range(0u32..3) == 0 {
             // A retry timer strictly between this arrival and the next.
             let te = t + rng.gen_range(1..(t_next - t) as u32) as f64;
+            control.cross(&mut eng, &mut hw, te);
             eng.run_until(&mut hw, te);
             for w in 0..WORKERS {
                 let done = std::mem::take(&mut eng.app_mut(w).done);
@@ -706,8 +724,10 @@ fn run_controlled(execution: Execution, scheduler: Scheduler) -> ControlledRun {
         }
     }
     // Past the last arrival by two control periods: every boundary
-    // that saw traffic has fired.
-    eng.run_until(&mut hw, t_next + 2.0 * CONTROL_NS);
+    // that saw traffic has been crossed.
+    let t_end = t_next + 2.0 * Control::PERIOD_NS;
+    control.cross(&mut eng, &mut hw, t_end);
+    eng.run_until(&mut hw, t_end);
     eng.drain(&mut hw);
     let (mut rep, apps) = eng.finish(&mut hw);
     rep.sched = SchedStats::default();
@@ -715,26 +735,25 @@ fn run_controlled(execution: Execution, scheduler: Scheduler) -> ControlledRun {
         .into_iter()
         .map(|a| (a.served, a.backlog.into_iter().collect(), a.done))
         .collect();
-    let hooks = Rc::try_unwrap(hook_log).unwrap().into_inner();
-    (rep, hooks, drained, states)
+    (rep, control.log, drained, states)
 }
 
-/// The oracle for the engine's control-plane users. With a hook that
-/// does timed work, reprograms CAT masks and creates backlog at fixed
-/// boundaries, and with bare catch-ups between arrivals, the
+/// The oracle for the engine's control-plane users. With a caller that
+/// reprograms CAT masks and creates backlog at fixed boundaries between
+/// `run_until` calls, and with bare catch-ups between arrivals, the
 /// event-driven scheduler must match the reference tick-stepper in
 /// every execution mode: the report (scheduler counters aside), the
-/// hook's observations, every completion time drained between
+/// control step's observations, every completion time drained between
 /// arrivals, and each app's final state.
 #[test]
 fn control_hook_and_bare_catch_ups_match_reference_tick_stepper() {
     let reference = run_controlled(Execution::Serial, Scheduler::ReferenceTick);
-    let (_, hooks, drained, _) = &reference;
+    let (_, controls, drained, _) = &reference;
     assert!(
-        hooks
+        controls
             .iter()
             .any(|(_, window)| window.iter().any(|&n| n >= 2)),
-        "the hook must push backlog and narrow a CAT mask for this test to mean anything"
+        "the control step must push backlog and narrow a CAT mask for this test to mean anything"
     );
     assert!(
         !drained.is_empty(),
@@ -746,10 +765,10 @@ fn control_hook_and_bare_catch_ups_match_reference_tick_stepper() {
             Execution::Parallel { threads: 2 },
             Execution::Parallel { threads: 4 },
         ] {
-            let (rep, hooks, drained, states) = run_controlled(execution, scheduler);
+            let (rep, controls, drained, states) = run_controlled(execution, scheduler);
             let at = format!("{scheduler:?}/{execution:?} vs serial reference tick-stepper");
             assert_eq!(rep, reference.0, "{at}: report");
-            assert_eq!(hooks, reference.1, "{at}: hook observations");
+            assert_eq!(controls, reference.1, "{at}: control observations");
             assert_eq!(
                 drained, reference.2,
                 "{at}: completions seen between arrivals"

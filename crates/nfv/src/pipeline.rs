@@ -298,9 +298,9 @@ pub fn run_pipeline(
         for h in outbox.drain(..) {
             moved += 1;
             if let Err(h) = inbox.enqueue(h) {
-                // Ring full: backpressure. The ring counted the drop;
-                // the engine counts it as an application drop and
-                // recycles the mbuf into queue 0's pool accounting.
+                // Ring full: backpressure. The engine counts the drop
+                // as an application drop on queue 0 and recycles the
+                // mbuf.
                 mc.drop_packet(0, h.comp.mbuf);
             }
         }

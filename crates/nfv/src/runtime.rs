@@ -316,7 +316,6 @@ pub struct Testbed {
     policy: Box<dyn HeadroomPolicy>,
     engine: Engine<ChainApp>,
     lpm: Option<Arc<Lpm>>,
-    fdir_rr: usize,
     seq: u64,
     scratch: Vec<u8>,
 }
@@ -435,7 +434,6 @@ impl Testbed {
         Ok(Self {
             seq: 0,
             scratch: vec![0u8; 2048],
-            fdir_rr: 0,
             cfg,
             pool,
             policy,
@@ -453,26 +451,21 @@ impl Testbed {
 
     /// Offers one frame at `t_ns`; drops count toward the result.
     pub fn offer(&mut self, flow: &FlowTuple, size: u16, t_ns: f64) {
-        // Metron's controller: install the FlowDirector rule with the
-        // routing decision as mark (control plane, untimed). This runs
-        // before the engine routes the frame, so the rule applies to it
-        // and a flow without a rule has never been routed.
+        // Metron's controller: give a new flow its round-robin queue and
+        // re-install the rule with the routing decision as mark (control
+        // plane, untimed). This runs before the engine routes the frame,
+        // so the rule applies to it and a flow without a rule has never
+        // been routed.
         if let ChainSpec::RouterNaptLb { offload: true, .. } = self.cfg.chain {
             if let Steering::FlowDirector(fd) = self.port.steering_mut() {
                 if !fd.has_rule(flow) {
+                    let queue = fd.action_for(flow).queue;
                     let mark = self
                         .lpm
                         .as_ref()
                         .and_then(|l| l.lookup_untimed(&self.m, flow.dst_ip))
                         .map(u32::from);
-                    fd.set_rule(
-                        *flow,
-                        FdirAction {
-                            queue: self.fdir_rr,
-                            mark,
-                        },
-                    );
-                    self.fdir_rr = (self.fdir_rr + 1) % self.cfg.cores;
+                    fd.set_rule(*flow, FdirAction { queue, mark });
                 }
             }
         }

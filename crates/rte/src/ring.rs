@@ -2,8 +2,8 @@
 //!
 //! DPDK queues are lockless multi-producer rings; the simulation is
 //! single-threaded per construction (cores are simulated), so a bounded
-//! deque with burst operations models the same behaviour: fixed capacity,
-//! tail drops, and burst enqueue/dequeue.
+//! deque models the same behaviour: fixed capacity, tail drops (the
+//! caller counts the `Err`s), and burst dequeue.
 
 use std::collections::VecDeque;
 
@@ -12,7 +12,6 @@ use std::collections::VecDeque;
 pub struct Ring<T> {
     buf: VecDeque<T>,
     cap: usize,
-    drops: u64,
 }
 
 impl<T> Ring<T> {
@@ -26,7 +25,6 @@ impl<T> Ring<T> {
         Self {
             buf: VecDeque::with_capacity(cap),
             cap,
-            drops: 0,
         }
     }
 
@@ -45,16 +43,10 @@ impl<T> Ring<T> {
         self.buf.len() == self.cap
     }
 
-    /// Elements dropped by failed enqueues.
-    pub fn drops(&self) -> u64 {
-        self.drops
-    }
-
     /// Enqueues one element; on a full ring the element is dropped and
-    /// returned as `Err` (tail drop), with the drop counted.
+    /// returned as `Err` (tail drop) for the caller to count.
     pub fn enqueue(&mut self, v: T) -> Result<(), T> {
         if self.is_full() {
-            self.drops += 1;
             Err(v)
         } else {
             self.buf.push_back(v);
@@ -67,31 +59,11 @@ impl<T> Ring<T> {
         self.buf.pop_front()
     }
 
-    /// Dequeues up to `n` elements.
-    pub fn dequeue_burst(&mut self, n: usize) -> Vec<T> {
-        let mut out = Vec::new();
-        self.dequeue_burst_into(n, &mut out);
-        out
-    }
-
     /// Dequeues up to `n` elements onto the end of `out`, a buffer the
     /// caller reuses across bursts.
     pub fn dequeue_burst_into(&mut self, n: usize, out: &mut Vec<T>) {
         let take = n.min(self.buf.len());
         out.extend(self.buf.drain(..take));
-    }
-
-    /// Enqueues a burst, stopping at the first failure; returns how many
-    /// were accepted (like `rte_ring_enqueue_burst`).
-    pub fn enqueue_burst<I: IntoIterator<Item = T>>(&mut self, items: I) -> usize {
-        let mut n = 0;
-        for v in items {
-            if self.enqueue(v).is_err() {
-                break;
-            }
-            n += 1;
-        }
-        n
     }
 }
 
@@ -115,24 +87,30 @@ mod tests {
         assert!(r.enqueue(1).is_ok());
         assert!(r.enqueue(2).is_ok());
         assert_eq!(r.enqueue(3), Err(3));
-        assert_eq!(r.drops(), 1);
         assert!(r.is_full());
+        assert_eq!(r.len(), 2, "a tail drop leaves the ring as it was");
     }
 
     #[test]
     fn burst_ops() {
         let mut r = Ring::new(3);
-        let accepted = r.enqueue_burst([1, 2, 3, 4, 5]);
-        assert_eq!(accepted, 3);
-        assert_eq!(r.dequeue_burst(2), vec![1, 2]);
-        assert_eq!(r.dequeue_burst(10), vec![3]);
+        let drops = (1..=5).filter(|&v| r.enqueue(v).is_err()).count();
+        assert_eq!(drops, 2, "the ring holds 3 of 5");
+        let mut out = Vec::new();
+        r.dequeue_burst_into(2, &mut out);
+        assert_eq!(out, vec![1, 2]);
+        out.clear();
+        r.dequeue_burst_into(10, &mut out);
+        assert_eq!(out, vec![3]);
         assert!(r.is_empty());
     }
 
     #[test]
     fn dequeue_burst_into_appends_in_fifo_order() {
         let mut r = Ring::new(3);
-        r.enqueue_burst([4, 5, 6]);
+        for v in [4, 5, 6] {
+            r.enqueue(v).unwrap();
+        }
         let mut out = vec![9];
         r.dequeue_burst_into(2, &mut out);
         assert_eq!(out, vec![9, 4, 5]);
@@ -145,7 +123,9 @@ mod tests {
     fn len_tracking() {
         let mut r = Ring::new(8);
         assert_eq!(r.len(), 0);
-        r.enqueue_burst(0..5);
+        for v in 0..5 {
+            r.enqueue(v).unwrap();
+        }
         assert_eq!(r.len(), 5);
         r.dequeue();
         assert_eq!(r.len(), 4);

@@ -72,7 +72,7 @@ pub(crate) struct TenantApp<'s> {
     /// xorshift64 state for the random pressure walk.
     pub(crate) rng: u64,
     /// Sojourn latency (serve completion − offer time, ns) of every
-    /// served frame, in processing order — drained by the control hook.
+    /// served frame, in processing order — drained by the control step.
     pub(crate) latencies: Vec<f64>,
     /// Frames that produced a response.
     pub(crate) served_ok: u64,

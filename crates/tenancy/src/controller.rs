@@ -5,8 +5,9 @@
 //! The controller is deliberately split from the harness: this module
 //! holds the pure *decision* logic — a function of the observations fed
 //! to [`IsolationController::observe`] and nothing else — while
-//! [`crate::run`] feeds it from the engine's control hook and applies
-//! the returned [`ControlAction`]s to the machine. Purity is what makes
+//! [`crate::run`] feeds it at every control boundary, between the
+//! engine's `run_until` calls, and applies the returned
+//! [`ControlAction`]s to the machine. Purity is what makes
 //! the loop deterministic across execution modes: the
 //! observations (windowed latency percentiles, uncore fill deltas) are
 //! bit-identical in every mode, so the decision sequence is too.

@@ -16,7 +16,9 @@
 //!   and its typed error ([`ControlError`]).
 //! * [`apps`] — the per-worker tenant services and the phased
 //!   noisy-neighbour arrival process ([`PhasedGaps`]).
-//! * [`run`] — the chaos harness: scenario, control hook, reports.
+//! * [`run`] — the chaos harness: scenario, the control loop it runs
+//!   between the engine's `run_until` calls, per-tenant ledgers and
+//!   reports.
 //!
 //! Everything is deterministic: [`run::run_tenancy`] reports are
 //! bit-identical across execution modes.

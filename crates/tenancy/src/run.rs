@@ -1,6 +1,6 @@
 //! The multi-tenant chaos harness: three tenants on one socket, a
-//! noisy-neighbour storm schedule, and the isolation controller in the
-//! engine's control loop.
+//! noisy-neighbour storm schedule, and the isolation controller in a
+//! control loop the harness runs between engine calls.
 //!
 //! # Scenario
 //!
@@ -47,17 +47,19 @@
 //!
 //! # Determinism
 //!
-//! Control epochs fire at fixed virtual times whatever epochs the
-//! engine dispatches in between; observations are derived from merged
-//! machine state and canonical-order latency logs; the controller is a
-//! pure function of its observations. Reports are therefore
-//! bit-identical serial vs parallel — asserted by the repo's
+//! Before each arrival the harness runs the engine to every control
+//! boundary the arrival passes ([`Engine::run_until`]) and runs the
+//! control step there, so control epochs fall at fixed virtual times
+//! whatever epochs the engine dispatches in between; observations are
+//! derived from merged machine state and worker-order latency logs; the
+//! controller is a pure function of its observations. Reports are
+//! therefore bit-identical serial vs parallel — asserted by the repo's
 //! determinism battery and the `fig_tenants` golden.
 
 use crate::apps::{PhasedGaps, TenantApp, TenantKind};
 use crate::controller::{ControllerConfig, IsolationController};
 use engine::{
-    AdmissionPolicy, Engine, EngineConfig, Execution, Hw, MergeCtx, Scheduler, WorkerSpec,
+    AdmissionPolicy, Engine, EngineConfig, Execution, Hw, QueueLedger, Scheduler, WorkerSpec,
 };
 use kvs::proto::{RequestGen, REQUEST_SIZE};
 use kvs::server::flow_for_queue;
@@ -71,11 +73,9 @@ use rte::mempool::MbufPool;
 use rte::nic::{FixedHeadroom, Port};
 use rte::steering::{Rss, Steering};
 use slice_aware::alloc::SliceAllocator;
-use std::cell::RefCell;
-use std::rc::Rc;
 use trafficgen::{FlowTuple, Phase, PhaseSchedule, ZipfGen};
 use xstats::percentile::percentile_in_place;
-use xstats::{slo_violation_ns, Summary};
+use xstats::slo_violation_ns;
 
 /// Tenant count (kvs, nfv, antagonist).
 pub(crate) const TENANTS: usize = 3;
@@ -83,7 +83,7 @@ pub(crate) const TENANTS: usize = 3;
 pub(crate) const NAMES: [&str; TENANTS] = ["kvs", "nfv", "antagonist"];
 /// Serving cores (== RX queues) per tenant.
 const TENANT_QUEUES: [&[usize]; TENANTS] = [&[0, 1], &[2, 3], &[4]];
-/// Queue → owning tenant (also the engine's ledger groups).
+/// Queue → owning tenant.
 const QUEUE_TENANT: [usize; 5] = [0, 0, 1, 1, 2];
 /// CAT segment stacking, bottom way up: antagonist, kvs, nfv — the nfv
 /// segment always contains the DDIO (top) ways.
@@ -189,7 +189,9 @@ pub struct TenancyConfig {
     /// Fault plan (composes with the storm chaos). Must not contain
     /// TX-stall windows: a TX-stalled frame is served and timed by its
     /// app but never delivered, which the app-vs-engine served
-    /// cross-check would reject.
+    /// cross-check would reject. A pool-exhaustion window is drawn per
+    /// arrival, like every fault: the engine runs to a control boundary
+    /// under the outage state the last arrival before it drew.
     pub faults: FaultPlan,
     /// RNG seed (request streams and pressure walks).
     pub seed: u64,
@@ -263,30 +265,58 @@ pub struct TenancyReport {
     /// `(epoch ns, LlcFill delta)` per epoch — the storm-detection
     /// input.
     pub(crate) fills: Vec<(f64, u64)>,
-    /// The engine's per-tenant ledgers (queue groups == tenants); each
-    /// satisfies the conservation identity, and they sum to the
-    /// aggregate (both asserted in [`engine::Engine::finish`]).
-    pub per_group: Vec<engine::QueueLedger>,
+    /// Per tenant, the [`QueueLedger::sum`] of its queues' engine
+    /// ledgers. Each balances and matches the harness's offered and
+    /// served counts (both asserted in [`run_tenancy`]).
+    pub per_group: Vec<QueueLedger>,
 }
 
-/// Everything the control hook and the harness share: the latency
-/// windows and the controller itself.
-struct RunShared {
+/// The control loop: the latency windows, the CBo fill window and the
+/// controller itself.
+struct ControlLoop {
     windows: Vec<Vec<f64>>,
     all_latencies: Vec<Vec<f64>>,
     ctrl: IsolationController,
     fill_base: UncoreSnapshot,
     act: bool,
+    /// The next control boundary (ns).
+    next_ns: f64,
 }
 
-/// Moves the apps' served latencies into the tenants' windows, in
-/// canonical worker order.
-fn drain_apps(apps: &mut [TenantApp<'_>], sh: &mut RunShared) {
-    for app in apps {
+impl ControlLoop {
+    /// Runs the engine to every control boundary up to `t_ns` and runs
+    /// the control step at each: drain the latency windows, poll the
+    /// CBo fill window, let the controller decide, apply. Allocates
+    /// nothing: each window's p99 is computed in the window's own
+    /// buffer, which is then emptied for the next period.
+    fn cross(&mut self, eng: &mut Engine<TenantApp<'_>>, hw: &mut Hw<'_>, t_ns: f64) {
+        while self.next_ns <= t_ns {
+            let t = self.next_ns;
+            eng.run_until(hw, t);
+            for w in 0..QUEUE_TENANT.len() {
+                self.drain(eng.app_mut(w));
+            }
+            let mut p99 = [None; TENANTS];
+            for (p, window) in p99.iter_mut().zip(&mut self.windows) {
+                *p = percentile_in_place(window, 99.0);
+                window.clear();
+            }
+            let fill_delta = hw.m.uncore().advance_window(&mut self.fill_base);
+            let actions = self.ctrl.observe(t, &p99, fill_delta, self.act);
+            if !actions.is_empty() {
+                apply_partition(hw.m, self.ctrl.ways(), self.ctrl.ddio());
+            }
+            self.next_ns += CONTROL_PERIOD_NS;
+        }
+    }
+
+    /// Moves an app's served latencies into its tenant's windows (the
+    /// control loop drains the apps in worker order).
+    fn drain(&mut self, app: &mut TenantApp<'_>) {
         let t = app.tenant;
         for lat in app.latencies.drain(..) {
-            sh.windows[t].push(lat);
-            sh.all_latencies[t].push(lat);
+            self.windows[t].push(lat);
+            self.all_latencies[t].push(lat);
         }
     }
 }
@@ -482,7 +512,6 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
         policy: &mut policy,
     };
     let mut eng = Engine::new(apps, ecfg, &mut hw);
-    eng.set_queue_groups(QUEUE_TENANT.to_vec());
 
     let ctrl = IsolationController::new(
         ControllerConfig {
@@ -497,39 +526,14 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
         },
         initial_ways.to_vec(),
     );
-    let shared = Rc::new(RefCell::new(RunShared {
+    let mut control = ControlLoop {
         windows: vec![Vec::new(); TENANTS],
         all_latencies: vec![Vec::new(); TENANTS],
         fill_base: hw.m.uncore().snapshot(),
         act: matches!(cfg.regime, Regime::Online),
         ctrl,
-    }));
-
-    // The control loop: drain the latency windows, poll the CBo fill
-    // window, let the controller decide, apply. Runs at every control
-    // boundary, at exact virtual times, and allocates nothing: each
-    // window's p99 is computed in the window's own buffer, which is then
-    // emptied for the next period.
-    let hook_shared = Rc::clone(&shared);
-    eng.set_control_hook(
-        CONTROL_PERIOD_NS,
-        Box::new(
-            move |apps: &mut [TenantApp<'_>], mc: &mut MergeCtx<'_>, t: f64| {
-                let sh = &mut *hook_shared.borrow_mut();
-                drain_apps(apps, sh);
-                let mut p99 = [None; TENANTS];
-                for (p, window) in p99.iter_mut().zip(&mut sh.windows) {
-                    *p = percentile_in_place(window, 99.0);
-                    window.clear();
-                }
-                let fill_delta = mc.m.uncore().advance_window(&mut sh.fill_base);
-                let actions = sh.ctrl.observe(t, &p99, fill_delta, sh.act);
-                if !actions.is_empty() {
-                    apply_partition(mc.m, sh.ctrl.ways(), sh.ctrl.ddio());
-                }
-            },
-        ),
-    );
+        next_ns: CONTROL_PERIOD_NS,
+    };
 
     // Arrival loop: each tenant has one pending arrival time; the least
     // `(t, tenant)` goes next, so same-time arrivals go in tenant order.
@@ -569,6 +573,7 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
         }
         offered[tenant] += 1;
         issued[tenant] += 1;
+        control.cross(&mut eng, &mut hw, t);
         let res = eng.offer(&mut hw, &flows[q], &frame, t);
         match res {
             Ok(_) => accepted[tenant] += 1,
@@ -588,48 +593,50 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
         }
     }
 
-    // Fire the remaining control boundaries (so the last windows reach
+    // Run the remaining control boundaries (so the last windows reach
     // the series), then drain in-flight work.
     let t_final = (horizon_ns / CONTROL_PERIOD_NS).ceil() * CONTROL_PERIOD_NS + CONTROL_PERIOD_NS;
-    eng.run_until(&mut hw, t_final);
+    control.cross(&mut eng, &mut hw, t_final);
     eng.drain(&mut hw);
 
     let (rep, mut apps) = eng.finish(&mut hw);
     assert_eq!(rep.in_flight, 0, "drained run leaves nothing in flight");
     assert_eq!(rep.carried, 0, "fresh port carries nothing in");
-    {
-        let sh = &mut *shared.borrow_mut();
-        drain_apps(&mut apps, sh);
-        sh.ctrl.finalize(rep.duration_ns.max(t_final));
+    for app in &mut apps {
+        control.drain(app);
     }
+    control.ctrl.finalize(rep.duration_ns.max(t_final));
 
-    // Cross-check the harness's per-tenant ledger against the engine's
-    // per-group one (the groups are the tenants).
-    assert_eq!(rep.per_group.len(), TENANTS, "one ledger group per tenant");
+    // Each tenant's ledger is the sum of its queues' ledgers; it must
+    // balance and agree with the harness's own counts.
     let mut served = [0u64; TENANTS];
     for a in &apps {
         served[a.tenant] += a.served_ok;
     }
-    for t in 0..TENANTS {
-        assert_eq!(
-            rep.per_group[t].offered, offered[t],
-            "tenant {t}: engine group ledger disagrees with the harness"
-        );
-        assert_eq!(rep.per_group[t].delivered, served[t]);
-    }
+    let per_group: Vec<QueueLedger> = TENANT_QUEUES
+        .iter()
+        .enumerate()
+        .map(|(t, queues)| {
+            let l = QueueLedger::sum(queues.iter().map(|&q| &rep.per_queue[q]));
+            assert!(l.balances(), "tenant {t}: ledger leaks frames: {l:?}");
+            assert_eq!(
+                l.offered, offered[t],
+                "tenant {t}: engine ledger disagrees with the harness"
+            );
+            assert_eq!(l.delivered, served[t]);
+            l
+        })
+        .collect();
 
-    let shared = Rc::try_unwrap(shared)
-        .unwrap_or_else(|_| panic!("the hook's shared handle is gone after finish"))
-        .into_inner();
-    let final_ways = shared.ctrl.ways().to_vec();
-    let final_ddio = shared.ctrl.ddio();
-    let all_latencies = shared.all_latencies;
-    let log = shared.ctrl.log;
+    let final_ways = control.ctrl.ways().to_vec();
+    let final_ddio = control.ctrl.ddio();
+    let mut all_latencies = control.all_latencies;
+    let log = control.ctrl.log;
     let slos = [KVS_SLO_NS, NFV_SLO_NS, f64::INFINITY];
     let tenants: Vec<TenantReport> = (0..TENANTS)
         .map(|t| {
-            let p99 = Summary::from_samples(all_latencies[t].iter().copied())
-                .map_or(0.0, |s| s.percentile(99.0));
+            // In the list's own buffer, as the control step does per window.
+            let p99 = percentile_in_place(&mut all_latencies[t], 99.0).unwrap_or(0.0);
             TenantReport {
                 name: NAMES[t],
                 offered: offered[t],
@@ -661,6 +668,6 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
         final_ddio,
         series: log.series,
         fills: log.fills,
-        per_group: rep.per_group,
+        per_group,
     }
 }

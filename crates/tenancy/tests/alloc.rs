@@ -1,7 +1,7 @@
 //! The multi-tenant run allocates per run, not per control period: the
-//! 20 µs control hook (window p99s, the CBo fill window, the
-//! controller's decision) reuses its buffers once grown, so ten times
-//! the packets add only the growth steps of the run's logs.
+//! control step the harness runs every 20 µs (window p99s, the CBo fill
+//! window, the controller's decision) reuses its buffers once grown, so
+//! ten times the packets add only the growth steps of the run's logs.
 //!
 //! The test binary's global allocator delegates to `System` and counts
 //! calls per thread, so tests running on other threads do not disturb a
@@ -76,8 +76,8 @@ fn run_allocations(packets: usize) -> u64 {
 /// quiet/storm cycles, so the controller acts many times more. The
 /// extra allocations are the doubling steps of the logs that grow with
 /// the run (the controller's per-tenant p99 series and fill series, the
-/// whole-run latency lists): 21 measured, bounded at 32. A hook that
-/// allocated per period would add 675 or more; one that collected the
+/// whole-run latency lists): 21 measured, bounded at 32. A control step
+/// that allocated per period would add 675 or more; one that collected the
 /// p99s, each window's sorted samples and the CBo readings into fresh
 /// `Vec`s made 11,330.
 #[test]

@@ -1,11 +1,12 @@
 //! The multi-tenant SLO-defense battery: the online controller must
 //! strictly beat the static even split for every victim tenant, never
-//! starve anyone, stay bit-identical across execution modes, and
-//! compose with injected NIC faults.
+//! starve anyone, stay bit-identical across execution modes, run its
+//! control steps at exact virtual times, and compose with injected NIC
+//! faults and pool outages.
 
 use engine::Execution;
 use rte::fault::{FaultPlan, Window};
-use tenancy::run::{run_tenancy, Regime, TenancyConfig, FLOOR_WAYS};
+use tenancy::run::{run_tenancy, Regime, TenancyConfig, CONTROL_PERIOD_NS, FLOOR_WAYS};
 
 /// Arrivals per victim tenant. ~10 ms of simulated time: six full
 /// quiet/storm cycles, enough for the controller to converge and then
@@ -129,13 +130,8 @@ fn per_tenant_ledgers_partition_the_aggregate_in_both_execution_modes() {
             );
             // ...and each satisfies conservation on its own: every
             // offered frame is accounted for within the tenant.
-            assert_eq!(
-                group.offered + group.carried,
-                group.delivered
-                    + group.nic.total()
-                    + group.admit.total()
-                    + group.app_drops
-                    + group.in_flight,
+            assert!(
+                group.balances(),
                 "{}: tenant ledger leaks frames",
                 tenant.name
             );
@@ -179,4 +175,57 @@ fn chaos_composes_with_injected_nic_faults() {
     // Determinism holds under faults too.
     let again = run_tenancy(&cfg);
     assert_eq!(format!("{faulted:?}"), format!("{again:?}"));
+}
+
+#[test]
+fn control_steps_run_at_exact_period_multiples_in_both_execution_modes() {
+    // The harness runs the engine to each boundary before its control
+    // step, so the k-th step observes the machine at exactly k periods,
+    // whatever epochs the engine dispatched in between.
+    for execution in [Execution::Serial, Execution::Parallel { threads: 2 }] {
+        let cfg = TenancyConfig {
+            execution,
+            ..TenancyConfig::new(Regime::Online, 2_000)
+        };
+        let rep = run_tenancy(&cfg);
+        assert!(rep.epochs > 0, "no control step ran");
+        let expected: Vec<f64> = (1..=rep.epochs)
+            .map(|k| k as f64 * CONTROL_PERIOD_NS)
+            .collect();
+        for (tenant, series) in rep.tenants.iter().zip(&rep.series) {
+            let times: Vec<f64> = series
+                .iter()
+                .take(expected.len())
+                .map(|&(t, _)| t)
+                .collect();
+            assert_eq!(times, expected, "{} ({execution:?})", tenant.name);
+        }
+    }
+}
+
+#[test]
+fn pool_exhaustion_starves_frames_and_stays_conservative_and_deterministic() {
+    // A 200 µs pool outage mid-run: refills fail, the posted rings run
+    // dry and arrivals are dropped as pool-starved. Each tenant's ledger
+    // must still balance, and the run must not depend on the execution
+    // mode.
+    let run = |execution| {
+        run_tenancy(&TenancyConfig {
+            execution,
+            faults: FaultPlan::none().with_pool_exhaustion(Window::new(400_000, 600_000)),
+            ..TenancyConfig::new(Regime::Online, SMOKE)
+        })
+    };
+    let serial = run(Execution::Serial);
+    let starved: u64 = serial.per_group.iter().map(|g| g.nic.pool_starved).sum();
+    assert!(starved > 0, "the pool-exhaustion window never fired");
+    for (group, tenant) in serial.per_group.iter().zip(&serial.tenants) {
+        assert!(
+            group.balances(),
+            "{}: tenant ledger leaks frames",
+            tenant.name
+        );
+    }
+    let parallel = run(Execution::Parallel { threads: 2 });
+    assert_eq!(format!("{serial:?}"), format!("{parallel:?}"));
 }

@@ -56,7 +56,7 @@ smoke() {
 # shards, and LLC effects applied at once vs logged and replayed) and
 # its snoop-filter test (every core's filter counts equal a recount of
 # its L1 and L2, through direct accesses and replayed shards), the
-# engine's dispatch-rule test (a catch-up runs an epoch only for a busy
+# engine's dispatch-rule test (`run_until` runs an epoch only for a busy
 # worker strictly behind the horizon, and its idle branch re-arms a ring
 # an outage left under-posted — a dispatch change that moves only the
 # epoch counters shows nowhere else), the open-loop client's event-queue
@@ -77,7 +77,7 @@ det() {
     echo "==> determinism: snoop filter matches private-cache residency"
     cargo test -p llc-sim --lib -q hierarchy::tests::snoop_filter
     echo "==> determinism: engine dispatch rule (busy and strictly behind the horizon)"
-    cargo test -p engine --lib -q catch_up_dispatches_only_for_a_busy_worker_strictly_behind_the_horizon
+    cargo test -p engine --lib -q run_until_dispatches_only_for_a_busy_worker_strictly_behind_the_horizon
     echo "==> determinism: open-loop client event queue (class deques vs a brute-force min-queue)"
     cargo test -p kvs --lib -q event_queue_matches_a_brute_force_min_queue
     echo "==> determinism: differential suite (serial/parallel + reference/event-driven)"
@@ -154,7 +154,7 @@ docpaths() {
 # crate names should be `pub(crate)` instead.
 ratchet() {
     echo "==> ratchet: lint exemptions, library unsafe and library pub fn"
-    local max_allow=4 max_tma=1 max_unsafe=4 max_pub_fn=414 allows tma unsafes pub_fns
+    local max_allow=4 max_tma=1 max_unsafe=4 max_pub_fn=411 allows tma unsafes pub_fns
     # `git grep` exits 1 on no match; a count of 0 must not end the gate.
     allows="$({ git grep -o '#\[allow(' -- '*.rs' || true; } | wc -l)"
     tma="$({ git grep -o 'too_many_arguments' -- '*.rs' || true; } | wc -l)"

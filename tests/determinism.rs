@@ -315,8 +315,9 @@ fn tenancy_controller_results_are_identical_across_modes() {
     // uncore counters — the maximal surface for a thread-count
     // dependence to leak in. The full report (per-tenant ledgers,
     // violation integrals, every controller action count) must be
-    // bit-identical across execution modes. (The control hook's
-    // independence of the scheduler is the engine suites' oracle, see
+    // bit-identical across execution modes. (That control steps run
+    // between `run_until` calls independently of the scheduler is the
+    // engine suites' oracle, see
     // `control_hook_and_bare_catch_ups_match_reference_tick_stepper`.)
     let reference = tenancy_run(Execution::Serial);
     assert!(
@@ -348,13 +349,8 @@ fn tenancy_per_tenant_ledgers_partition_the_aggregate_identities() {
         let rep = tenancy_run(execution);
         let mut sums = (0u64, 0u64, 0u64, 0u64);
         for (group, tenant) in rep.per_group.iter().zip(&rep.tenants) {
-            assert_eq!(
-                group.offered + group.carried,
-                group.delivered
-                    + group.nic.total()
-                    + group.admit.total()
-                    + group.app_drops
-                    + group.in_flight,
+            assert!(
+                group.balances(),
                 "{} ({execution:?}): tenant ledger leaks frames",
                 tenant.name
             );
