@@ -11,7 +11,7 @@
 use llc_sim::hierarchy::Cycles;
 use llc_sim::machine::Machine;
 use llc_sim::CACHE_LINE;
-use slice_aware::alloc::{AllocError, SliceAllocator, SliceBuffer};
+use slice_aware::alloc::{AllocError, SliceAllocator};
 use slice_aware::scatter::ScatteredBuf;
 
 /// Value placement for the large store.
@@ -54,7 +54,7 @@ impl LargeKvStore {
                 LargePlacement::Normal => alloc.alloc_contiguous_lines(lines)?,
                 LargePlacement::SliceSet(set) => alloc.alloc_lines_multi(set, lines)?,
             };
-            values.push(scattered_from(segments, value_size));
+            values.push(ScatteredBuf::from_segments(segments, value_size));
         }
         Ok(Self { values, value_size })
     }
@@ -85,11 +85,6 @@ impl LargeKvStore {
         m.advance(core, OP_WORK);
         c + OP_WORK
     }
-}
-
-/// Wraps an already-allocated segment list as a scattered object.
-fn scattered_from(segments: SliceBuffer, len: usize) -> ScatteredBuf {
-    ScatteredBuf::from_segments(segments, len)
 }
 
 #[cfg(test)]
@@ -187,8 +182,8 @@ mod tests {
     fn normal_placement_is_contiguous() {
         let (_m, mut a) = setup();
         let kv = LargeKvStore::build(&mut a, 2, 256, &LargePlacement::Normal).unwrap();
-        let segs = kv.values[0].segments();
-        for w in segs.lines().windows(2) {
+        let segs: Vec<_> = kv.values[0].segments().lines().collect();
+        for w in segs.windows(2) {
             assert_eq!(w[1].raw(), w[0].raw() + 64);
         }
     }

@@ -86,7 +86,8 @@ impl Placement {
 /// The emulated store.
 #[derive(Debug)]
 pub struct KvStore {
-    /// One 64 B line per value.
+    /// One 64 B line per value: the striped placements' slice-local
+    /// lines, then the contiguous cold run as a base address.
     slots: SliceBuffer,
     /// Direct-mapped index: `n` little-endian u32 slot numbers in
     /// simulated memory (contiguous in both modes).
@@ -115,25 +116,7 @@ impl KvStore {
             Placement::SliceAware { slice } => alloc.alloc_lines_exclusive(*slice, n)?,
             Placement::Striped { slices } => {
                 assert!(!slices.is_empty(), "striped placement needs a slice list");
-                let s = slices.len();
-                // Per-residue line pools: class r holds the slots
-                // k ∈ [0, n) with k ≡ r (mod s).
-                let mut per: Vec<std::vec::IntoIter<PhysAddr>> = Vec::with_capacity(s);
-                for (r, &slice) in slices.iter().enumerate() {
-                    let count = if r < n { (n - r).div_ceil(s) } else { 0 };
-                    per.push(
-                        alloc
-                            .alloc_lines(slice, count)?
-                            .lines()
-                            .to_vec()
-                            .into_iter(),
-                    );
-                }
-                let mut lines = Vec::with_capacity(n);
-                for k in 0..n {
-                    lines.push(per[k % s].next().expect("pool sized per residue"));
-                }
-                SliceBuffer::from_lines(lines)
+                striped_slots(alloc, n, slices, usize::MAX)?
             }
             Placement::StripedHot {
                 slices,
@@ -144,39 +127,7 @@ impl KvStore {
                     "striped-hot placement needs a slice list"
                 );
                 assert!(*hot_per_core > 0, "striped-hot placement needs a hot area");
-                let s = slices.len();
-                // Hot area of class r: its first `hot_per_core` slots,
-                // pinned to slices[r].
-                let mut hot: Vec<std::vec::IntoIter<PhysAddr>> = Vec::with_capacity(s);
-                let mut hot_total = 0usize;
-                for (r, &slice) in slices.iter().enumerate() {
-                    let class_len = if r < n { (n - r).div_ceil(s) } else { 0 };
-                    let count = (*hot_per_core).min(class_len);
-                    hot_total += count;
-                    hot.push(
-                        alloc
-                            .alloc_lines(slice, count)?
-                            .lines()
-                            .to_vec()
-                            .into_iter(),
-                    );
-                }
-                // Cold tail: contiguous, spreading over every slice so
-                // the long tail keeps the whole LLC's capacity.
-                let mut cold = alloc
-                    .alloc_contiguous_lines(n - hot_total)?
-                    .lines()
-                    .to_vec()
-                    .into_iter();
-                let mut lines = Vec::with_capacity(n);
-                for k in 0..n {
-                    if k / s < *hot_per_core {
-                        lines.push(hot[k % s].next().expect("pool sized per hot class"));
-                    } else {
-                        lines.push(cold.next().expect("cold pool sized to the tail"));
-                    }
-                }
-                SliceBuffer::from_lines(lines)
+                striped_slots(alloc, n, slices, *hot_per_core)?
             }
         };
         let index = m
@@ -366,6 +317,36 @@ impl KvStore {
     }
 }
 
+/// The slots of a striped store: slot `k` with `k / s < hot_per_core`
+/// (`s = slices.len()`) is the next line of class `k mod s`'s pool in
+/// `slices[k mod s]`, and the slots from `s × hot_per_core` on are one
+/// contiguous run that spreads over every slice, kept as its base
+/// address. `Striped` is the case with no cold run.
+fn striped_slots<F: FnMut(PhysAddr) -> usize>(
+    alloc: &mut SliceAllocator<F>,
+    n: usize,
+    slices: &[usize],
+    hot_per_core: usize,
+) -> Result<SliceBuffer, AllocError> {
+    let s = slices.len();
+    let hot = n.min(s.saturating_mul(hot_per_core));
+    // Class r's pool: its slots below `hot`, pinned to slices[r].
+    let pools = slices
+        .iter()
+        .enumerate()
+        .map(|(r, &slice)| {
+            let count = if r < hot { (hot - r).div_ceil(s) } else { 0 };
+            alloc.alloc_lines(slice, count)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let cold = alloc.alloc_contiguous_lines(n - hot)?;
+    let mut cursors: Vec<_> = pools.iter().map(SliceBuffer::lines).collect();
+    let head = (0..hot)
+        .map(|k| cursors[k % s].next().expect("pool sized per class"))
+        .collect();
+    Ok(cold.prepend(head))
+}
+
 /// A rejected [`KvStore::swap_keys`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwapError {
@@ -428,6 +409,94 @@ mod tests {
         let r = m.mem_mut().alloc(region_mb << 20, 1 << 20).unwrap();
         let alloc = SliceAllocator::new(r, m.slice_oracle());
         (m, alloc)
+    }
+
+    /// The reference layout, one explicit address per slot: per-class
+    /// pools interleaved, then the cold slots taken one by one from a
+    /// contiguous run.
+    fn explicit_slot_list<F: FnMut(PhysAddr) -> usize>(
+        alloc: &mut SliceAllocator<F>,
+        n: usize,
+        placement: &Placement,
+    ) -> Vec<PhysAddr> {
+        let (slices, hot_per_core) = match placement {
+            Placement::Normal => return alloc.alloc_contiguous_lines(n).unwrap().lines().collect(),
+            Placement::SliceAware { slice } => {
+                return alloc
+                    .alloc_lines_exclusive(*slice, n)
+                    .unwrap()
+                    .lines()
+                    .collect()
+            }
+            Placement::Striped { slices } => (slices, None),
+            Placement::StripedHot {
+                slices,
+                hot_per_core,
+            } => (slices, Some(*hot_per_core)),
+        };
+        let s = slices.len();
+        let mut pools: Vec<std::vec::IntoIter<PhysAddr>> = Vec::new();
+        let mut pooled = 0;
+        for (r, &slice) in slices.iter().enumerate() {
+            let class_len = if r < n { (n - r).div_ceil(s) } else { 0 };
+            let count = hot_per_core.map_or(class_len, |h| h.min(class_len));
+            pooled += count;
+            let pool: Vec<PhysAddr> = alloc.alloc_lines(slice, count).unwrap().lines().collect();
+            pools.push(pool.into_iter());
+        }
+        let cold: Vec<PhysAddr> = match hot_per_core {
+            Some(_) => alloc
+                .alloc_contiguous_lines(n - pooled)
+                .unwrap()
+                .lines()
+                .collect(),
+            None => Vec::new(),
+        };
+        let mut cold = cold.into_iter();
+        (0..n)
+            .map(|k| match hot_per_core {
+                Some(h) if k / s >= h => cold.next().unwrap(),
+                _ => pools[k % s].next().unwrap(),
+            })
+            .collect()
+    }
+
+    /// The store keeps its cold run as a base address, not a list: every
+    /// slot must sit on the line the explicit reference layout gives it,
+    /// or every KVS figure and digest moves.
+    #[test]
+    fn slot_addresses_match_the_explicit_slot_list() {
+        let four = vec![0usize, 2, 4, 6];
+        let striped_hot = |slices: &[usize], hot_per_core| Placement::StripedHot {
+            slices: slices.to_vec(),
+            hot_per_core,
+        };
+        let cases = [
+            (2048, Placement::Normal),
+            (1027, Placement::SliceAware { slice: 5 }),
+            (
+                1027,
+                Placement::Striped {
+                    slices: four.clone(),
+                },
+            ),
+            (4096, striped_hot(&four, 64)),
+            (4099, striped_hot(&four, 64)),
+            // Fewer slots than hot places: every slot hot, empty tail.
+            (250, striped_hot(&four, 100)),
+            (1000, striped_hot(&[3, 5, 7], 333)),
+            (1000, striped_hot(&[3], 100)),
+        ];
+        for (n, placement) in cases {
+            let (mut m, mut a) = setup(16);
+            let kv = KvStore::build(&mut m, &mut a, n, placement.clone()).unwrap();
+            let (_, mut twin) = setup(16);
+            let want = explicit_slot_list(&mut twin, n, &placement);
+            assert_eq!(kv.len(), want.len(), "{placement:?}");
+            for (k, &pa) in want.iter().enumerate() {
+                assert_eq!(kv.value_pa(&mut m, k as u32), pa, "{placement:?} slot {k}");
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,10 @@
 //! operations at the same rate raise the peak of live heap bytes by at
 //! most 16 KiB.
 //!
+//! A store's host slot map holds its slice-local lines only: the
+//! contiguous cold run is a base address, so a `StripedHot` store four
+//! times larger peaks at the same live heap while it is built.
+//!
 //! The test binary's global allocator delegates to `System` and counts
 //! calls and live bytes per thread, so tests running on other threads do
 //! not disturb a count.
@@ -165,6 +169,39 @@ fn open_loop_peak_heap_does_not_grow_with_the_op_count() {
     assert!(
         large - small <= 16 << 10,
         "18,000 more ops raised the peak live heap by {} bytes ({small} → {large})",
+        large - small
+    );
+}
+
+/// Peak live heap above the pre-build level while a 4-slice
+/// `StripedHot` store of `keys` keys with 5,000 hot lines per class is
+/// built (the machine and its region exist before counting starts).
+fn striped_hot_build_peak(keys: usize) -> isize {
+    let mut m = Machine::new(
+        MachineConfig::haswell_e5_2667_v3().with_dram_capacity(keys * 64 * 3 + (64 << 20)),
+    );
+    let region = m.mem_mut().alloc(keys * 64 * 2, 1 << 20).unwrap();
+    let mut alloc = SliceAllocator::new(region, m.slice_oracle());
+    let placement = Placement::StripedHot {
+        slices: (0..CORES).map(|c| m.closest_slice(c)).collect(),
+        hot_per_core: 5_000,
+    };
+    let live = reset_peak();
+    let store = KvStore::build(&mut m, &mut alloc, keys, placement).unwrap();
+    let peak = PEAK.with(Cell::get) - live;
+    drop(store);
+    peak
+}
+
+/// Four times the keys, the same 20,000 hot lines: the build's peak
+/// heap must not grow with the cold run.
+#[test]
+fn striped_hot_build_heap_does_not_grow_with_the_cold_run() {
+    let small = striped_hot_build_peak(1 << 18);
+    let large = striped_hot_build_peak(1 << 20);
+    assert!(
+        (large - small).abs() <= 64 << 10,
+        "2^20 keys peaked {} bytes above 2^18 keys ({small} → {large})",
         large - small
     );
 }

@@ -54,30 +54,67 @@ impl std::error::Error for AllocError {}
 /// baseline produces consecutive lines. Elements are addressed by line
 /// index, mirroring how the paper's experiments treat the buffer as an
 /// array of 64 B slots reached through a pointer table.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Both kinds share one representation: an explicit *head* of lines,
+/// then a contiguous *tail* kept as its first address and line count.
+/// A slice-local buffer is all head, a contiguous one all tail (O(1)
+/// host memory at any size), and a §8 hot/cold layout is a head of
+/// slice-local lines in front of a contiguous run
+/// ([`SliceBuffer::prepend`]).
+#[derive(Debug, Clone)]
 pub struct SliceBuffer {
-    lines: Vec<PhysAddr>,
+    /// Lines `0..head.len()`.
+    head: Vec<PhysAddr>,
+    /// Line `head.len() + j` is `tail + 64·j`, for `j < tail_len`.
+    tail: PhysAddr,
+    tail_len: usize,
 }
 
 impl SliceBuffer {
     /// Wraps an explicit line list.
-    pub fn from_lines(lines: Vec<PhysAddr>) -> Self {
-        Self { lines }
+    pub(crate) fn from_lines(lines: Vec<PhysAddr>) -> Self {
+        Self {
+            head: lines,
+            tail: PhysAddr(0),
+            tail_len: 0,
+        }
     }
 
-    /// The line addresses.
-    pub fn lines(&self) -> &[PhysAddr] {
-        &self.lines
+    /// `count` consecutive lines starting at `base`.
+    fn contiguous(base: PhysAddr, count: usize) -> Self {
+        Self {
+            head: Vec::new(),
+            tail: base,
+            tail_len: count,
+        }
+    }
+
+    /// Puts the explicit lines `head` in front of this buffer's lines:
+    /// line `i` of the result is `head[i]` below `head.len()`, then this
+    /// buffer's line `i - head.len()`.
+    pub fn prepend(mut self, mut head: Vec<PhysAddr>) -> Self {
+        head.append(&mut self.head);
+        self.head = head;
+        self
+    }
+
+    /// The line addresses, in order.
+    pub fn lines(&self) -> impl Iterator<Item = PhysAddr> + '_ {
+        let tail = self.tail;
+        self.head
+            .iter()
+            .copied()
+            .chain((0..self.tail_len).map(move |j| tail.add((j * CACHE_LINE) as u64)))
     }
 
     /// Number of 64 B lines.
     pub fn len(&self) -> usize {
-        self.lines.len()
+        self.head.len() + self.tail_len
     }
 
     /// True when the buffer holds no lines.
     pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
+        self.len() == 0
     }
 
     /// Address of line `i`.
@@ -86,7 +123,17 @@ impl SliceBuffer {
     ///
     /// Panics when `i` is out of range.
     pub fn line(&self, i: usize) -> PhysAddr {
-        self.lines[i]
+        match i.checked_sub(self.head.len()) {
+            None => self.head[i],
+            Some(j) => {
+                assert!(
+                    j < self.tail_len,
+                    "line {i} out of range: the buffer holds {} lines",
+                    self.len()
+                );
+                self.tail.add((j * CACHE_LINE) as u64)
+            }
+        }
     }
 }
 
@@ -147,9 +194,21 @@ impl<F: FnMut(PhysAddr) -> usize> SliceAllocator<F> {
     /// they are scattered through the region (by construction of Complex
     /// Addressing, roughly one line in `slices` qualifies).
     pub fn alloc_lines(&mut self, slice: usize, count: usize) -> Result<SliceBuffer, AllocError> {
-        self.ensure_slice(slice);
         let mut out = Vec::with_capacity(count);
-        while out.len() < count {
+        self.alloc_lines_into(slice, count, &mut out)?;
+        Ok(SliceBuffer::from_lines(out))
+    }
+
+    /// [`SliceAllocator::alloc_lines`], appending the lines to `out`.
+    pub(crate) fn alloc_lines_into(
+        &mut self,
+        slice: usize,
+        count: usize,
+        out: &mut Vec<PhysAddr>,
+    ) -> Result<(), AllocError> {
+        self.ensure_slice(slice);
+        let start = out.len();
+        while out.len() - start < count {
             if let Some(off) = self.stash[slice].pop_front() {
                 out.push(self.region.pa(off as usize * CACHE_LINE));
                 continue;
@@ -157,7 +216,7 @@ impl<F: FnMut(PhysAddr) -> usize> SliceAllocator<F> {
             if self.scan >= self.contig_top {
                 return Err(AllocError::ExhaustedSlice {
                     slice,
-                    got: out.len(),
+                    got: out.len() - start,
                     want: count,
                 });
             }
@@ -168,7 +227,7 @@ impl<F: FnMut(PhysAddr) -> usize> SliceAllocator<F> {
             self.ensure_slice(s);
             self.stash[s].push_back(idx as u32);
         }
-        Ok(SliceBuffer::from_lines(out))
+        Ok(())
     }
 
     /// Allocates `bytes` rounded up to whole lines, all in `slice`.
@@ -221,17 +280,18 @@ impl<F: FnMut(PhysAddr) -> usize> SliceAllocator<F> {
     }
 
     /// Allocates `count` consecutive lines (the "normal memory allocation"
-    /// baseline of §3), carved from the top of the region.
+    /// baseline of §3), carved from the top of the region. The buffer is
+    /// a tail alone: O(1) host memory at any `count`.
     pub fn alloc_contiguous_lines(&mut self, count: usize) -> Result<SliceBuffer, AllocError> {
         if self.contig_top < count || self.contig_top - count < self.scan {
             return Err(AllocError::ExhaustedContiguous);
         }
         self.contig_top -= count;
-        let base = self.contig_top;
-        let lines = (0..count)
-            .map(|i| self.region.pa((base + i) * CACHE_LINE))
-            .collect();
-        Ok(SliceBuffer::from_lines(lines))
+        let base = self
+            .region
+            .base()
+            .add((self.contig_top * CACHE_LINE) as u64);
+        Ok(SliceBuffer::contiguous(base, count))
     }
 
     /// Contiguous variant of [`SliceAllocator::alloc_bytes`].
@@ -264,7 +324,7 @@ mod tests {
         for slice in 0..8 {
             let buf = a.alloc_lines(slice, 100).unwrap();
             assert_eq!(buf.len(), 100);
-            for &pa in buf.lines() {
+            for pa in buf.lines() {
                 assert_eq!(hash.slice_of(pa), slice, "slice {slice}");
             }
         }
@@ -278,13 +338,13 @@ mod tests {
         for slice in 0..8 {
             for _ in 0..3 {
                 let buf = a.alloc_lines(slice, 50).unwrap();
-                for &pa in buf.lines() {
+                for pa in buf.lines() {
                     assert!(seen.insert(pa), "double allocation of {pa}");
                 }
             }
         }
         let contig = a.alloc_contiguous_lines(256).unwrap();
-        for &pa in contig.lines() {
+        for pa in contig.lines() {
             assert!(seen.insert(pa), "contiguous overlaps slice-local: {pa}");
         }
     }
@@ -294,7 +354,8 @@ mod tests {
         let (region, oracle) = setup(1 << 20);
         let mut a = SliceAllocator::new(region, oracle);
         let buf = a.alloc_contiguous_lines(64).unwrap();
-        for w in buf.lines().windows(2) {
+        let lines: Vec<PhysAddr> = buf.lines().collect();
+        for w in lines.windows(2) {
             assert_eq!(w[1].raw(), w[0].raw() + 64);
         }
     }
@@ -332,8 +393,8 @@ mod tests {
         let mut a = SliceAllocator::new(region, oracle);
         let s = a.alloc_lines(0, 64).unwrap();
         let c = a.alloc_contiguous_lines(512).unwrap();
-        let sset: std::collections::HashSet<_> = s.lines().iter().collect();
-        assert!(c.lines().iter().all(|pa| !sset.contains(pa)));
+        let sset: std::collections::HashSet<_> = s.lines().collect();
+        assert!(c.lines().all(|pa| !sset.contains(&pa)));
     }
 
     #[test]
@@ -365,7 +426,7 @@ mod tests {
         let _ = a.alloc_lines(0, 200).unwrap();
         let hash = XorSliceHash::haswell_8slice();
         let buf = a.alloc_lines(3, 200).unwrap();
-        assert!(buf.lines().iter().all(|&pa| hash.slice_of(pa) == 3));
+        assert!(buf.lines().all(|pa| hash.slice_of(pa) == 3));
     }
 
     #[test]
@@ -375,6 +436,61 @@ mod tests {
         assert!(!buf.is_empty());
         assert_eq!(buf.line(1), PhysAddr(64));
         assert_eq!(buf.len() * CACHE_LINE, 128);
+    }
+
+    /// An explicit buffer, a tail alone, and a tail behind two prepended
+    /// heads.
+    fn three_shapes() -> [(&'static str, SliceBuffer, Vec<PhysAddr>); 3] {
+        let pas = |raw: &[u64]| raw.iter().map(|&r| PhysAddr(r)).collect::<Vec<_>>();
+        [
+            (
+                "explicit",
+                SliceBuffer::from_lines(pas(&[640, 128, 4096])),
+                pas(&[640, 128, 4096]),
+            ),
+            (
+                "tail-only",
+                SliceBuffer::contiguous(PhysAddr(8192), 4),
+                pas(&[8192, 8256, 8320, 8384]),
+            ),
+            (
+                "mixed",
+                SliceBuffer::contiguous(PhysAddr(8192), 3)
+                    .prepend(pas(&[64]))
+                    .prepend(pas(&[640, 128])),
+                pas(&[640, 128, 64, 8192, 8256, 8320]),
+            ),
+        ]
+    }
+
+    #[test]
+    fn line_and_lines_agree_on_every_shape() {
+        for (shape, buf, want) in three_shapes() {
+            assert_eq!(buf.lines().collect::<Vec<_>>(), want, "{shape}");
+            assert_eq!(buf.len(), want.len(), "{shape}");
+            for (i, &pa) in want.iter().enumerate() {
+                assert_eq!(buf.line(i), pa, "{shape} line {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn line_past_the_end_panics_on_every_shape() {
+        for (shape, buf, _) in three_shapes() {
+            let len = buf.len();
+            let past = std::panic::catch_unwind(|| buf.line(len));
+            assert!(past.is_err(), "{shape}: line({len}) must panic");
+        }
+    }
+
+    #[test]
+    fn contiguous_buffer_is_a_tail_alone() {
+        let (region, oracle) = setup(1 << 20);
+        let mut a = SliceAllocator::new(region, oracle);
+        let buf = a.alloc_contiguous_lines(1000).unwrap();
+        assert!(buf.head.is_empty(), "no line list for a contiguous run");
+        assert_eq!(buf.tail, region.pa(region.len() - 1000 * CACHE_LINE));
+        assert_eq!(buf.line(999), region.pa(region.len() - CACHE_LINE));
     }
 }
 
@@ -393,9 +509,9 @@ mod exclusive_tests {
         let mut a = SliceAllocator::new(region, move |pa| h2.slice_of(pa));
         let buf = a.alloc_lines_exclusive(4, 1500).unwrap();
         assert_eq!(buf.len(), 1500);
-        let set: std::collections::HashSet<_> = buf.lines().iter().collect();
+        let set: std::collections::HashSet<_> = buf.lines().collect();
         assert_eq!(set.len(), 1500);
-        assert!(buf.lines().iter().all(|&pa| hash.slice_of(pa) == 4));
+        assert!(buf.lines().all(|pa| hash.slice_of(pa) == 4));
     }
 
     #[test]

@@ -145,7 +145,7 @@ pub fn setup_isolation<F: FnMut(PhysAddr) -> usize>(
             let per = (noise_bytes / llc_sim::CACHE_LINE).div_ceil(slices.saturating_sub(1).max(1));
             let mut lines = Vec::new();
             for s in (0..slices).filter(|&s| s != slice) {
-                lines.extend_from_slice(alloc.alloc_lines(s, per)?.lines());
+                alloc.alloc_lines_into(s, per, &mut lines)?;
             }
             (main, SliceBuffer::from_lines(lines))
         }
@@ -346,16 +346,8 @@ mod tests {
             1 << 20,
         )
         .unwrap();
-        assert!(s
-            .main_buf
-            .lines()
-            .iter()
-            .all(|&pa| m.slice_of(pa) == protected));
-        assert!(s
-            .noise_buf
-            .lines()
-            .iter()
-            .all(|&pa| m.slice_of(pa) != protected));
+        assert!(s.main_buf.lines().all(|pa| m.slice_of(pa) == protected));
+        assert!(s.noise_buf.lines().all(|pa| m.slice_of(pa) != protected));
     }
 
     #[test]

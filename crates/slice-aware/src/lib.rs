@@ -35,7 +35,7 @@
 //! let target = m.closest_slice(0);
 //! let mut alloc = SliceAllocator::new(page, m.slice_oracle());
 //! let buf = alloc.alloc_lines(target, 64).unwrap();
-//! assert!(buf.lines().iter().all(|&pa| m.slice_of(pa) == target));
+//! assert!(buf.lines().all(|pa| m.slice_of(pa) == target));
 //! ```
 
 pub mod alloc;

@@ -190,11 +190,11 @@ mod tests {
         p.grant(9, &[0]).unwrap();
         let h = XorSliceHash::haswell_8slice();
         let a = p.alloc_for(7, 200).unwrap();
-        for &pa in a.lines() {
+        for pa in a.lines() {
             assert!([4, 5].contains(&h.slice_of(pa)));
         }
         let b = p.alloc_for(9, 100).unwrap();
-        for &pa in b.lines() {
+        for pa in b.lines() {
             assert_eq!(h.slice_of(pa), 0);
         }
     }
@@ -206,8 +206,8 @@ mod tests {
         p.grant(2, &[1, 3]).unwrap();
         let a = p.alloc_for(1, 500).unwrap();
         let b = p.alloc_for(2, 500).unwrap();
-        let set: std::collections::HashSet<_> = a.lines().iter().collect();
-        assert!(b.lines().iter().all(|pa| !set.contains(pa)));
+        let set: std::collections::HashSet<_> = a.lines().collect();
+        assert!(b.lines().all(|pa| !set.contains(&pa)));
     }
 
     #[test]

@@ -36,8 +36,7 @@ impl<F: FnMut(PhysAddr) -> usize> SliceAllocator<F> {
         assert!(!slices.is_empty(), "need at least one target slice");
         let mut lines = Vec::with_capacity(count);
         for i in 0..count {
-            let target = slices[i % slices.len()];
-            lines.extend_from_slice(self.alloc_lines(target, 1)?.lines());
+            self.alloc_lines_into(slices[i % slices.len()], 1, &mut lines)?;
         }
         Ok(SliceBuffer::from_lines(lines))
     }
@@ -170,7 +169,7 @@ mod tests {
         let (m, mut a) = setup();
         let buf = a.alloc_lines_multi(&[1, 3, 5], 99).unwrap();
         let mut counts = [0usize; 8];
-        for &pa in buf.lines() {
+        for pa in buf.lines() {
             counts[m.slice_of(pa)] += 1;
         }
         assert_eq!(counts[1], 33);

@@ -22,7 +22,7 @@ pub(crate) const OP_OVERHEAD: Cycles = 20;
 /// Touches every line once so the measurement starts warm (the paper's
 /// 100-run experiments amortise the cold start; we separate it).
 pub fn warm_buffer(m: &mut Machine, core: usize, buf: &SliceBuffer) {
-    for &pa in buf.lines() {
+    for pa in buf.lines() {
         m.touch_read(core, pa);
     }
     m.drain_write_backs(core);

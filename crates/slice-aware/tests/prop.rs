@@ -29,10 +29,11 @@ fn check_alloc_sequence(requests: Vec<(u8, u16)>, slices: usize) {
         let count = count as usize + 1;
         if kind as usize % (slices + 1) == slices {
             if let Ok(buf) = alloc.alloc_contiguous_lines(count) {
-                for w in buf.lines().windows(2) {
+                let lines: Vec<PhysAddr> = buf.lines().collect();
+                for w in lines.windows(2) {
                     assert_eq!(w[1].raw(), w[0].raw() + 64, "contiguity");
                 }
-                for &pa in buf.lines() {
+                for pa in buf.lines() {
                     assert!(seen.insert(pa), "double allocation {pa}");
                 }
             }
@@ -40,7 +41,7 @@ fn check_alloc_sequence(requests: Vec<(u8, u16)>, slices: usize) {
             let target = kind as usize % (slices + 1);
             if let Ok(buf) = alloc.alloc_lines(target, count) {
                 assert_eq!(buf.len(), count);
-                for &pa in buf.lines() {
+                for pa in buf.lines() {
                     assert_eq!(check(pa), target, "slice constraint");
                     assert!(seen.insert(pa), "double allocation {pa}");
                 }
@@ -88,9 +89,9 @@ fn exclusive_never_overlaps() {
         let mut alloc = SliceAllocator::new(region, move |pa| h.slice_of(pa));
         let a = alloc.alloc_lines(s1, first).unwrap();
         let b = alloc.alloc_lines_exclusive(s2, second).unwrap();
-        let set: std::collections::HashSet<_> = a.lines().iter().collect();
+        let set: std::collections::HashSet<_> = a.lines().collect();
         for pa in b.lines() {
-            assert!(!set.contains(pa), "overlap at {pa}");
+            assert!(!set.contains(&pa), "overlap at {pa}");
         }
     }
 }

@@ -62,6 +62,9 @@ smoke() {
 # epoch counters shows nowhere else), the open-loop client's event-queue
 # test (its per-class timer deques pop exactly what a (key, sub, seq)
 # min-queue pops, so retries and give-ups fire in the documented order),
+# the KVS store's layout pin (every slot sits on the line an explicit
+# per-slot list puts it on, though the cold run is a base address: a
+# layout change would move every KVS figure and digest at once),
 # the engine's differential and prop suites (serial vs parallel AND
 # event-driven vs the reference tick-stepper it keeps as its oracle, with
 # fault plans whose outage windows are guarded to fire), the real
@@ -80,6 +83,8 @@ det() {
     cargo test -p engine --lib -q run_until_dispatches_only_for_a_busy_worker_strictly_behind_the_horizon
     echo "==> determinism: open-loop client event queue (class deques vs a brute-force min-queue)"
     cargo test -p kvs --lib -q event_queue_matches_a_brute_force_min_queue
+    echo "==> determinism: KVS slot layout (cold run as a base address vs an explicit slot list)"
+    cargo test -p kvs --lib -q store::tests::slot_addresses_match_the_explicit_slot_list
     echo "==> determinism: differential suite (serial/parallel + reference/event-driven)"
     cargo test -p engine --test differential -q
     # Same suite single-threaded: harness scheduling must not matter.
